@@ -209,6 +209,9 @@ class ActivityField:
             raise ValueError("field values must be finite and >= 0")
         if not (math.isfinite(self.scale) and self.scale >= 0):
             raise ValueError("scale must be finite and >= 0")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.scale * arr)):
+                raise ValueError("activities scale * value must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -1,22 +1,28 @@
-"""Exact computation on finite boxes by a column-by-column transfer scan.
+"""Exact computation on finite boxes by a site-by-site transfer scan.
 
-Independent sets of a W x H box are encoded one column at a time as height-H
-bitmasks with no two adjacent bits (Fibonacci-many per height; 17711 at
-height 20).  A forward scan accumulates the partition weight of every prefix
-per end-column mask; a matching backward scan turns the same tables into
-exact single-site marginals and an exact sequential sampler.  Each column is
-rescaled by its maximum while the log of the scale factors accumulates, so
-no intermediate ever leaves double range.
+Independent sets of a W x H box are built one site at a time, column by column
+and bottom to top (Calkin-Wilf, SIAM J. Discrete Math. 11, 1998).  After site
+(x, r) the state is a table T[lo, hi] over the masks without adjacent bits of
+rows 0..r of column x (lo) and rows r+1..H-1 of column x-1 (hi), with
+F(r+3) * F(H-r+1) entries (F = Fibonacci) against F(H+2)^2 for a column
+transfer matrix.  Both index sets follow the Fibonacci order that splits on
+the bit added or consumed next, so a site step needs no gathers: T[:, :f1]
+(consumed bit clear) plus T[:, f1:] folded into its first w1 columns, then the
+rows T[:keep] times the activity for the new bit.  At full height lo is
+ascending mask order; a cached permutation per height hands a column to the
+next.  Marginals meet forward and transposed-step vectors at column edges.
 
-Columns talk to each other only through mask disjointness.  Up to height 17
-that relation is a cached dense 0/1 matrix and the transition is one matvec;
-above, the same sum is taken with a subset-sum sweep over all 2^H patterns,
-which stays well inside memory up to the height cap of 24.
-
-A vanishing activity (scale 0 or a deleted site) simply forbids the bit, so
-a box with dead sites equals the box with those sites removed.  Occupied
-frame sites of the boundary condition forbid the adjacent in-box bits the
-same way.  The all-empty column is always admissible, hence log Z >= 0.
+Each column ends divided by its maximum.  Within a column the maximum never
+decreases and grows by at most 2(1 + a) per site, and the float-type rule
+below keeps H + sum log2(1 + a) of every column inside the exponent range, so
+no column overflows between rescales.  Rescaling flushes entries 2^1022 below
+the maximum, which matter only if the sites next to the frontier (in two
+adjacent columns) lift their completion past that factor.  So the scan runs
+in float64 while sum log2(1 + a) over two adjacent columns stays
+_SAFETY_BITS inside its exponent range, else in long double (wider only where
+np.longdouble has 80 or 128 bits), else it raises CapacityError, as for a
+zero or non-finite maximum.  Zero activities and frame-blocked sites forbid
+bits; the empty pattern keeps log Z >= 0.
 """
 from __future__ import annotations
 
@@ -28,78 +34,64 @@ import numpy as np
 
 from .disorder import ActivityField
 from .errors import CapacityError
-from .lattice import (
-    BoundaryCondition,
-    FREE_BC,
-    LatticeBox,
-    Site,
-    as_boundary_condition,
-    neighbours,
-)
+from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition
 
 MAX_HEIGHT = 24
-_DENSE_MASK_LIMIT = 4200  # dense disjointness above this would cost ~150 MB
+_SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
+_FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Slice sizes and orders of the scan for one column height."""
+
+    steps: tuple[tuple[int, slice, int, int], ...]  # per row: top, rows T[:keep], f1, w1
+    shapes: tuple[tuple[int, int], ...]  # table shape before each row, then after
+    perm: np.ndarray  # hi position at a column start -> ascending mask position
+    masks: np.ndarray  # valid column masks, ascending
+    bits: np.ndarray  # bits[r, i] = bit r of masks[i], as float
 
 
 @lru_cache(maxsize=None)
-def _mask_table(height: int) -> tuple[np.ndarray, np.ndarray | None]:
-    masks = np.array(
-        [m for m in range(1 << height) if (m & (m << 1)) == 0], dtype=np.int64
-    )
-    masks.setflags(write=False)
-    compat: np.ndarray | None = None
-    if len(masks) <= _DENSE_MASK_LIMIT:
-        compat = (np.bitwise_and.outer(masks, masks) == 0).astype(np.float64)
-        compat.setflags(write=False)
-    return masks, compat
+def _plan(height: int) -> _Plan:
+    n = [1, 1]  # n[k + 1] = number of masks on k rows, for k >= -1
+    lo = hi = np.zeros(1, dtype=np.int64)
+    for k in range(height):
+        n.append(n[-1] + n[-2])
+        lo = np.concatenate([lo, lo[: n[k]] | (1 << k)])
+        hi = np.concatenate([hi, hi[: n[k]] | (1 << (height - 1 - k))])
+    perm = np.searchsorted(lo, hi)
+    bits = ((lo[None, :] >> np.arange(height)[:, None]) & 1).astype(np.float64)
+    for arr in (perm, lo, bits):
+        arr.setflags(write=False)
+    steps = tuple((n[r + 1], slice(0, n[r]), n[height - r], n[height - r - 1]) for r in range(height))
+    shapes = tuple((n[r + 1], n[height - r + 1]) for r in range(height + 1))
+    return _Plan(steps, shapes, perm, lo, bits)
 
 
-def _disjoint_sum(
-    v: np.ndarray, masks: np.ndarray, compat: np.ndarray | None, height: int
-) -> np.ndarray:
-    """out[m'] = sum of v[m] over masks m sharing no bit with m'."""
-    if compat is not None:
-        return compat @ v
-    full = np.zeros(1 << height)
-    full[masks] = v
-    for b in range(height):
-        g = full.reshape(-1, 2, 1 << b)
-        g[:, 1, :] += g[:, 0, :]
-    return full[((1 << height) - 1) ^ masks]
-
-
-def _column_data(
-    box: LatticeBox, field: ActivityField, bc: BoundaryCondition
-) -> tuple[np.ndarray, list[int]]:
-    """Effective activities (W x H) and per-column forbidden-bit masks."""
+def _activities(box: LatticeBox, field: ActivityField, bc: BoundaryCondition) -> np.ndarray:
+    """Effective activities (W x H); frame-blocked sites get 0."""
     if not field.region.contains_box(box):
         raise ValueError("box must lie inside the field region")
     if box.height > MAX_HEIGHT:
         raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
-    w, h = box.width, box.height
-    ax = box.x_min - field.region.x_min
-    ay = box.y_min - field.region.y_min
-    acts = field.scale * field.values[ax : ax + w, ay : ay + h]
-    forbidden = [0] * w
-    for ix in range(w):
-        for iy in range(h):
-            if acts[ix, iy] == 0.0:
-                forbidden[ix] |= 1 << iy
-    for u in bc.frame_occupied(box, field.is_live):
-        for nb in neighbours(u):
-            if box.contains(nb):
-                forbidden[nb[0] - box.x_min] |= 1 << (nb[1] - box.y_min)
-    return acts, forbidden
+    ax, ay = box.x_min - field.region.x_min, box.y_min - field.region.y_min
+    acts = field.scale * field.values[ax : ax + box.width, ay : ay + box.height]
+    for x, y in bc.frame_occupied(box, field.is_live):
+        # a frame site touches exactly one box site: its clamp into the box
+        ix = min(max(x, box.x_min), box.x_max) - box.x_min
+        acts[ix, min(max(y, box.y_min), box.y_max) - box.y_min] = 0.0
+    return acts
 
 
-def _column_weights(
-    masks: np.ndarray, acts_col: np.ndarray, forbidden: int
-) -> np.ndarray:
-    w = ((masks & forbidden) == 0).astype(np.float64)
-    for r, a in enumerate(acts_col):
-        if a != 1.0:
-            w[((masks >> r) & 1) == 1] *= a
-    return w
+def _rescale(t: np.ndarray) -> float:
+    """Divide ``t`` by its maximum in place; return the log of the maximum
+    (np.log, as a long double maximum may lie past the float64 range)."""
+    m = t.max()
+    if not 0.0 < m < np.inf:
+        raise CapacityError("the transfer scan left floating-point range")
+    t /= m
+    return float(np.log(m))
 
 
 @dataclass(frozen=True)
@@ -120,54 +112,78 @@ class MarginalTable:
 
 
 class _Scan:
-    """Shared forward/backward machinery for one instance."""
+    """Forward and transposed site sweeps for one instance."""
 
     def __init__(self, box: LatticeBox, field: ActivityField, bc: BoundaryCondition):
-        self.box = box
-        self.height = box.height
-        self.masks, self.compat = _mask_table(box.height)
-        acts, forb = _column_data(box, field, bc)
-        self.weights = [
-            _column_weights(self.masks, acts[ix], forb[ix]) for ix in range(box.width)
-        ]
+        self.acts = _activities(box, field, bc)
+        self.plan = _plan(box.height)
+        col_bits = np.log2(1.0 + self.acts).sum(axis=1).tolist()
+        span = max(a + b for a, b in zip(col_bits, col_bits[1:] + [0.0]))
+        self.dtype = next((t for t, bits in _FLOATS if span + _SAFETY_BITS < bits), None)
+        if self.dtype is None:
+            raise CapacityError("activities span too wide a range for an exact scan")
 
-    def _step(self, v: np.ndarray) -> np.ndarray:
-        return _disjoint_sum(v, self.masks, self.compat, self.height)
+    def _rows(self, views) -> tuple[list[np.ndarray], list[tuple]]:
+        """The table before each row and after the last, on two ping-pong buffers
+        (the first apart, as each hand-over fills it from the last), and ``views``."""
+        shapes = self.plan.shapes
+        size = max(a * b for a, b in shapes[1:])
+        bufs = (np.empty(size, self.dtype), np.empty(size, self.dtype))
+        tables = [np.empty(shapes[0], self.dtype)]
+        tables += [bufs[k % 2][: a * b].reshape(a, b) for k, (a, b) in enumerate(shapes[1:])]
+        return tables, [views(*step, t, u) for step, t, u in zip(self.plan.steps, tables, tables[1:])]
 
-    def forward(self) -> tuple[list[np.ndarray], float]:
-        """Rescaled prefix vectors per column and the accumulated log scale."""
-        alphas: list[np.ndarray] = []
-        log_scale = 0.0
-        v: np.ndarray | None = None
-        for w in self.weights:
-            v = w.copy() if v is None else w * self._step(v)
-            m = float(v.max())
-            if m <= 0.0:
-                raise AssertionError("empty column lost admissibility")
-            v = v / m
-            log_scale += math.log(m)
-            alphas.append(v)
-        return alphas, log_scale
+    def column(self, x: int, prev: int) -> tuple[np.ndarray, float]:
+        """Column x's weights (ascending masks, max 1) and log scale next to mask
+        ``prev`` of column x - 1: forward steps whose tables keep one hi column."""
+        w = np.ones(len(self.plan.masks), self.dtype)
+        steps = zip(self.plan.steps, self.plan.shapes[1:], self.acts[x].tolist())
+        for r, ((top, keep, _, _), (end, _), a) in enumerate(steps):
+            np.multiply(w[keep], 0.0 if prev >> r & 1 else a, w[top:end])
+        return w, _rescale(w)
 
-    def backward(self) -> list[np.ndarray]:
-        """Rescaled suffix vectors; the last column's is all ones."""
-        betas = [np.ones_like(self.weights[-1])]
-        for w in reversed(self.weights[1:]):
-            b = self._step(w * betas[0])
-            betas.insert(0, b / b.max())
-        return betas
+    def forward(self):
+        """Yield per column its prefix vector (ascending masks, max 1) and log scale."""
+        tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
+            u[:top], t[:, :f1], u[:top, :w1], t[:, f1:], u[top:], t[keep, :f1]))
+        v, log_scale = self.column(0, 0)  # the column left of the box is empty
+        yield v, log_scale
+        for acts in self.acts[1:].tolist():
+            np.take(v, self.plan.perm, out=tables[0][0], mode="clip")
+            for (u0, t0, u_sum, t1, u1, keep), a in zip(rows, acts):
+                np.copyto(u0, t0)
+                np.add(u_sum, t1, u_sum)
+                np.multiply(keep, a, u1)
+            v = tables[-1][:, 0]
+            log_scale += _rescale(v)
+            yield v, log_scale
+
+    def backward(self):
+        """Yield the suffix vectors (ascending masks, max 1), last column first."""
+        tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
+            t[:, :f1], u[:top], t[:, f1:], u[:top, :w1], u[top:], t[keep, :f1]))
+        beta = np.ones(len(self.plan.masks), self.dtype)
+        for x in reversed(range(1, len(self.acts))):
+            yield beta
+            np.copyto(tables[-1][:, 0], beta)
+            for (t0, u0, t1, u1, bottom, keep), a in zip(reversed(rows), self.acts[x, ::-1].tolist()):
+                np.copyto(t0, u0)
+                np.copyto(t1, u1)
+                if a:  # a dead site adds nothing
+                    np.multiply(bottom, a, bottom)
+                    np.add(keep, bottom, keep)
+            beta = np.empty_like(beta)
+            beta[self.plan.perm] = tables[0][0]
+            _rescale(beta)
+        yield beta
 
 
 def log_partition(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
 ) -> LogPartitionResult:
     """log of the partition sum over admissible occupation patterns."""
-    scan = _Scan(box, field, as_boundary_condition(bc))
-    alphas, log_scale = scan.forward()
-    total = float(alphas[-1].sum())
-    if total <= 0.0:
-        return LogPartitionResult(-math.inf, True)
-    return LogPartitionResult(math.log(total) + log_scale, False)
+    *_, (alpha, log_scale) = _Scan(box, field, as_boundary_condition(bc)).forward()
+    return LogPartitionResult(float(np.log(alpha.sum())) + log_scale)
 
 
 def occupation_probabilities(
@@ -175,25 +191,16 @@ def occupation_probabilities(
 ) -> MarginalTable:
     """Exact single-site occupation probabilities for all box sites."""
     scan = _Scan(box, field, as_boundary_condition(bc))
-    alphas, _ = scan.forward()
-    betas = scan.backward()
-    masks = scan.masks
-    bit_rows = [((masks >> r) & 1) == 1 for r in range(box.height)]
-    probs: dict[Site, float] = {}
-    for ix in range(box.width):
-        col_mass = alphas[ix] * betas[ix]
-        den = float(col_mass.sum())
-        for iy in range(box.height):
-            num = float(col_mass[bit_rows[iy]].sum())
-            probs[(box.x_min + ix, box.y_min + iy)] = num / den
-    return MarginalTable(box, probs)
+    alphas = [alpha.copy() for alpha, _ in scan.forward()]
+    cols = np.empty((box.width, box.height))
+    for ix, beta in zip(reversed(range(box.width)), scan.backward()):
+        mass = alphas[ix] * beta
+        cols[ix] = scan.plan.bits @ mass / mass.sum()
+    return MarginalTable(box, dict(zip(box.sites(), cols.ravel().tolist())))
 
 
 def occupation_probability(
-    box: LatticeBox,
-    field: ActivityField,
-    v: Site,
-    bc: BoundaryCondition | str = FREE_BC,
+    box: LatticeBox, field: ActivityField, v: Site, bc: BoundaryCondition | str = FREE_BC
 ) -> float:
     if not box.contains(v):
         raise ValueError("site lies outside the box")
@@ -201,10 +208,7 @@ def occupation_probability(
 
 
 def local_expectation(
-    box: LatticeBox,
-    inner: LatticeBox,
-    field: ActivityField,
-    bc: BoundaryCondition | str = FREE_BC,
+    box: LatticeBox, inner: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
 ) -> float:
     """Mean weight of the inner occupation pattern under the switched-off
     measure: exp(log Z(field) - log Z(field with inner values set to 1))."""
@@ -217,25 +221,16 @@ def local_expectation(
 
 
 def sample_exact(
-    box: LatticeBox,
-    field: ActivityField,
-    bc: BoundaryCondition | str = FREE_BC,
+    box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC,
     rng: np.random.Generator | int | None = None,
 ) -> frozenset[Site]:
     """One exact draw from the finite-volume measure, column by column."""
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     scan = _Scan(box, field, as_boundary_condition(bc))
-    betas = scan.backward()
-    masks = scan.masks
-    occupied: list[Site] = []
-    prev = 0
-    for ix in range(box.width):
-        weights = scan.weights[ix] * betas[ix]
-        if ix > 0:
-            weights = weights * ((masks & prev) == 0)
-        p = weights / weights.sum()
-        prev = int(masks[gen.choice(len(masks), p=p)])
-        for iy in range(box.height):
-            if (prev >> iy) & 1:
-                occupied.append((box.x_min + ix, box.y_min + iy))
+    occupied, mask = [], 0
+    for ix, beta in enumerate(list(scan.backward())[::-1]):
+        weights = scan.column(ix, mask)[0] * beta
+        p = np.asarray(weights / weights.sum(), dtype=np.float64)
+        mask = int(scan.plan.masks[gen.choice(len(p), p=p)])
+        occupied.extend((box.x_min + ix, box.y_min + iy) for iy in range(box.height) if mask >> iy & 1)
     return frozenset(occupied)

@@ -3,7 +3,7 @@
 Everything here trades speed for transparency: independent sets come from a
 filter over all subsets, partition sums use exact arithmetic, and the set
 counts are cross-checked against a row-by-row recursion that shares no code
-with the column scan of the fast engine.
+with the transfer scan of the fast engine.
 """
 from __future__ import annotations
 

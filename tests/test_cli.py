@@ -1,13 +1,21 @@
 """Command-line front end: outputs, determinism, error handling."""
+import csv
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hardcore2d import cli
 from hardcore2d.disorder import ActivityField, save_field
-from hardcore2d.lattice import centered_box
+from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box
+from hardcore2d.oracle import oracle_log_partition
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).minexp == np.finfo(np.float64).minexp,
+    reason="the activity range needs an 80- or 128-bit np.longdouble")
 
 
 def run_cli(argv, capsys):
@@ -122,22 +130,66 @@ def test_sample_rows_are_reproducible(capsys):
 
 
 def test_validate_flags_injected_engine_bug(capsys, monkeypatch):
+    import dataclasses
+
     import hardcore2d.engine as engine
 
-    real = engine._mask_table
+    real = engine._plan
 
     def off_by_one(height):
-        masks, compat = real(height)
-        # shift the vertical-adjacency rule by one row: wrong states allowed
-        bad = np.array([m for m in range(1 << height) if not (m & (m >> 2))], dtype=np.int64)
-        comp = None
-        if compat is not None:
-            comp = ((bad[:, None] & bad[None, :]) == 0).astype(np.float64)
-        return bad, comp
+        plan = real(height)
+        # read the rows that may take a new occupied bit one row too far down
+        # the table: vertically adjacent occupied sites become admissible
+        steps = tuple(
+            (top, slice(k.start + 1, k.stop + 1) if k.stop < top else k, f1, w1)
+            for top, k, f1, w1 in plan.steps
+        )
+        return dataclasses.replace(plan, steps=steps)
 
-    monkeypatch.setattr(engine, "_mask_table", off_by_one)
+    monkeypatch.setattr(engine, "_plan", off_by_one)
     code, out, _ = run_cli(["validate"], capsys)
     assert code == 1
     assert "overall: FAIL" in out
     oracle_lines = [ln for ln in out.splitlines() if ln.startswith("oracle-")]
     assert oracle_lines and all("FAIL" in ln for ln in oracle_lines)
+
+
+def test_exact_draws_are_pinned(capsys):
+    # CSV body of a fixed-seed exact-sampler run, recorded before the transfer
+    # scan was rewritten; the draws must stay byte-identical
+    argv = ["sample", "--method", "exact", "--box", "5x4", "--field", "bernoulli:0.7",
+            "--lambda", "2", "--bc", "even", "--draws", "50", "--seed", "11", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "sample_exact_5x4_seed11.csv").read_text()
+
+
+@needs_long_double
+def test_huge_activity_logz_matches_oracle(capsys):
+    code, out, _ = run_cli(["logz", "--j", "2", "--bc", "even", "--lambda", "1e200"], capsys)
+    assert code == 0
+    box = box_lambda(2)
+    field = ActivityField(box.expand(1), np.ones((6, 6)), 1e200)
+    want = oracle_log_partition(box, field, EVEN_BC).log()
+    assert float(out.strip()) == pytest.approx(want, rel=1e-14)
+
+
+@needs_long_double
+def test_heavy_tailed_free_energy_stays_finite(capsys):
+    code, out, _ = run_cli(
+        ["free-energy", "--j", "2", "--L", "4", "--disorder", "pareto:0.02,1", "--lambda", "1",
+         "--replicas", "30", "--seed", "1", "--out", "-"], capsys)
+    assert code == 0
+    summary = {row[6]: row[7] for row in csv.reader(io.StringIO(out)) if row[0] == "-1"}
+    assert math.isfinite(float(summary["response_gap_mean"]))
+    assert summary["all_bounds_hold"] == "1"
+
+
+def test_out_of_range_activities_exit_one(capsys):
+    # an activity that overflows, and a range no float type can hold exactly
+    for argv in (["logz", "--box", "2x2", "--field", "constant:1e10", "--lambda", "1e300"],
+                 ["logz", "--box", "2x24", "--lambda", "1e300"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err

@@ -121,6 +121,17 @@ def test_is_live_tracks_zeros():
     assert f.is_live((10, 10))  # outside region defaults live
 
 
+def test_field_rejects_overflowing_activities():
+    box = centered_box(2, 2)
+    with pytest.raises(ValueError):
+        ActivityField(box, np.full((2, 2), 1e200), 1e200)
+    with pytest.raises(ValueError):
+        ActivityField(box, np.ones((2, 2)), 1e300).with_value((0, 0), 1e10)
+    # zero times a huge scale, and huge values at scale zero, stay finite
+    ActivityField(box, np.array([[0.0, 1.0], [1.0, 1.0]]), 1e308)
+    ActivityField(box, np.full((2, 2), 1e300), 0.0)
+
+
 def test_parity_imbalance_counts_deletions_by_parity():
     vals = np.ones((2, 2))
     f = ActivityField(centered_box(2, 2), vals, 1.0)

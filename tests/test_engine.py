@@ -15,7 +15,16 @@ from hardcore2d.engine import (
 )
 from hardcore2d.errors import CapacityError
 from hardcore2d.lattice import EVEN_BC, FREE_BC, ODD_BC, LatticeBox, box_lambda, centered_box
-from hardcore2d.oracle import enumerate_independent_sets, oracle_log_partition, oracle_occupations
+from hardcore2d.oracle import (
+    enumerate_independent_sets,
+    grid_independent_set_count,
+    oracle_log_partition,
+    oracle_occupations,
+)
+
+# independent sets of the free n x n grid, n = 1..10 (OEIS A006506)
+A006506 = (2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955, 770548397261707,
+           2030049051145980050)
 
 
 def uniform_field(box, value=1.0, scale=1.0):
@@ -99,17 +108,26 @@ def test_box_must_fit_field_region():
 
 
 def test_tall_boxes_use_the_same_math():
-    # height 18 routes transitions through the subset-sum transform; the
-    # transposed box stays on the dense-matrix path and must agree
+    # a box and its transpose run the scan at different heights and must agree
     rng = np.random.default_rng(77)
-    tall = LatticeBox(0, 1, 0, 17)
-    wide = LatticeBox(0, 17, 0, 1)
-    vals = rng.integers(1, 33, size=(2, 18)) / 16.0
-    f_tall = ActivityField(tall, vals, 1.0)
-    f_wide = ActivityField(wide, np.ascontiguousarray(vals.T), 1.0)
-    a = log_partition(tall, f_tall).log_z
-    b = log_partition(wide, f_wide).log_z
-    assert a == pytest.approx(b, abs=1e-10)
+    for w, h in ((2, 18), (7, 19)):
+        tall = LatticeBox(0, w - 1, 0, h - 1)
+        wide = LatticeBox(0, h - 1, 0, w - 1)
+        vals = rng.integers(1, 33, size=(w, h)) / 16.0
+        f_tall = ActivityField(tall, vals, 1.0)
+        f_wide = ActivityField(wide, np.ascontiguousarray(vals.T), 1.0)
+        a = log_partition(tall, f_tall).log_z
+        b = log_partition(wide, f_wide).log_z
+        assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_free_square_counts_past_the_oracle_cap():
+    for n, count in enumerate(A006506, start=1):
+        assert grid_independent_set_count(n, n) == count
+        box = centered_box(n, n)
+        assert log_partition(box, uniform_field(box)).log_z == pytest.approx(
+            math.log(count), rel=1e-13
+        )
 
 
 def test_height_cap():
