@@ -13,15 +13,10 @@ from .disorder import (
     field_to_json,
     moment_check,
     parity_imbalance,
-    replace_at,
     sample_field,
     save_field,
-    switch_off_inside,
 )
 from .engine import (
-    LogPartitionResult,
-    MarginalTable,
-    local_expectation,
     log_partition,
     occupation_probabilities,
     occupation_probability,
@@ -50,8 +45,6 @@ from .mcmc import (
     GlauberChain,
     MonotonePair,
     cftp_sample,
-    heat_bath_sweep,
-    monotone_pair_sweep,
     sandwich_ordered,
 )
 from .observables import (

@@ -125,6 +125,17 @@ def _field_for(args, box: LatticeBox, seed: int) -> tuple[ActivityField, str]:
     return field, spec.label()
 
 
+def _at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
+def _workers(args) -> int:
+    """--workers, capped at the CPU count (more processes only contend)."""
+    return min(_at_least(args.workers, 1, "--workers"), os.cpu_count() or 1)
+
+
 def _pmap(fn, items, workers: int):
     if workers <= 1:
         return [fn(it) for it in items]
@@ -168,7 +179,7 @@ def cmd_logz(args) -> int:
     seed = _resolve_seed(args)
     box, j = _parse_box(args)
     field, label = _field_for(args, box, seed)
-    value = log_partition(box, field, as_boundary_condition(args.bc)).log_z
+    value = log_partition(box, field, as_boundary_condition(args.bc))
     print(_fmt(value))
     if args.out:
         rec = (0, seed, j, None, args.lam, label, "log_z", value, None)
@@ -196,6 +207,8 @@ def cmd_occupation(args) -> int:
 def cmd_influence(args) -> int:
     seed = _resolve_seed(args)
     sides = _int_list(args.sides)
+    replicas = _at_least(args.replicas, 1, "--replicas")
+    workers = _workers(args)
     for s in sides:
         if s < 2 or s % 2:
             raise ValueError("sides must be even and >= 2 (centered boxes)")
@@ -204,8 +217,8 @@ def cmd_influence(args) -> int:
     records: list[tuple] = []
     summaries: list[tuple] = []
     for side in sides:
-        tasks = [(side, args.lam, label, seed, r) for r in range(args.replicas)]
-        gaps = _pmap(_influence_task, tasks, args.workers)
+        tasks = [(side, args.lam, label, seed, r) for r in range(replicas)]
+        gaps = _pmap(_influence_task, tasks, workers)
         j = side // 2
         for r, g in enumerate(gaps):
             records.append((r, seed, j, None, args.lam, label, "origin_gap", g, None))
@@ -223,10 +236,12 @@ def cmd_free_energy(args) -> int:
     j, L = args.j, args.L
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
+    replicas = _at_least(args.replicas, 2, "--replicas")
+    workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
     label = spec.label()
-    tasks = [(j, L, args.lam, label, seed, r) for r in range(args.replicas)]
-    rows = _pmap(_free_energy_task, tasks, args.workers)
+    tasks = [(j, L, args.lam, label, seed, r) for r in range(replicas)]
+    rows = _pmap(_free_energy_task, tasks, workers)
     records: list[tuple] = []
     for r, (gap, cap, pw_ok, ann_ok) in enumerate(rows):
         records.append((r, seed, j, L, args.lam, label, "response_gap", gap, None))
@@ -235,7 +250,7 @@ def cmd_free_energy(args) -> int:
         records.append((r, seed, j, L, args.lam, label, "annulus_holds", ann_ok, None))
     gaps = np.asarray([row[0] for row in rows])
     mean = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else math.nan
+    stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps)))
     ratio = max(abs(row[0]) / row[1] if row[1] > 0 else 0.0 for row in rows)
     annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
     expected_cap = per_site_gap_bound(args.lam, spec) * annulus
@@ -253,6 +268,8 @@ def cmd_free_energy(args) -> int:
 def cmd_fluctuations(args) -> int:
     seed = _resolve_seed(args)
     js = _int_list(args.j)
+    replicas = _at_least(args.replicas, 2, "--replicas")
+    workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
     label = spec.label()
     records: list[tuple] = []
@@ -261,8 +278,8 @@ def cmd_fluctuations(args) -> int:
         L = args.L if args.L is not None else 2 * j
         if not 1 <= j < L:
             raise ValueError("need 1 <= j < L")
-        tasks = [(j, L, args.lam, label, seed, r) for r in range(args.replicas)]
-        vals = _pmap(_fluctuation_task, tasks, args.workers)
+        tasks = [(j, L, args.lam, label, seed, r) for r in range(replicas)]
+        vals = _pmap(_fluctuation_task, tasks, workers)
         for r, v in enumerate(vals):
             records.append((r, seed, j, L, args.lam, label, "response_gap", v, None))
         arr = np.asarray(vals)
@@ -280,18 +297,19 @@ def cmd_fluctuations(args) -> int:
 
 def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
+    draws = _at_least(args.draws, 1, "--draws")
     box, j = _parse_box(args)
     field, label = _field_for(args, box, seed)
     bc = as_boundary_condition(args.bc)
     records: list[tuple] = []
     if args.method == "exact":
         rng = np.random.default_rng(seed)
-        for i in range(args.draws):
+        for i in range(draws):
             occ = sample_exact(box, field, bc, rng)
             value = json.dumps(sorted(occ))
             records.append((i, seed, j, None, args.lam, label, "sample", value, None))
     else:
-        for i in range(args.draws):
+        for i in range(draws):
             res = cftp_sample(box, field, bc, ReplicaSeed(seed, i))
             value = json.dumps(sorted(res.configuration.occupied))
             records.append((i, seed, j, None, args.lam, label, "sample", value, None))

@@ -297,14 +297,6 @@ def sample_field(
     return ActivityField(region, arr, scale)
 
 
-def switch_off_inside(field: ActivityField, inner: LatticeBox) -> ActivityField:
-    return field.switched_off(inner)
-
-
-def replace_at(field: ActivityField, v: Site, x: float) -> ActivityField:
-    return field.with_value(v, x)
-
-
 def parity_imbalance(field: ActivityField, box: LatticeBox) -> int:
     """(# deleted even sites) - (# deleted odd sites) for a binary field."""
     if not field.region.contains_box(box):

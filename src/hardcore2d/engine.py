@@ -26,7 +26,6 @@ bits; the empty pattern keeps log Z >= 0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,23 +91,6 @@ def _rescale(t: np.ndarray) -> float:
         raise CapacityError("the transfer scan left floating-point range")
     t /= m
     return float(np.log(m))
-
-
-@dataclass(frozen=True)
-class LogPartitionResult:
-    log_z: float
-    is_zero: bool = False
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    """Occupation probability per site of one (box, field, bc) instance."""
-
-    box: LatticeBox
-    probs: dict[Site, float]
-
-    def __getitem__(self, v: Site) -> float:
-        return self.probs[v]
 
 
 class _Scan:
@@ -180,15 +162,15 @@ class _Scan:
 
 def log_partition(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
-) -> LogPartitionResult:
+) -> float:
     """log of the partition sum over admissible occupation patterns."""
     *_, (alpha, log_scale) = _Scan(box, field, as_boundary_condition(bc)).forward()
-    return LogPartitionResult(float(np.log(alpha.sum())) + log_scale)
+    return float(np.log(alpha.sum())) + log_scale
 
 
 def occupation_probabilities(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
-) -> MarginalTable:
+) -> dict[Site, float]:
     """Exact single-site occupation probabilities for all box sites."""
     scan = _Scan(box, field, as_boundary_condition(bc))
     alphas = [alpha.copy() for alpha, _ in scan.forward()]
@@ -196,7 +178,7 @@ def occupation_probabilities(
     for ix, beta in zip(reversed(range(box.width)), scan.backward()):
         mass = alphas[ix] * beta
         cols[ix] = scan.plan.bits @ mass / mass.sum()
-    return MarginalTable(box, dict(zip(box.sites(), cols.ravel().tolist())))
+    return dict(zip(box.sites(), cols.ravel().tolist()))
 
 
 def occupation_probability(
@@ -205,19 +187,6 @@ def occupation_probability(
     if not box.contains(v):
         raise ValueError("site lies outside the box")
     return occupation_probabilities(box, field, bc)[v]
-
-
-def local_expectation(
-    box: LatticeBox, inner: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
-) -> float:
-    """Mean weight of the inner occupation pattern under the switched-off
-    measure: exp(log Z(field) - log Z(field with inner values set to 1))."""
-    if not box.contains_box(inner):
-        raise ValueError("inner box must lie inside the computation box")
-    bc = as_boundary_condition(bc)
-    on = log_partition(box, field, bc).log_z
-    off = log_partition(box, field.switched_off(inner), bc).log_z
-    return math.exp(on - off)
 
 
 def sample_exact(

@@ -8,10 +8,10 @@ with the transfer scan of the fast engine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .disorder import ActivityField
@@ -19,7 +19,6 @@ from .errors import CapacityError
 from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, neighbours
 
 MAX_SITES = 20
-_DPS = 50
 
 
 def _site_layout(
@@ -70,52 +69,34 @@ def enumerate_independent_sets(
 
 @dataclass(frozen=True)
 class ExactWeight:
-    """A partition sum carried in exact or 50-digit arithmetic."""
+    """A partition sum carried as an exact rational."""
 
-    value: object  # Fraction or mpmath.mpf
-    mode: str  # "rational" | "extended"
+    value: Fraction
 
     def log(self) -> float:
-        with mpmath.workdps(_DPS):
-            if self.mode == "rational":
-                num = mpmath.log(mpmath.mpf(self.value.numerator))
-                den = mpmath.log(mpmath.mpf(self.value.denominator))
-                return float(num - den)
-            return float(mpmath.log(self.value))
+        """log Z from the exact rational: Z = 2^k * (1 + f) with 0 <= f < 1,
+        so log Z = log1p(f) + k log 2, with f rounded to a double once."""
+        z = self.value
+        k = z.numerator.bit_length() - z.denominator.bit_length()
+        if z < Fraction(2) ** k:
+            k -= 1
+        return math.log1p(float(z / Fraction(2) ** k - 1)) + k * math.log(2)
 
 
 def oracle_log_partition(
-    box: LatticeBox,
-    field: ActivityField,
-    bc: BoundaryCondition = FREE_BC,
-    mode: str = "rational",
+    box: LatticeBox, field: ActivityField, bc: BoundaryCondition = FREE_BC
 ) -> ExactWeight:
-    """Exact partition sum by enumeration.
-
-    Rational mode is always applicable here because binary floats are exact
-    dyadic rationals; extended mode recomputes with 50-digit floats.
-    """
-    if mode not in ("rational", "extended"):
-        raise ValueError("mode must be 'rational' or 'extended'")
+    """Exact partition sum by enumeration, in rationals: binary floats are
+    exact dyadic rationals, so every weight is represented without error."""
     sets = enumerate_independent_sets(box, bc, field)
-    if mode == "rational":
-        lam = Fraction(field.scale)
-        z = Fraction(0)
-        for occ in sets:
-            w = Fraction(1)
-            for v in occ:
-                w *= lam * Fraction(field.value_at(v))
-            z += w
-        return ExactWeight(z, "rational")
-    with mpmath.workdps(_DPS):
-        lam = mpmath.mpf(field.scale)
-        z = mpmath.mpf(0)
-        for occ in sets:
-            w = mpmath.mpf(1)
-            for v in occ:
-                w *= lam * mpmath.mpf(field.value_at(v))
-            z += w
-        return ExactWeight(z, "extended")
+    lam = Fraction(field.scale)
+    z = Fraction(0)
+    for occ in sets:
+        w = Fraction(1)
+        for v in occ:
+            w *= lam * Fraction(field.value_at(v))
+        z += w
+    return ExactWeight(z)
 
 
 def oracle_occupations(

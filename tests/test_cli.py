@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,16 @@ def test_exact_draws_are_pinned(capsys):
     assert out == (Path(__file__).parent / "data" / "sample_exact_5x4_seed11.csv").read_text()
 
 
+def test_cftp_draws_are_pinned(capsys):
+    # CSV body of a fixed-seed CFTP run (draws and epoch counts), recorded
+    # before the extreme-state and coalescence code was simplified
+    argv = ["sample", "--method", "cftp", "--box", "5x4", "--field", "bernoulli:0.7",
+            "--lambda", "2", "--bc", "even", "--draws", "50", "--seed", "11", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "sample_cftp_5x4_seed11.csv").read_text()
+
+
 @needs_long_double
 def test_huge_activity_logz_matches_oracle(capsys):
     code, out, _ = run_cli(["logz", "--j", "2", "--bc", "even", "--lambda", "1e200"], capsys)
@@ -193,3 +204,60 @@ def test_out_of_range_activities_exit_one(capsys):
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+
+def assert_count_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_free_energy_needs_two_replicas(capsys):
+    # one replica has no standard error, none has no ratio
+    for n in ("1", "0"):
+        assert_count_error(["free-energy", "--j", "1", "--L", "2", "--replicas", n], capsys)
+
+
+def test_fluctuations_need_two_replicas(capsys):
+    assert_count_error(["fluctuations", "--j", "1", "--replicas", "1"], capsys)
+
+
+def test_influence_needs_a_replica_and_a_worker(capsys):
+    for flags in (["--replicas", "0"], ["--replicas", "-3"], ["--workers", "0"]):
+        assert_count_error(["influence", "--sides", "4", "--replicas", "2", *flags], capsys)
+
+
+def test_sample_needs_a_draw(capsys):
+    for n in ("0", "-1"):
+        assert_count_error(["sample", "--box", "2x2", "--draws", n], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["influence", "--sides", "4", "--replicas", "4"],
+    ["free-energy", "--j", "1", "--L", "2", "--replicas", "4"],
+    ["fluctuations", "--j", "1", "--replicas", "4"],
+])
+def test_workers_capped_at_cpu_count(argv, capsys, monkeypatch):
+    seen = []
+
+    class Recorder:  # stands in for the process pool; runs the tasks here
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, many, _ = run_cli(argv + ["--workers", "64"], capsys)
+    assert code == 0 and seen == [2]
+    code, one, _ = run_cli(argv + ["--workers", "1"], capsys)
+    assert code == 0 and seen == [2]
+    assert many == one

@@ -1,0 +1,23 @@
+"""Demo scripts run to the end without raising (04 is left out for time; its
+functions are covered by acceptance criterion 07)."""
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "01_exact_partition.py",
+    "02_boundary_influence.py",
+    "03_annulus_bound.py",
+    "05_perfect_sampling.py",
+])
+def test_demo_runs(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert out.getvalue()

@@ -13,10 +13,8 @@ from hardcore2d.disorder import (
     field_to_json,
     moment_check,
     parity_imbalance,
-    replace_at,
     sample_field,
     save_field,
-    switch_off_inside,
 )
 from hardcore2d.lattice import box_lambda, centered_box, reflect_theta
 
@@ -86,12 +84,12 @@ def test_value_defaults_to_one_outside_region():
 def test_switch_off_and_replace():
     spec = DisorderSpec.uniform(0.5, 1.5)
     f = sample_field(spec, box_lambda(2), 2.0, ReplicaSeed(7, 0))
-    off = switch_off_inside(f, box_lambda(1))
+    off = f.switched_off(box_lambda(1))
     for v in box_lambda(1).sites():
         assert off.value_at(v) == 1.0
     outside = [v for v in box_lambda(2).sites() if not box_lambda(1).contains(v)]
     assert all(off.value_at(v) == f.value_at(v) for v in outside)
-    g = replace_at(f, (0, 0), 9.0)
+    g = f.with_value((0, 0), 9.0)
     assert g.value_at((0, 0)) == 9.0
     assert f.value_at((0, 0)) != 9.0
 
@@ -136,12 +134,12 @@ def test_parity_imbalance_counts_deletions_by_parity():
     vals = np.ones((2, 2))
     f = ActivityField(centered_box(2, 2), vals, 1.0)
     assert parity_imbalance(f, centered_box(2, 2)) == 0
-    f2 = replace_at(f, (0, 0), 0.0)  # even site deleted
+    f2 = f.with_value((0, 0), 0.0)  # even site deleted
     assert parity_imbalance(f2, centered_box(2, 2)) == 1
-    f3 = replace_at(f2, (0, 1), 0.0)  # odd site deleted too
+    f3 = f2.with_value((0, 1), 0.0)  # odd site deleted too
     assert parity_imbalance(f3, centered_box(2, 2)) == 0
     with pytest.raises(ValueError):
-        parity_imbalance(replace_at(f, (0, 0), 0.5), centered_box(2, 2))
+        parity_imbalance(f.with_value((0, 0), 0.5), centered_box(2, 2))
 
 
 def test_field_json_round_trip(tmp_path):

@@ -56,7 +56,7 @@ def instances(draw):
 def test_engine_matches_oracle_across_the_double_range(instance):
     box, field, bc = instance
     want = oracle_log_partition(box, field, bc).log()
-    assert log_partition(box, field, bc).log_z == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert log_partition(box, field, bc) == pytest.approx(want, rel=1e-12, abs=1e-12)
     table = occupation_probabilities(box, field, bc)
     for v, p in oracle_occupations(box, field, bc).items():
         assert table[v] == pytest.approx(float(p), abs=1e-10)
@@ -71,7 +71,7 @@ def test_colliding_heavy_columns():
     vals[:, [0, 2, 4]] = 2.0**600
     field = ActivityField(box, vals, 1.0)
     want = oracle_log_partition(box, field).log()
-    assert log_partition(box, field).log_z == pytest.approx(want, rel=1e-14)
+    assert log_partition(box, field) == pytest.approx(want, rel=1e-14)
     table = occupation_probabilities(box, field)
     for v, p in oracle_occupations(box, field).items():
         assert table[v] == pytest.approx(float(p), abs=1e-12)

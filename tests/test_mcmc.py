@@ -3,15 +3,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, replace_at, sample_field
+from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import occupation_probabilities, sample_exact
 from hardcore2d.errors import CoalescenceTimeout
-from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box
+from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box, is_even, neighbours
 from hardcore2d.mcmc import (
     Configuration,
     GlauberChain,
     cftp_sample,
-    heat_bath_sweep,
     sandwich_ordered,
 )
 from hardcore2d.oracle import enumerate_independent_sets
@@ -23,7 +22,7 @@ def uniform_field(box, value=1.0, scale=1.0):
 
 def test_sweep_preserves_independence_and_constraints():
     box = box_lambda(2)
-    f = replace_at(uniform_field(box, value=3.0), (0, 0), 0.0)
+    f = uniform_field(box, value=3.0).with_value((0, 0), 0.0)
     chain = GlauberChain(box, f, EVEN_BC)
     config = Configuration(box, frozenset())
     rng = np.random.default_rng(1)
@@ -38,14 +37,14 @@ def test_sweep_preserves_independence_and_constraints():
                 assert w not in occupied_frame
 
 
-def test_functional_wrapper_matches_method():
-    box = centered_box(3, 3)
-    f = uniform_field(box, value=2.0)
-    start = Configuration(box, frozenset({(0, 0)}))
-    a = heat_bath_sweep(start, f, "free", np.random.default_rng(7))
-    chain = GlauberChain(box, f, "free")
-    b = chain.sweep_config(start, np.random.default_rng(7))
-    assert a.occupied == b.occupied
+def test_extremes_are_the_unblocked_live_sublattices():
+    box = centered_box(5, 4)
+    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 2.0, ReplicaSeed(5, 0))
+    frame = EVEN_BC.frame_occupied(box, f.is_live)
+    free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
+    pair = GlauberChain(box, f, EVEN_BC).extremes()
+    assert pair.upper.occupied == {v for v in free if is_even(v)}
+    assert pair.lower.occupied == {v for v in free if not is_even(v)}
 
 
 def test_extremes_are_ordered_and_stay_ordered():

@@ -54,8 +54,8 @@ def test_response_two_point_identity():
     x = f.value_at((0, 0))
     from hardcore2d.engine import log_partition
 
-    z_on = log_partition(box_lambda(2), f, "odd").log_z
-    z_off = log_partition(box_lambda(2), f.switched_off(inner), "odd").log_z
+    z_on = log_partition(box_lambda(2), f, "odd")
+    z_off = log_partition(box_lambda(2), f.switched_off(inner), "odd")
     assert r.value == pytest.approx((z_on - z_off) / 3.0, abs=1e-14)
     assert x != 1.0
 

@@ -3,12 +3,14 @@
 These values come from independent derivations (hand counts and the
 row-recursion second oracle), never from the engine under test.
 """
+import decimal
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hardcore2d.disorder import ActivityField, replace_at
+from hardcore2d.disorder import ActivityField
 from hardcore2d.lattice import (
     BoundaryCondition,
     EVEN_BC,
@@ -19,6 +21,7 @@ from hardcore2d.lattice import (
 )
 from hardcore2d.errors import CapacityError
 from hardcore2d.oracle import (
+    ExactWeight,
     enumerate_independent_sets,
     grid_independent_set_count,
     oracle_log_partition,
@@ -64,7 +67,7 @@ def test_enumeration_respects_frames_and_deletions():
     ev = enumerate_independent_sets(box, EVEN_BC)
     # even frame blocks both odd sites: only the two even sites remain free
     assert len(ev) == 4
-    f = replace_at(uniform_field(box), (0, 0), 0.0)
+    f = uniform_field(box).with_value((0, 0), 0.0)
     dead = enumerate_independent_sets(box, FREE_BC, f)
     assert all((0, 0) not in s for s in dead)
 
@@ -90,14 +93,20 @@ def test_partition_even_odd_lambda1():
     assert oracle_log_partition(box, f, ODD_BC).value == Fraction(4)
 
 
-def test_extended_mode_agrees_with_rational():
-    box = centered_box(3, 2)
-    rng = np.random.default_rng(8)
-    vals = rng.integers(1, 33, size=(3, 2)) / 16.0
-    f = ActivityField(box, vals, 0.5)
-    a = oracle_log_partition(box, f, mode="rational").log()
-    b = oracle_log_partition(box, f, mode="extended").log()
-    assert a == pytest.approx(b, abs=1e-13)
+def test_log_keeps_a_tiny_excess_over_one():
+    # Z = 1 + 2^-200: the log of the rational, not of its rounding to 1.0
+    box = centered_box(1, 1)
+    w = oracle_log_partition(box, uniform_field(box, value=2.0**-200))
+    assert w.log() == math.log1p(2.0**-200)
+
+
+def test_log_of_huge_terms_within_one_ulp():
+    # numerator and denominator near 2^600, far past the double range
+    z = Fraction(3 * 2**600 + 123456789, 2**600 - 987654321)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        want = float(decimal.Decimal(z.numerator).ln() - decimal.Decimal(z.denominator).ln())
+    assert abs(ExactWeight(z).log() - want) <= math.ulp(want)
 
 
 def test_occupation_single_site():
