@@ -29,7 +29,7 @@ cftp_counts: Counter = Counter()
 epochs = []
 for i in range(DRAWS):
     res = cftp_sample(box, f, "empty", ReplicaSeed(11, i))
-    cftp_counts[res.configuration.occupied] += 1
+    cftp_counts[res.occupied] += 1
     epochs.append(res.epochs)
 
 rng = np.random.default_rng(11)

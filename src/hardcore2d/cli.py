@@ -311,7 +311,7 @@ def cmd_sample(args) -> int:
     else:
         for i in range(draws):
             res = cftp_sample(box, field, bc, ReplicaSeed(seed, i))
-            value = json.dumps(sorted(res.configuration.occupied))
+            value = json.dumps(sorted(res.occupied))
             records.append((i, seed, j, None, args.lam, label, "sample", value, None))
             records.append((i, seed, j, None, args.lam, label, "cftp_epochs", res.epochs, None))
     _emit(records, args, {"_command": "sample", **_config_dict(args, seed)})
@@ -345,9 +345,12 @@ def cmd_validate(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in str(text).split(",") if p != ""]
+        values = [int(p) for p in str(text).split(",") if p != ""]
     except ValueError as exc:
         raise ValueError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise ValueError(f"empty integer list {text!r}")
+    return values
 
 
 def _config_dict(args, seed: int) -> dict:

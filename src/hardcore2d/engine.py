@@ -68,15 +68,16 @@ def _plan(height: int) -> _Plan:
     return _Plan(steps, shapes, perm, lo, bits)
 
 
-def _activities(box: LatticeBox, field: ActivityField, bc: BoundaryCondition) -> np.ndarray:
-    """Effective activities (W x H); frame-blocked sites get 0."""
+def box_activities(
+    box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
+) -> np.ndarray:
+    """Effective activities (W x H) of the scan and the heat-bath chain;
+    frame-blocked sites get 0."""
     if not field.region.contains_box(box):
         raise ValueError("box must lie inside the field region")
-    if box.height > MAX_HEIGHT:
-        raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
     ax, ay = box.x_min - field.region.x_min, box.y_min - field.region.y_min
     acts = field.scale * field.values[ax : ax + box.width, ay : ay + box.height]
-    for x, y in bc.frame_occupied(box, field.is_live):
+    for x, y in as_boundary_condition(bc).frame_occupied(box, field.is_live):
         # a frame site touches exactly one box site: its clamp into the box
         ix = min(max(x, box.x_min), box.x_max) - box.x_min
         acts[ix, min(max(y, box.y_min), box.y_max) - box.y_min] = 0.0
@@ -96,8 +97,10 @@ def _rescale(t: np.ndarray) -> float:
 class _Scan:
     """Forward and transposed site sweeps for one instance."""
 
-    def __init__(self, box: LatticeBox, field: ActivityField, bc: BoundaryCondition):
-        self.acts = _activities(box, field, bc)
+    def __init__(self, box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str):
+        self.acts = box_activities(box, field, bc)
+        if box.height > MAX_HEIGHT:
+            raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
         self.plan = _plan(box.height)
         col_bits = np.log2(1.0 + self.acts).sum(axis=1).tolist()
         span = max(a + b for a, b in zip(col_bits, col_bits[1:] + [0.0]))
@@ -164,7 +167,7 @@ def log_partition(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
 ) -> float:
     """log of the partition sum over admissible occupation patterns."""
-    *_, (alpha, log_scale) = _Scan(box, field, as_boundary_condition(bc)).forward()
+    *_, (alpha, log_scale) = _Scan(box, field, bc).forward()
     return float(np.log(alpha.sum())) + log_scale
 
 
@@ -172,7 +175,7 @@ def occupation_probabilities(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
 ) -> dict[Site, float]:
     """Exact single-site occupation probabilities for all box sites."""
-    scan = _Scan(box, field, as_boundary_condition(bc))
+    scan = _Scan(box, field, bc)
     alphas = [alpha.copy() for alpha, _ in scan.forward()]
     cols = np.empty((box.width, box.height))
     for ix, beta in zip(reversed(range(box.width)), scan.backward()):
@@ -195,7 +198,7 @@ def sample_exact(
 ) -> frozenset[Site]:
     """One exact draw from the finite-volume measure, column by column."""
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    scan = _Scan(box, field, as_boundary_condition(bc))
+    scan = _Scan(box, field, bc)
     occupied, mask = [], 0
     for ix, beta in enumerate(list(scan.backward())[::-1]):
         weights = scan.column(ix, mask)[0] * beta

@@ -32,10 +32,6 @@ def neighbours(v: Site) -> tuple[Site, Site, Site, Site]:
     return ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
 
 
-def are_adjacent(u: Site, v: Site) -> bool:
-    return abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1
-
-
 def translate(v: Site, a: Site) -> Site:
     return (v[0] + a[0], v[1] + a[1])
 

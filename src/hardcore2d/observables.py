@@ -34,21 +34,12 @@ def _outer_box(L: "int | LatticeBox") -> LatticeBox:
     return L if isinstance(L, LatticeBox) else box_lambda(L)
 
 
-@dataclass(frozen=True)
-class FreeEnergyResponse:
-    value: float
-    bc: str
-    outer: LatticeBox
-    inner: LatticeBox
-    scale: float
-
-
 def free_energy_response(
     L: "int | LatticeBox",
     inner: LatticeBox,
     field: ActivityField,
     bc: "BoundaryCondition | str",
-) -> FreeEnergyResponse:
+) -> float:
     """(log Z(field) - log Z(field switched off inside)) / scale."""
     outer = _outer_box(L)
     bc = as_boundary_condition(bc)
@@ -58,14 +49,12 @@ def free_energy_response(
         raise ValueError("inner box must lie inside the outer box")
     on = log_partition(outer, field, bc)
     off = log_partition(outer, field.switched_off(inner), bc)
-    return FreeEnergyResponse((on - off) / field.scale, bc.kind, outer, inner, field.scale)
+    return (on - off) / field.scale
 
 
 def response_gap(L: "int | LatticeBox", inner: LatticeBox, field: ActivityField) -> float:
     """Even-minus-odd boundary gap of the free-energy response, one field."""
-    even = free_energy_response(L, inner, field, "even").value
-    odd = free_energy_response(L, inner, field, "odd").value
-    return even - odd
+    return free_energy_response(L, inner, field, "even") - free_energy_response(L, inner, field, "odd")
 
 
 def annulus_log_sum(field: ActivityField, j: int) -> float:

@@ -361,10 +361,10 @@ def check_monotone_order(total_sweeps: int, seed: int) -> CheckResult:
         while done < total_sweeps:
             box, field, bc = _random_instance(rng, 4, 4, lams=(0.5, 1.0, 5.0, 10.0))
             chain = GlauberChain(box, field, bc)
-            pair = chain.extremes()
+            lower, upper = chain.extremes()
             instances += 1
             for _ in range(min(250, total_sweeps - done)):
-                pair = chain.sweep_pair(pair, rng)
+                chain.sweep_pair(lower, upper, rng)
                 done += 1
     except RuntimeError as exc:
         return CheckResult("monotone-order", False, str(exc))
@@ -382,7 +382,7 @@ def check_cftp_exactness(
         counts = np.zeros((2, len(states)), dtype=np.int64)
         for i in range(draws):
             res = cftp_sample(box, field, "empty", ReplicaSeed(seed, i))
-            counts[0, states[res.configuration.occupied]] += 1
+            counts[0, states[res.occupied]] += 1
         rng = np.random.default_rng(seed)
         for _ in range(draws):
             counts[1, states[sample_exact(box, field, "empty", rng)]] += 1

@@ -228,6 +228,14 @@ def test_influence_needs_a_replica_and_a_worker(capsys):
         assert_count_error(["influence", "--sides", "4", "--replicas", "2", *flags], capsys)
 
 
+def test_fluctuations_needs_a_j(capsys):
+    assert_count_error(["fluctuations", "--j", "", "--replicas", "2"], capsys)
+
+
+def test_influence_needs_a_side(capsys):
+    assert_count_error(["influence", "--sides", ",", "--replicas", "2"], capsys)
+
+
 def test_sample_needs_a_draw(capsys):
     for n in ("0", "-1"):
         assert_count_error(["sample", "--box", "2x2", "--draws", n], capsys)

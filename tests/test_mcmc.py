@@ -4,15 +4,10 @@ import pytest
 import scipy.stats
 
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
-from hardcore2d.engine import occupation_probabilities, sample_exact
-from hardcore2d.errors import CoalescenceTimeout
-from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box, is_even, neighbours
-from hardcore2d.mcmc import (
-    Configuration,
-    GlauberChain,
-    cftp_sample,
-    sandwich_ordered,
-)
+from hardcore2d.engine import MAX_HEIGHT, log_partition, occupation_probabilities, sample_exact
+from hardcore2d.errors import CapacityError, CoalescenceTimeout
+from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, is_even, neighbours
+from hardcore2d.mcmc import GlauberChain, cftp_sample
 from hardcore2d.oracle import enumerate_independent_sets
 
 
@@ -20,21 +15,29 @@ def uniform_field(box, value=1.0, scale=1.0):
     return ActivityField(box, np.full((box.width, box.height), float(value)), scale)
 
 
+def sandwiched(lower, upper):
+    """lower's even sites inside upper's, upper's odd sites inside lower's."""
+    return ({v for v in lower if is_even(v)} <= {v for v in upper if is_even(v)}
+            and {v for v in upper if not is_even(v)} <= {v for v in lower if not is_even(v)})
+
+
+def assert_admissible(occ, box, field, bc):
+    frame = bc.frame_occupied(box, field.is_live)
+    for v in occ:
+        assert box.contains(v) and field.is_live(v)
+        assert not any(w in occ or w in frame for w in neighbours(v))
+
+
 def test_sweep_preserves_independence_and_constraints():
     box = box_lambda(2)
     f = uniform_field(box, value=3.0).with_value((0, 0), 0.0)
     chain = GlauberChain(box, f, EVEN_BC)
-    config = Configuration(box, frozenset())
+    grid = np.zeros((box.width + 2, box.height + 2), dtype=bool)
     rng = np.random.default_rng(1)
-    occupied_frame = EVEN_BC.frame_occupied(box, is_live=f.is_live)
     for _ in range(50):
-        config = chain.sweep_config(config, rng)
-        occ = config.occupied
-        assert (0, 0) not in occ
-        for (x, y) in occ:
-            assert not ({(x + 1, y), (x, y + 1)} & occ)
-            for w in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                assert w not in occupied_frame
+        chain.sweep_grid(grid, rng.random(box.site_count))
+        assert grid.sum() == grid[1:-1, 1:-1].sum()  # the padding ring stays empty
+        assert_admissible(chain.occupied(grid), box, f, EVEN_BC)
 
 
 def test_extremes_are_the_unblocked_live_sublattices():
@@ -42,9 +45,10 @@ def test_extremes_are_the_unblocked_live_sublattices():
     f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 2.0, ReplicaSeed(5, 0))
     frame = EVEN_BC.frame_occupied(box, f.is_live)
     free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
-    pair = GlauberChain(box, f, EVEN_BC).extremes()
-    assert pair.upper.occupied == {v for v in free if is_even(v)}
-    assert pair.lower.occupied == {v for v in free if not is_even(v)}
+    chain = GlauberChain(box, f, EVEN_BC)
+    lower, upper = chain.extremes()
+    assert chain.occupied(upper) == {v for v in free if is_even(v)}
+    assert chain.occupied(lower) == {v for v in free if not is_even(v)}
 
 
 def test_extremes_are_ordered_and_stay_ordered():
@@ -54,11 +58,14 @@ def test_extremes_are_ordered_and_stay_ordered():
         box = centered_box(4, 3)
         f = sample_field(spec, box.expand(1), 6.0, ReplicaSeed(17, rep))
         chain = GlauberChain(box, f, "even")
-        pair = chain.extremes()
-        assert sandwich_ordered(pair.lower, pair.upper)
+        lower, upper = chain.extremes()
+        assert sandwiched(chain.occupied(lower), chain.occupied(upper))
+        assert chain.ordered(lower, upper)
+        # swapped, the extremes are ordered only when both are empty
+        assert chain.ordered(upper, lower) == (chain.occupied(lower) == chain.occupied(upper))
         for _ in range(60):
-            pair = chain.sweep_pair(pair, rng)
-            assert sandwich_ordered(pair.lower, pair.upper)
+            chain.sweep_pair(lower, upper, rng)
+            assert sandwiched(chain.occupied(lower), chain.occupied(upper))
 
 
 def test_long_run_occupation_matches_exact_marginals():
@@ -76,11 +83,11 @@ def test_cftp_is_deterministic_in_the_seed():
     f = uniform_field(box, value=2.0)
     a = cftp_sample(box, f, "empty", ReplicaSeed(5, 0))
     b = cftp_sample(box, f, "empty", ReplicaSeed(5, 0))
-    assert a.configuration.occupied == b.configuration.occupied
+    assert a.occupied == b.occupied
     assert a.epochs == b.epochs
     c = cftp_sample(box, f, "empty", ReplicaSeed(5, 1))
     # different replica reads a different driving sequence
-    assert (c.configuration.occupied != a.configuration.occupied) or c.sweeps_used != a.sweeps_used
+    assert (c.occupied != a.occupied) or c.sweeps_used != a.sweeps_used
 
 
 def test_cftp_agrees_with_exact_sampler():
@@ -90,7 +97,7 @@ def test_cftp_agrees_with_exact_sampler():
     counts = np.zeros((2, len(states)), dtype=np.int64)
     draws = 3000
     for i in range(draws):
-        counts[0, states[cftp_sample(box, f, "empty", ReplicaSeed(99, i)).configuration.occupied]] += 1
+        counts[0, states[cftp_sample(box, f, "empty", ReplicaSeed(99, i)).occupied]] += 1
     rng = np.random.default_rng(99)
     for _ in range(draws):
         counts[1, states[sample_exact(box, f, "empty", rng)]] += 1
@@ -102,7 +109,7 @@ def test_cftp_respects_even_frame():
     box = box_lambda(1)
     f = uniform_field(box, value=5.0)
     for i in range(40):
-        occ = cftp_sample(box, f, "even", ReplicaSeed(13, i)).configuration.occupied
+        occ = cftp_sample(box, f, "even", ReplicaSeed(13, i)).occupied
         assert not ({(1, 0), (0, 1)} & occ)
 
 
@@ -111,3 +118,20 @@ def test_cftp_timeout_raises():
     f = uniform_field(box, value=30.0)
     with pytest.raises(CoalescenceTimeout):
         cftp_sample(box, f, "empty", ReplicaSeed(1, 0), max_sweeps=2)
+
+
+def test_cftp_serves_boxes_taller_than_the_scan():
+    box = centered_box(2, MAX_HEIGHT + 6)
+    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 1.0, ReplicaSeed(7, 0))
+    with pytest.raises(CapacityError):
+        log_partition(box, f, EVEN_BC)
+    for bc in (FREE_BC, EVEN_BC):
+        for i in range(3):
+            res = cftp_sample(box, f, bc, ReplicaSeed(7, i))
+            assert_admissible(res.occupied, box, f, bc)
+
+
+def test_chain_refuses_a_field_that_misses_the_box():
+    f = uniform_field(box_lambda(1))
+    with pytest.raises(ValueError, match="inside the field region"):
+        GlauberChain(box_lambda(2), f)

@@ -42,7 +42,7 @@ def random_field(L, spec, scale, replica):
 def test_response_is_zero_when_field_is_one_inside():
     f = unit_field(box_lambda(2).expand(1), 2.0)
     r = free_energy_response(2, box_lambda(1), f, "even")
-    assert r.value == 0.0
+    assert r == 0.0
 
 
 def test_response_two_point_identity():
@@ -56,7 +56,7 @@ def test_response_two_point_identity():
 
     z_on = log_partition(box_lambda(2), f, "odd")
     z_off = log_partition(box_lambda(2), f.switched_off(inner), "odd")
-    assert r.value == pytest.approx((z_on - z_off) / 3.0, abs=1e-14)
+    assert r == pytest.approx((z_on - z_off) / 3.0, abs=1e-14)
     assert x != 1.0
 
 
