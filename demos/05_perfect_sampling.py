@@ -32,8 +32,7 @@ for i in range(DRAWS):
     cftp_counts[res.occupied] += 1
     epochs.append(res.epochs)
 
-rng = np.random.default_rng(11)
-exact_counts: Counter = Counter(sample_exact(box, f, "empty", rng) for _ in range(DRAWS))
+exact_counts: Counter = Counter(sample_exact(box, f, "empty", np.random.default_rng(11), DRAWS))
 
 # exact weights for reference
 z = float(oracle_log_partition(box, f).value)

@@ -303,9 +303,7 @@ def cmd_sample(args) -> int:
     bc = as_boundary_condition(args.bc)
     records: list[tuple] = []
     if args.method == "exact":
-        rng = np.random.default_rng(seed)
-        for i in range(draws):
-            occ = sample_exact(box, field, bc, rng)
+        for i, occ in enumerate(sample_exact(box, field, bc, np.random.default_rng(seed), draws)):
             value = json.dumps(sorted(occ))
             records.append((i, seed, j, None, args.lam, label, "sample", value, None))
     else:

@@ -11,6 +11,8 @@ the bit added or consumed next, so a site step needs no gathers: T[:, :f1]
 rows T[:keep] times the activity for the new bit.  At full height lo is
 ascending mask order; a cached permutation per height hands a column to the
 next.  Marginals meet forward and transposed-step vectors at column edges.
+Exact draws share one backward pass: every draw picks its columns left to
+right from the same suffix vectors, with its own uniforms.
 
 Each column ends divided by its maximum.  Within a column the maximum never
 decreases and grows by at most 2(1 + a) per site, and the float-type rule
@@ -37,6 +39,7 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_c
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
+_DRAW_ENTRIES = 1 << 16  # cap on a (draws x masks) temporary of sample_exact
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
 
 
@@ -118,20 +121,21 @@ class _Scan:
         tables += [bufs[k % 2][: a * b].reshape(a, b) for k, (a, b) in enumerate(shapes[1:])]
         return tables, [views(*step, t, u) for step, t, u in zip(self.plan.steps, tables, tables[1:])]
 
-    def column(self, x: int, prev: int) -> tuple[np.ndarray, float]:
-        """Column x's weights (ascending masks, max 1) and log scale next to mask
-        ``prev`` of column x - 1: forward steps whose tables keep one hi column."""
+    def column(self, x: int) -> np.ndarray:
+        """Column x's unscaled weights (ascending masks) next to an empty column
+        x - 1: forward steps whose tables keep one hi column."""
         w = np.ones(len(self.plan.masks), self.dtype)
         steps = zip(self.plan.steps, self.plan.shapes[1:], self.acts[x].tolist())
-        for r, ((top, keep, _, _), (end, _), a) in enumerate(steps):
-            np.multiply(w[keep], 0.0 if prev >> r & 1 else a, w[top:end])
-        return w, _rescale(w)
+        for (top, keep, _, _), (end, _), a in steps:
+            np.multiply(w[keep], a, w[top:end])
+        return w
 
     def forward(self):
         """Yield per column its prefix vector (ascending masks, max 1) and log scale."""
         tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
             u[:top], t[:, :f1], u[:top, :w1], t[:, f1:], u[top:], t[keep, :f1]))
-        v, log_scale = self.column(0, 0)  # the column left of the box is empty
+        v = self.column(0)  # the column left of the box is empty
+        log_scale = _rescale(v)
         yield v, log_scale
         for acts in self.acts[1:].tolist():
             np.take(v, self.plan.perm, out=tables[0][0], mode="clip")
@@ -194,15 +198,35 @@ def occupation_probability(
 
 def sample_exact(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC,
-    rng: np.random.Generator | int | None = None,
-) -> frozenset[Site]:
-    """One exact draw from the finite-volume measure, column by column."""
+    rng: np.random.Generator | int | None = None, draws: int = 1,
+) -> list[frozenset[Site]]:
+    """``draws`` exact draws from the finite-volume measure, column by column.
+
+    One backward pass serves every draw.  Draw i picks its column x by inverse
+    CDF, as ``Generator.choice`` does, with the uniform
+    ``rng.random((draws, W))[i, x]``, so the draws do not depend on how many
+    are asked for at once.  Chunks of draws keep each (draws x masks)
+    temporary within _DRAW_ENTRIES entries.
+    """
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     scan = _Scan(box, field, bc)
-    occupied, mask = [], 0
-    for ix, beta in enumerate(list(scan.backward())[::-1]):
-        weights = scan.column(ix, mask)[0] * beta
-        p = np.asarray(weights / weights.sum(), dtype=np.float64)
-        mask = int(scan.plan.masks[gen.choice(len(p), p=p)])
-        occupied.extend((box.x_min + ix, box.y_min + iy) for iy in range(box.height) if mask >> iy & 1)
-    return frozenset(occupied)
+    masks = scan.plan.masks
+    betas = list(scan.backward())[::-1]
+    chunk = max(1, _DRAW_ENTRIES // len(masks))
+    out = []
+    for start in range(0, draws, chunk):
+        u = gen.random((min(chunk, draws - start), box.width))
+        picked = np.zeros((len(u), box.width + 1), dtype=np.int64)  # column 0: left of the box
+        for x, beta in enumerate(betas):
+            weights = np.where(masks & picked[:, x, None], 0.0, scan.column(x))
+            weights /= weights.max(axis=1, keepdims=True)  # per row: a draw ignores its chunk
+            weights *= beta
+            cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            picked[:, x + 1] = masks[(cdf <= u[:, x, None]).sum(axis=1)]  # searchsorted(side="right")
+        for grid in picked[:, 1:, None] >> np.arange(box.height) & 1:
+            xs, ys = np.nonzero(grid)
+            out.append(frozenset(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist())))
+    return out

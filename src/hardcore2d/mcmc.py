@@ -8,7 +8,18 @@ occupied frame site touches exactly one box site, which it forces empty
 Two chains driven by the same uniforms preserve the two-sided order "more
 even occupation and less odd occupation", whose extremes are the full
 unblocked live even set and odd set; running the coupled pair from the past
-until the extremes merge yields an exact sample.
+until the extremes merge yields an exact sample (Propp-Wilson, Random Struct.
+Alg. 9, 1996; Haggstrom-Nelander, Stat. Neerl. 53, 1999).
+
+The sweep runs on columns packed as integers, bit r for row r.  In
+lexicographic order site r of column x sees its left and lower neighbours
+already updated and its right and upper ones not yet, so new[r] = a[r] &
+~new[r - 1] with a = (u < odds) & ~(left_new | right_old | old >> 1).  Inside
+each run of set bits of a, new therefore keeps the bits at even offsets from
+the run's start, so a whole column updates at once: adding the starts of the
+runs that begin on an even bit carries through exactly those runs.  The
+coupled pair shares one integer per column, lower in bits 0..H-1 and upper in
+bits H+1..2H; the zero guard bit between them keeps their runs apart.
 """
 from __future__ import annotations
 
@@ -19,17 +30,18 @@ import numpy as np
 from .disorder import ActivityField, ReplicaSeed
 from .engine import box_activities
 from .errors import CoalescenceTimeout
-from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site
+from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox, Site
 
 _M64 = (1 << 64) - 1
 _TIME_SALT = 0x9E3779B97F4A7C15
+_EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
 
 
 class GlauberChain:
     """Reusable heat-bath kernel for one (box, field, bc) triple.
 
-    A state is a boolean grid padded by one empty ring, so neighbour checks
-    never branch on the border.
+    A state is a boolean grid padded by one empty ring; the sweeps work on
+    its columns packed as integers.
     """
 
     def __init__(
@@ -47,8 +59,9 @@ class GlauberChain:
 
     def extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper): the maximal unblocked live odd and even sets."""
-        live = self.odds > 0.0
-        return np.pad(live & ~self._even, 1), np.pad(live & self._even, 1)
+        lower, upper = grids = np.zeros((2, self.box.width + 2, self.box.height + 2), dtype=bool)
+        grids[:, 1:-1, 1:-1] = (self.odds > 0.0) & np.stack([~self._even, self._even])
+        return lower, upper
 
     def ordered(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """lower's even sites inside upper's, upper's odd sites inside lower's."""
@@ -64,18 +77,8 @@ class GlauberChain:
 
     def sweep_grid(self, grid: np.ndarray, uniforms: np.ndarray) -> None:
         """One in-place lexicographic heat-bath sweep."""
-        odds = self.odds
-        k = 0
-        for ix in range(self.box.width):
-            i = ix + 1
-            row = odds[ix]
-            for iy in range(self.box.height):
-                j = iy + 1
-                if grid[i - 1, j] or grid[i + 1, j] or grid[i, j - 1] or grid[i, j + 1]:
-                    grid[i, j] = False
-                else:
-                    grid[i, j] = uniforms[k] < row[iy]
-                k += 1
+        rises = _pack(uniforms.reshape(self.odds.shape) < self.odds).tolist()
+        grid[:] = _unpack(_sweep(_pack(grid[1:-1, 1:-1]).tolist(), rises), self.box.height)
 
     def sweep_pair(self, lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> None:
         """Advance both chains in place with one shared uniform per site."""
@@ -106,15 +109,33 @@ class CftpResult:
     sweeps_used: int
 
 
-def _time_uniforms(seed: ReplicaSeed, t: int, n: int) -> np.ndarray:
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Columns as integers: bit r of entry [..., x] is bits[..., x, r]."""
+    return (bits << np.arange(bits.shape[-1], dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+
+
+def _unpack(cols: list[int], height: int) -> np.ndarray:
+    """The padded grid of packed columns (their low ``height`` bits)."""
+    ring = [[0] * (height + 2)]
+    return np.array(ring + [[0, *(c >> r & 1 for r in range(height)), 0] for c in cols] + ring, dtype=bool)
+
+
+def _sweep(cols: list[int], rises: list[int]) -> list[int]:
+    """One lexicographic heat-bath sweep of packed columns; ``rises`` packs u < odds."""
+    new, left = [], 0
+    for rise, old, right in zip(rises, cols, cols[1:] + [0]):
+        a = rise & ~(left | right | old >> 1)
+        c = a + (a & ~(a << 1) & _EVEN)
+        left = a & (~c & _EVEN | c & _EVEN << 1)
+        new.append(left)
+    return new
+
+
+def _time_uniforms(seed: ReplicaSeed, times: range, n: int) -> np.ndarray:
     # one fixed uniform array per past time t >= 1, independent of the epoch
-    key = np.array(
-        [seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64],
-        dtype=np.uint64,
-    )
-    counter = np.array([0, 0, t & _M64, 1], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    return gen.random(n)
+    key = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], dtype=np.uint64)
+    counters = (np.array([0, 0, t & _M64, 1], dtype=np.uint64) for t in times)
+    return np.stack([np.random.Generator(np.random.Philox(key=key, counter=c)).random(n) for c in counters])
 
 
 def cftp_sample(
@@ -126,28 +147,32 @@ def cftp_sample(
 ) -> CftpResult:
     """Exact sample by coupling from the past with epoch doubling.
 
-    Epoch k restarts the extreme pair at time -2^k and replays the same
+    Epoch k restarts the extreme pair at time -2^(k-1) and replays the same
     per-time uniforms; on coalescence at time 0 the common state is an exact
-    draw.  Exceeding the sweep cap raises CoalescenceTimeout -- there is no
-    approximate fallback.
+    draw.  ``max_sweeps`` caps the horizon (how far back an epoch starts), so
+    up to 2 * max_sweeps - 1 pair sweeps run in all.  Exceeding it raises
+    CoalescenceTimeout -- there is no approximate fallback.
     """
     if not isinstance(seed, ReplicaSeed):
         seed = ReplicaSeed(int(seed))
     chain = GlauberChain(box, field, bc)
-    lower, upper = chain.extremes()
-    n = box.site_count
-    total = 0
-    epochs = 0
+    h, n = box.height, box.site_count
+    lower, upper = (_pack(g[1:-1, 1:-1]).tolist() for g in chain.extremes())
+    start = [lo | up << h + 1 for lo, up in zip(lower, upper)]
+    rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
+    total = epochs = 0
     horizon = 1
     while horizon <= max_sweeps:
         epochs += 1
-        lo, up = lower.copy(), upper.copy()
+        fresh = _time_uniforms(seed, range(len(rises) + 1, horizon + 1), n)
+        packed = _pack(fresh.reshape(-1, *chain.odds.shape) < chain.odds).tolist()
+        rises += [[r | r << h + 1 for r in row] for row in packed]
+        state = start
         for t in range(horizon, 0, -1):
-            u = _time_uniforms(seed, t, n)
-            chain.sweep_grid(lo, u)
-            chain.sweep_grid(up, u)
-            total += 1
-        if np.array_equal(lo, up):
-            return CftpResult(chain.occupied(lo), epochs, total)
+            state = _sweep(state, rises[t - 1])
+        total += horizon
+        if all(c & (1 << h) - 1 == c >> h + 1 for c in state):
+            return CftpResult(chain.occupied(_unpack(state, h)), epochs, total)
         horizon *= 2
-    raise CoalescenceTimeout(f"no coalescence within {max_sweeps} sweeps")
+    raise CoalescenceTimeout(f"{box.width}x{h} box: no coalescence in {epochs} epochs, the last from "
+                             f"{horizon // 2} sweeps back, {total} pair sweeps in all (max_sweeps={max_sweeps})")

@@ -383,9 +383,8 @@ def check_cftp_exactness(
         for i in range(draws):
             res = cftp_sample(box, field, "empty", ReplicaSeed(seed, i))
             counts[0, states[res.occupied]] += 1
-        rng = np.random.default_rng(seed)
-        for _ in range(draws):
-            counts[1, states[sample_exact(box, field, "empty", rng)]] += 1
+        for occ in sample_exact(box, field, "empty", np.random.default_rng(seed), draws):
+            counts[1, states[occ]] += 1
         _, p, _, _ = scipy.stats.chi2_contingency(counts)
         worst_p = min(worst_p, float(p))
     return CheckResult("cftp-vs-exact", worst_p >= alpha, f"min chi2 p={worst_p:.3f}")

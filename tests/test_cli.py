@@ -175,6 +175,17 @@ def test_cftp_draws_are_pinned(capsys):
     assert out == (Path(__file__).parent / "data" / "sample_cftp_5x4_seed11.csv").read_text()
 
 
+@pytest.mark.parametrize("method, box, lam", [("exact", "12x12", "5"), ("cftp", "8x8", "2")])
+def test_draws_at_benchmark_sizes_are_pinned(capsys, method, box, lam):
+    # CSV bodies of the benchmark's sampler runs at 100 draws, recorded before
+    # the batched exact draws and the column-bitmask heat-bath kernel
+    argv = ["sample", "--method", method, "--box", box, "--field", "bernoulli:0.7",
+            "--lambda", lam, "--bc", "even", "--draws", "100", "--seed", "11", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"sample_{method}_{box}_seed11.csv").read_text()
+
+
 @needs_long_double
 def test_huge_activity_logz_matches_oracle(capsys):
     code, out, _ = run_cli(["logz", "--j", "2", "--bc", "even", "--lambda", "1e200"], capsys)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from hardcore2d import engine
 from hardcore2d.disorder import ActivityField
 from hardcore2d.engine import (
     log_partition,
@@ -158,9 +159,8 @@ def test_sample_exact_is_uniform_on_2x2_unit_case():
     index = {s: i for i, s in enumerate(states)}
     rng = np.random.default_rng(123)
     counts = np.zeros(len(states))
-    n = 7000
-    for _ in range(n):
-        counts[index[sample_exact(box, f, FREE_BC, rng)]] += 1
+    for s in sample_exact(box, f, FREE_BC, rng, draws=7000):
+        counts[index[s]] += 1
     _, p = scipy.stats.chisquare(counts)
     assert p > 1e-3
 
@@ -169,8 +169,7 @@ def test_sample_exact_respects_frame_and_deletions():
     box = box_lambda(1)
     f = uniform_field(box, value=4.0).with_value((1, 1), 0.0)
     rng = np.random.default_rng(321)
-    for _ in range(200):
-        s = sample_exact(box, f, EVEN_BC, rng)
+    for s in sample_exact(box, f, EVEN_BC, rng, draws=200):
         assert (1, 0) not in s and (0, 1) not in s  # blocked by even frame
         assert (1, 1) not in s  # deleted
 
@@ -181,3 +180,30 @@ def test_sampling_is_reproducible():
     a = [sample_exact(box, f, FREE_BC, np.random.default_rng(42)) for _ in range(3)]
     b = [sample_exact(box, f, FREE_BC, np.random.default_rng(42)) for _ in range(3)]
     assert a == b
+
+
+WIDE = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
+
+
+@pytest.mark.parametrize("exponent, dtype", [
+    (1, np.float64),
+    pytest.param(600, np.longdouble, marks=pytest.mark.skipif(
+        not WIDE, reason="needs an 80- or 128-bit np.longdouble")),
+])
+def test_draws_do_not_depend_on_the_batch_size(exponent, dtype):
+    # 20 rows have 17711 masks, so one chunk of the batch holds 3 draws
+    box = centered_box(3, 20)
+    exps = np.random.default_rng(8).choice([-exponent, 0, 0, 0, exponent], size=(5, 22))
+    f = ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
+    assert engine._Scan(box, f, EVEN_BC).dtype == dtype
+    gen = np.random.default_rng(5)
+    one_at_a_time = [sample_exact(box, f, EVEN_BC, gen)[0] for _ in range(10)]
+    assert sample_exact(box, f, EVEN_BC, np.random.default_rng(5), draws=10) == one_at_a_time
+    assert len(set(one_at_a_time)) > 1
+
+
+def test_sample_exact_needs_a_draw():
+    box = centered_box(2, 2)
+    for draws in (0, -1):
+        with pytest.raises(ValueError, match="draws"):
+            sample_exact(box, uniform_field(box), FREE_BC, 0, draws=draws)

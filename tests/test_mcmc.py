@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from hardcore2d import mcmc
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import MAX_HEIGHT, log_partition, occupation_probabilities, sample_exact
 from hardcore2d.errors import CapacityError, CoalescenceTimeout
@@ -26,6 +27,47 @@ def assert_admissible(occ, box, field, bc):
     for v in occ:
         assert box.contains(v) and field.is_live(v)
         assert not any(w in occ or w in frame for w in neighbours(v))
+
+
+def reference_sweep(grid, odds, uniforms):
+    """The per-site lexicographic heat-bath sweep on a padded grid, in place."""
+    k = 0
+    for i in range(1, odds.shape[0] + 1):
+        for j in range(1, odds.shape[1] + 1):
+            if grid[i - 1, j] or grid[i + 1, j] or grid[i, j - 1] or grid[i, j + 1]:
+                grid[i, j] = False
+            else:
+                grid[i, j] = uniforms[k] < odds[i - 1, j - 1]
+            k += 1
+
+
+def columns(grid):
+    """A padded grid's box columns as integers, bit r for row r."""
+    return [sum(int(b) << r for r, b in enumerate(col)) for col in grid[1:-1, 1:-1]]
+
+
+def test_column_kernel_matches_the_site_loop():
+    rng = np.random.default_rng(2024)
+    for case in range(48):
+        w, h = int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 31, 32, 33, 63, 64]))
+        box = centered_box(w, h)
+        values = rng.choice([0.0, 0.5, 1.0, 4.0], size=(w, h))  # with dead sites
+        chain = GlauberChain(box, ActivityField(box, values, 1.0), ("free", "even", "odd", "empty")[case % 4])
+        # arbitrary starting states, mostly not admissible
+        lower, upper = (np.pad(rng.random((w, h)) < 0.5, 1) for _ in range(2))
+        grid = lower.copy()
+        pair = [lo | up << h + 1 for lo, up in zip(columns(lower), columns(upper))]
+        for _ in range(5):
+            u = rng.random(box.site_count)
+            rises = columns(np.pad(u.reshape(w, h) < chain.odds, 1))
+            pair = mcmc._sweep(pair, [r | r << h + 1 for r in rises])
+            reference_sweep(lower, chain.odds, u)
+            reference_sweep(upper, chain.odds, u)
+            chain.sweep_grid(grid, u)
+            assert np.array_equal(grid, lower)
+            assert [c & (1 << h) - 1 for c in pair] == columns(lower)
+            assert [c >> h + 1 for c in pair] == columns(upper)
+            assert not any(c >> h & 1 for c in pair)  # the guard bit stays clear
 
 
 def test_sweep_preserves_independence_and_constraints():
@@ -98,9 +140,8 @@ def test_cftp_agrees_with_exact_sampler():
     draws = 3000
     for i in range(draws):
         counts[0, states[cftp_sample(box, f, "empty", ReplicaSeed(99, i)).occupied]] += 1
-    rng = np.random.default_rng(99)
-    for _ in range(draws):
-        counts[1, states[sample_exact(box, f, "empty", rng)]] += 1
+    for s in sample_exact(box, f, "empty", np.random.default_rng(99), draws):
+        counts[1, states[s]] += 1
     _, p, _, _ = scipy.stats.chi2_contingency(counts)
     assert p > 1e-3
 
@@ -116,7 +157,9 @@ def test_cftp_respects_even_frame():
 def test_cftp_timeout_raises():
     box = centered_box(4, 4)
     f = uniform_field(box, value=30.0)
-    with pytest.raises(CoalescenceTimeout):
+    # max_sweeps caps the horizon: epochs from 1 and 2 sweeps back, 3 pair sweeps
+    msg = r"^4x4 box: no coalescence in 2 epochs, the last from 2 sweeps back, 3 pair sweeps in all"
+    with pytest.raises(CoalescenceTimeout, match=msg):
         cftp_sample(box, f, "empty", ReplicaSeed(1, 0), max_sweeps=2)
 
 
