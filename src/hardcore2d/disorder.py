@@ -5,13 +5,16 @@ where the ``x_v`` are i.i.d. draws from a one-parameter-or-two family.
 ``x_v = 0`` is read as deletion of the vertex: the site can never be
 occupied, and even/odd boundary frames skip deleted frame sites.
 
-Every site draws from its own counter-based stream keyed by
-``(master_seed, replica_index)`` and positioned at the site's absolute
-coordinates.  A sampled value therefore depends only on the key, the family
-and the site -- not on the region shape, the generation order, or any thread
-schedule.  Nested or translated regions sampled under one key agree on the
-sites they share, which gives common random numbers across experiment sizes
-for free.
+Every site reads one uniform from a counter-based generator (Philox4x64-10;
+Salmon et al., SC'11) keyed by ``(master_seed, replica_index)`` at the
+counter ``(0, 0, x, y)`` of the site's absolute coordinates, and maps it
+through the family's inverse CDF.  One array call draws the uniforms of a
+whole region; each equals the first ``random()`` of numpy's ``Philox``
+generator with that key and counter.  A sampled value therefore depends only
+on the key, the family and the site -- not on the region shape, the
+generation order, or any thread schedule.  Nested or translated regions
+sampled under one key agree on the sites they share, which gives common
+random numbers across experiment sizes for free.
 """
 from __future__ import annotations
 
@@ -22,10 +25,14 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.special
 
 from .lattice import LatticeBox, Site
 
 _M64 = (1 << 64) - 1
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 # family name -> (arity, parameter names)
 _FAMILIES = {
@@ -109,22 +116,25 @@ class DisorderSpec:
     def label(self) -> str:
         return self.family + ":" + ",".join(format(p, "g") for p in self.params)
 
-    def draw(self, gen: np.random.Generator) -> float:
-        """One sample, consuming only this generator's stream."""
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """The family's values at uniforms ``u`` from [0, 1), by inverse CDF."""
         p = self.params
         fam = self.family
+        u = np.asarray(u, dtype=np.float64)
         if fam == "constant":
-            return p[0]
+            return np.full(u.shape, p[0])
         if fam == "bernoulli":
-            return 1.0 if gen.random() < p[0] else 0.0
+            return (u < p[0]).astype(np.float64)
         if fam == "uniform":
-            return p[0] + (p[1] - p[0]) * gen.random()
+            return p[0] + (p[1] - p[0]) * u
         if fam == "lognormal":
-            return float(gen.lognormal(p[0], p[1]))
+            return np.exp(p[0] + p[1] * scipy.special.ndtri(u))
         if fam == "gamma":
-            return float(gen.gamma(p[0], p[1]))
-        # pareto: inverse CDF on a uniform from (0, 1]
-        return p[1] * (1.0 - gen.random()) ** (-1.0 / p[0])
+            return p[1] * scipy.special.gammaincinv(p[0], u)
+        # pareto on 1 - u from (0, 1]; Python's scalar ** (libm pow) can differ
+        # from numpy's vector power in the last bit
+        e = -1.0 / p[0]
+        return p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
 
     def mean(self) -> float:
         p = self.params
@@ -179,13 +189,28 @@ class ReplicaSeed:
             raise ValueError("replica index must be >= 0")
 
 
-def _site_generator(seed: ReplicaSeed, site: Site) -> np.random.Generator:
-    # key = replica identity, counter = absolute site coordinates
-    key = np.array(
-        [seed.master_seed & _M64, seed.replica_index & _M64], dtype=np.uint64
-    )
-    counter = np.array([0, 0, site[0] & _M64, site[1] & _M64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+def philox_uniforms(key0: int, key1: int, c2, c3) -> np.ndarray:
+    """Uniforms from Philox4x64-10, one per entry of the broadcast ``c2, c3``.
+
+    Each equals the first ``random()`` of ``np.random.Generator(np.random.
+    Philox(key=[key0, key1], counter=[0, 0, c2, c3]))``: numpy steps counter
+    word 0 to 1 before its first block, and a double is (x0 >> 11) * 2^-53.
+    Negative keys and counters wrap to uint64.  Each round multiplies counter
+    words 0 and 2 as one (2, n) array, high halves from 32-bit limbs.
+    """
+    shape = np.broadcast(c2, c3).shape
+    ev, od = np.ones((2, *shape), np.uint64), np.zeros((2, *shape), np.uint64)
+    ev[1], od[1] = np.asarray(c2), np.asarray(c3)  # counter words (0, 2) and (1, 3)
+    ev, od = ev.reshape(2, -1), od.reshape(2, -1)
+    key = np.array([[key0 & _M64], [key1 & _M64]], dtype=np.uint64)
+    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+    for _ in range(10):
+        lo, hi = ev & _LO32, ev >> _S32
+        mid = m_lo * hi + (m_lo * lo >> _S32)
+        mulhi = m_hi * hi + (mid >> _S32) + (m_hi * lo + (mid & _LO32) >> _S32)
+        ev, od = mulhi[::-1] ^ od ^ key, (ev * _PHILOX_M)[::-1]
+        key = key + _PHILOX_W
+    return ((ev[0] >> np.uint64(11)) * 2.0**-53).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +261,12 @@ class ActivityField:
         ix, iy = self._index(v)
         return float(self.values[ix, iy])
 
+    def values_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``value_at`` over coordinate arrays that broadcast together."""
+        ix, iy = xs - self.region.x_min, ys - self.region.y_min
+        mx, my = ix % self.region.width, iy % self.region.height  # equal inside the region
+        return np.where((mx == ix) & (my == iy), self.values[mx, my], 1.0)
+
     def is_live(self, v: Site) -> bool:
         return self.value_at(v) > 0.0
 
@@ -266,17 +297,15 @@ class ActivityField:
         if not self.region.contains_box(inner):
             raise ValueError("inner box must lie inside the field region")
         arr = self.values.copy()
-        for v in inner.sites():
-            arr[self._index(v)] = inner_field.value_at(v)
+        ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
+        arr[ax : ax + inner.width, ay : ay + inner.height] = inner_field.values_at(*inner.coords())
         return ActivityField(self.region, arr, self.scale)
 
     def compose(self, site_map: Callable[[Site], Site]) -> "ActivityField":
         """Field with values ``x[site_map(v)]``; sites mapped outside the
-        region pick up the neutral default 1."""
-        arr = np.empty_like(self.values)
-        for v in self.region.sites():
-            arr[self._index(v)] = self.value_at(site_map(v))
-        return ActivityField(self.region, arr, self.scale)
+        region pick up the neutral default 1.  ``site_map`` is called once,
+        on the region's coordinate arrays ``region.coords()``."""
+        return ActivityField(self.region, self.values_at(*site_map(self.region.coords())), self.scale)
 
     def with_scale(self, scale: float) -> "ActivityField":
         return ActivityField(self.region, self.values, scale)
@@ -286,15 +315,10 @@ def sample_field(
     spec: DisorderSpec, region: LatticeBox, scale: float, seed: ReplicaSeed
 ) -> ActivityField:
     """Draw the i.i.d. field on a region.  Deterministic in (spec, seed, site)."""
-    w, h = region.width, region.height
     if spec.family == "constant":
-        return ActivityField(region, np.full((w, h), spec.params[0]), scale)
-    arr = np.empty((w, h), dtype=np.float64)
-    for ix in range(w):
-        for iy in range(h):
-            site = (region.x_min + ix, region.y_min + iy)
-            arr[ix, iy] = spec.draw(_site_generator(seed, site))
-    return ActivityField(region, arr, scale)
+        return ActivityField(region, np.full((region.width, region.height), spec.params[0]), scale)
+    u = philox_uniforms(seed.master_seed, seed.replica_index, *region.coords())
+    return ActivityField(region, spec.from_uniform(u), scale)
 
 
 def parity_imbalance(field: ActivityField, box: LatticeBox) -> int:

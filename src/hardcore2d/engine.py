@@ -80,10 +80,13 @@ def box_activities(
         raise ValueError("box must lie inside the field region")
     ax, ay = box.x_min - field.region.x_min, box.y_min - field.region.y_min
     acts = field.scale * field.values[ax : ax + box.width, ay : ay + box.height]
-    for x, y in as_boundary_condition(bc).frame_occupied(box, field.is_live):
+    frame = as_boundary_condition(bc).frame_occupied(box)
+    if frame:
+        fx, fy = np.array(list(zip(*frame)))
+        live = field.values_at(fx, fy) > 0.0
         # a frame site touches exactly one box site: its clamp into the box
-        ix = min(max(x, box.x_min), box.x_max) - box.x_min
-        acts[ix, min(max(y, box.y_min), box.y_max) - box.y_min] = 0.0
+        ix = np.minimum(np.maximum(fx[live] - box.x_min, 0), box.width - 1)
+        acts[ix, np.minimum(np.maximum(fy[live] - box.y_min, 0), box.height - 1)] = 0.0
     return acts
 
 

@@ -8,7 +8,10 @@ through the line ``x = 1/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
+
+import numpy as np
 
 Site = tuple[int, int]
 
@@ -88,6 +91,10 @@ class LatticeBox:
             for y in range(self.y_min, self.y_max + 1):
                 yield (x, y)
 
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """x (W x 1) and y (1 x H) coordinate arrays; they broadcast to the box."""
+        return np.arange(self.x_min, self.x_max + 1)[:, None], np.arange(self.y_min, self.y_max + 1)[None, :]
+
     def expand(self, k: int = 1) -> "LatticeBox":
         return LatticeBox(self.x_min - k, self.x_max + k, self.y_min - k, self.y_max + k)
 
@@ -128,10 +135,13 @@ def external_boundary(box: LatticeBox) -> frozenset[Site]:
 
 
 def phi_j(v: Site, j: int) -> Site:
-    """Identity on the centered box of half-side j+1, reflection outside it."""
+    """Identity on the centered box of half-side j+1, reflection outside it.
+    ``v`` may also be a pair of coordinate arrays that broadcast together."""
     if j < 1:
         raise ValueError("half-side j must be >= 1")
-    return v if box_lambda(j + 1).contains(v) else reflect_theta(v)
+    b, (x, y) = box_lambda(j + 1), v
+    inside = (b.x_min <= x) & (x <= b.x_max) & (b.y_min <= y) & (y <= b.y_max)
+    return np.where(inside, x, 1 - x)[()], y  # [()] unwraps a scalar's 0-d result
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,8 @@ class BoundaryCondition:
     kind "even" / "odd" occupies the frame sites of that parity, "empty"
     occupies none, and "custom" occupies the given set (which must itself be
     an independent set).  Frame sites killed by the activity field (value 0)
-    are never occupied; the engine passes the field's liveness predicate in.
+    are never occupied: callers pass the field's liveness predicate in, or
+    (as ``engine.box_activities`` does) look liveness up in the field values.
     """
 
     kind: str
@@ -164,18 +175,19 @@ class BoundaryCondition:
         self, box: LatticeBox, is_live: Callable[[Site], bool] | None = None
     ) -> frozenset[Site]:
         """Occupied frame sites for this box, filtered by site liveness."""
-        if self.kind == "empty":
-            return frozenset()
-        frame = external_boundary(box)
-        if self.kind == "even":
-            cand = (u for u in frame if is_even(u))
-        elif self.kind == "odd":
-            cand = (u for u in frame if not is_even(u))
+        if self.kind == "custom":
+            cand = external_boundary(box) & self.custom_occupied
         else:
-            cand = (u for u in frame if u in self.custom_occupied)
+            cand = _parity_frame(box, self.kind)
         if is_live is None:
-            return frozenset(cand)
+            return cand
         return frozenset(u for u in cand if is_live(u))
+
+
+@lru_cache(maxsize=64)
+def _parity_frame(box: LatticeBox, kind: str) -> frozenset[Site]:
+    """The frame sites of one parity ("even" or "odd"; none for "empty")."""
+    return frozenset(u for u in external_boundary(box) if parity(u) == kind)
 
 
 EVEN_BC = BoundaryCondition("even")

@@ -53,9 +53,7 @@ class GlauberChain:
         self.box = box
         acts = box_activities(box, field, bc)
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
-        self._even = np.fromfunction(
-            lambda i, j: (i + j + box.x_min + box.y_min) % 2 == 0, acts.shape
-        )
+        self._even = np.add(*box.coords()) % 2 == 0
 
     def extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper): the maximal unblocked live odd and even sets."""

@@ -59,11 +59,12 @@ def response_gap(L: "int | LatticeBox", inner: LatticeBox, field: ActivityField)
 
 def annulus_log_sum(field: ActivityField, j: int) -> float:
     """Sum of log(1 + scale*x_v) over the one-ring annulus around the inner box."""
-    inner, ring = box_lambda(j), box_lambda(j + 1)
+    acts = field.scale * field.values_at(*box_lambda(j + 1).coords())
+    ring = np.ones(acts.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False  # the inner box; the mask keeps lexicographic order
     total = 0.0
-    for v in ring.sites():
-        if not inner.contains(v):
-            total += math.log1p(field.scale * field.value_at(v))
+    for a in acts[ring].tolist():
+        total += math.log1p(a)
     return total
 
 

@@ -186,6 +186,25 @@ def test_draws_at_benchmark_sizes_are_pinned(capsys, method, box, lam):
     assert out == (Path(__file__).parent / "data" / f"sample_{method}_{box}_seed11.csv").read_text()
 
 
+_SWEEP_PINS = {
+    "free_energy_pareto_seed11":
+        "free-energy --j 1 --L 3 --replicas 20 --disorder pareto:2.5,0.5 --lambda 3 --seed 11",
+    "fluctuations_uniform_seed11":
+        "fluctuations --j 1,2 --replicas 30 --disorder uniform:0,2 --lambda 4 --seed 11",
+    "influence_bernoulli_seed11":
+        "influence --sides 4,8 --replicas 10 --disorder bernoulli:0.7 --lambda 5 --seed 11",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_PINS))
+def test_sweeps_are_pinned(capsys, name):
+    # CSV bodies of fixed-seed sweeps, recorded before field sampling and the
+    # field surgeries moved from per-site loops to whole arrays
+    code, out, _ = run_cli(_SWEEP_PINS[name].split() + ["--out", "-"], capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"{name}.csv").read_text()
+
+
 @needs_long_double
 def test_huge_activity_logz_matches_oracle(capsys):
     code, out, _ = run_cli(["logz", "--j", "2", "--bc", "even", "--lambda", "1e200"], capsys)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from hardcore2d.disorder import (
     ActivityField,
@@ -13,10 +14,50 @@ from hardcore2d.disorder import (
     field_to_json,
     moment_check,
     parity_imbalance,
+    philox_uniforms,
     sample_field,
     save_field,
 )
-from hardcore2d.lattice import box_lambda, centered_box, reflect_theta
+from hardcore2d.lattice import LatticeBox, box_lambda, centered_box, phi_j, reflect_theta
+
+_M64 = (1 << 64) - 1
+
+
+def _numpy_philox_uniform(key0, key1, c2, c3):
+    # first random() of numpy's own Philox generator at this key and counter
+    key = np.array([key0 & _M64, key1 & _M64], dtype=np.uint64)
+    counter = np.array([0, 0, c2 & _M64, c3 & _M64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random()
+
+
+def _reference_field(spec, region, seed):
+    # one numpy Philox generator per site, drawing as the per-site sampler did
+    p = spec.params
+    arr = np.empty((region.width, region.height))
+    for x, y in region.sites():
+        u = _numpy_philox_uniform(seed.master_seed, seed.replica_index, x, y)
+        if spec.family == "constant":
+            val = p[0]
+        elif spec.family == "bernoulli":
+            val = 1.0 if u < p[0] else 0.0
+        elif spec.family == "uniform":
+            val = p[0] + (p[1] - p[0]) * u
+        else:
+            val = p[1] * (1.0 - u) ** (-1.0 / p[0])
+        arr[x - region.x_min, y - region.y_min] = val
+    return arr
+
+
+def _random_field(rng, region, dead=0.2):
+    vals = rng.uniform(0.1, 3.0, size=(region.width, region.height))
+    vals[rng.random(vals.shape) < dead] = 0.0
+    return ActivityField(region, vals, float(rng.uniform(0.5, 4.0)))
+
+
+def _random_box(rng, side=6, spread=10):
+    x0, y0 = (int(c) for c in rng.integers(-spread, spread, size=2))
+    w, h = (int(c) for c in rng.integers(1, side + 1, size=2))
+    return LatticeBox(x0, x0 + w - 1, y0, y0 + h - 1)
 
 
 def test_spec_parse_round_trip():
@@ -43,11 +84,11 @@ def test_spec_validation():
 def test_draw_ranges_and_means():
     rng = np.random.default_rng(0)
     u = DisorderSpec.uniform(0.5, 2.0)
-    vals = [u.draw(rng) for _ in range(200)]
+    vals = u.from_uniform(rng.random(200))
     assert all(0.5 <= v < 2.0 for v in vals)
     assert u.mean() == pytest.approx(1.25)
     b = DisorderSpec.bernoulli(0.3)
-    assert set(b.draw(rng) for _ in range(200)) <= {0.0, 1.0}
+    assert set(b.from_uniform(rng.random(200)).tolist()) <= {0.0, 1.0}
     assert b.mean() == pytest.approx(0.3)
     assert DisorderSpec.pareto(3.0, 2.0).mean() == pytest.approx(3.0)
 
@@ -171,3 +212,78 @@ def test_sampled_values_match_family_statistics():
     f = sample_field(spec, centered_box(40, 40), 1.0, ReplicaSeed(5, 0))
     mean = float(f.values.mean())
     assert math.isclose(mean, spec.mean(), rel_tol=0.1)
+
+
+def test_philox_uniforms_match_numpy_philox():
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        key0 = int(rng.integers(-(2**63), 2**63))  # negative master seeds wrap
+        key1 = int(rng.integers(0, 2**63))
+        xs = rng.integers(-(2**31), 2**31, size=7)
+        ys = rng.integers(-(2**31), 2**31, size=7)
+        got = philox_uniforms(key0, key1, xs, ys)
+        assert got.tolist() == [_numpy_philox_uniform(key0, key1, int(x), int(y))
+                                for x, y in zip(xs, ys)]
+    edges = np.array([-(2**31), -(2**31) + 1, -1, 0, 1, 2**31 - 1, 2**31])
+    xs, ys = edges[:, None], edges[None, :]  # a 2-D broadcast grid
+    got = philox_uniforms(-5, 3, xs, ys)
+    assert got.shape == (7, 7)
+    for i, x in enumerate(edges.tolist()):
+        for k, y in enumerate(edges.tolist()):
+            assert got[i, k] == _numpy_philox_uniform(-5, 3, x, y)
+    scalar = philox_uniforms(17, 0, -3, 4)
+    assert scalar.shape == () and float(scalar) == _numpy_philox_uniform(17, 0, -3, 4)
+
+
+@pytest.mark.parametrize("text", ["constant:2", "bernoulli:0.7", "uniform:0,2", "pareto:2.5,0.5"])
+def test_sample_field_matches_per_site_generators(text):
+    spec = DisorderSpec.parse(text)
+    for region, seed in [(LatticeBox(-7, -2, -3, 4), ReplicaSeed(11, 3)),
+                         (box_lambda(3).expand(1), ReplicaSeed(-(2**40), 0)),
+                         (LatticeBox(-(2**31) + 1, -(2**31) + 3, 5, 5), ReplicaSeed(2**63 + 9, 7))]:
+        field = sample_field(spec, region, 1.5, seed)
+        assert field.values.tolist() == _reference_field(spec, region, seed).tolist()
+
+
+def test_gamma_and_lognormal_are_inverse_cdf_draws():
+    region, seed = LatticeBox(-3, 2, -1, 4), ReplicaSeed(8, 1)
+    u = np.array([[_numpy_philox_uniform(8, 1, x, y) for y in range(-1, 5)] for x in range(-3, 3)])
+    gamma = sample_field(DisorderSpec.gamma(2.0, 1.5), region, 1.0, seed)
+    assert np.array_equal(gamma.values, 1.5 * scipy.special.gammaincinv(2.0, u))
+    lognormal = sample_field(DisorderSpec.lognormal(0.3, 0.7), region, 1.0, seed)
+    assert np.array_equal(lognormal.values, np.exp(0.3 + 0.7 * scipy.special.ndtri(u)))
+
+
+def test_compose_matches_its_per_site_definition():
+    rng = np.random.default_rng(5)
+    for j in (1, 2, 3):
+        region = box_lambda(j + 3).expand(1)
+        field = _random_field(rng, region)
+        maps = [  # (array-aware map, its per-site definition)
+            (reflect_theta, lambda v: (1 - v[0], v[1])),
+            (lambda v: phi_j(v, j), lambda v: v if box_lambda(j + 1).contains(v) else (1 - v[0], v[1])),
+            (lambda v: (v[0] + 3, v[1] - 2), lambda v: (v[0] + 3, v[1] - 2)),  # partly off the region
+        ]
+        for site_map, definition in maps:
+            got = field.compose(site_map)
+            for v in region.sites():
+                w = definition(v)
+                assert got.value_at(v) == (field.value_at(w) if region.contains(w) else 1.0)
+
+
+def test_patched_matches_its_per_site_definition():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        region = _random_box(rng, side=8)
+        outer = _random_field(rng, region)
+        x0 = int(rng.integers(region.x_min, region.x_max + 1))
+        y0 = int(rng.integers(region.y_min, region.y_max + 1))
+        inner = LatticeBox(x0, int(rng.integers(x0, region.x_max + 1)),
+                           y0, int(rng.integers(y0, region.y_max + 1)))
+        # the inner field's region overlaps inner only in part, or not at all
+        inner_field = _random_field(rng, _random_box(rng, side=5, spread=4).translated((x0, y0)))
+        got = outer.patched(inner_field, inner)
+        for v in region.sites():
+            want = inner_field.value_at(v) if inner.contains(v) else outer.value_at(v)
+            assert got.value_at(v) == want
+        assert got.scale == outer.scale

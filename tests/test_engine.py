@@ -14,7 +14,17 @@ from hardcore2d.engine import (
     sample_exact,
 )
 from hardcore2d.errors import CapacityError
-from hardcore2d.lattice import EVEN_BC, FREE_BC, ODD_BC, LatticeBox, box_lambda, centered_box
+from hardcore2d.lattice import (
+    EVEN_BC,
+    FREE_BC,
+    ODD_BC,
+    BoundaryCondition,
+    LatticeBox,
+    box_lambda,
+    centered_box,
+    external_boundary,
+    neighbours,
+)
 from hardcore2d.observables import free_energy_response
 from hardcore2d.oracle import (
     enumerate_independent_sets,
@@ -207,3 +217,25 @@ def test_sample_exact_needs_a_draw():
     for draws in (0, -1):
         with pytest.raises(ValueError, match="draws"):
             sample_exact(box, uniform_field(box), FREE_BC, 0, draws=draws)
+
+
+def test_box_activities_match_their_per_site_definition():
+    # every live occupied frame site zeroes each box neighbour it has; frame
+    # sites inside and outside the field region, dead ones, all four kinds
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        region = LatticeBox(*sorted(rng.integers(-6, 6, size=2).tolist()),
+                            *sorted(rng.integers(-6, 6, size=2).tolist()))
+        field = dyadic_field(region, rng, scale=float(rng.uniform(0.5, 3.0)), zero_prob=0.3)
+        xs = sorted(rng.integers(region.x_min, region.x_max + 1, size=2).tolist())
+        ys = sorted(rng.integers(region.y_min, region.y_max + 1, size=2).tolist())
+        box = LatticeBox(xs[0], xs[1], ys[0], ys[1])
+        custom = {(box.x_max + 4, box.y_max + 4)}  # off the frame: never occupied
+        for u in rng.permutation(sorted(external_boundary(box))).tolist():
+            if rng.random() < 0.6 and not any(w in custom for w in neighbours(tuple(u))):
+                custom.add(tuple(u))
+        for bc in (EVEN_BC, ODD_BC, FREE_BC, BoundaryCondition("custom", frozenset(custom))):
+            blocked = {w for u in bc.frame_occupied(box, field.is_live) for w in neighbours(u)}
+            want = [[0.0 if (x, y) in blocked else field.activity_at((x, y))
+                     for y in range(box.y_min, box.y_max + 1)] for x in range(box.x_min, box.x_max + 1)]
+            assert engine.box_activities(box, field, bc).tolist() == want
