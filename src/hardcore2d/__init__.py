@@ -7,12 +7,9 @@ __version__ = "0.1.0"
 from .disorder import (
     ActivityField,
     DisorderSpec,
-    MomentReport,
     ReplicaSeed,
     field_from_json,
     field_to_json,
-    moment_check,
-    parity_imbalance,
     sample_field,
     save_field,
 )
@@ -54,7 +51,6 @@ from .observables import (
     fluctuation_scaling,
     free_energy_response,
     influence_table,
-    l_doubling_shift,
     log_gain_mean,
     pathwise_gap_bound,
     per_site_gap_bound,
@@ -71,9 +67,8 @@ from .oracle import (
 )
 
 __all__ = [
-    "ActivityField", "DisorderSpec", "MomentReport", "ReplicaSeed",
-    "field_from_json", "field_to_json", "moment_check", "parity_imbalance",
-    "sample_field", "save_field",
+    "ActivityField", "DisorderSpec", "ReplicaSeed",
+    "field_from_json", "field_to_json", "sample_field", "save_field",
     "log_partition", "occupation_probabilities", "occupation_probability",
     "sample_exact",
     "CapacityError", "CoalescenceTimeout",
@@ -84,7 +79,7 @@ __all__ = [
     "AnnulusCheck", "DerivativeCheck", "InfluenceGap", "ResponseGapEstimate",
     "ScalingRow", "annulus_bound_check", "annulus_log_sum", "boundary_influence",
     "derivative_identity_check", "estimate_response_gap", "fluctuation_scaling",
-    "free_energy_response", "influence_table", "l_doubling_shift", "log_gain_mean",
+    "free_energy_response", "influence_table", "log_gain_mean",
     "pathwise_gap_bound", "per_site_gap_bound", "response_gap",
     "sampled_response_gap",
     "ExactWeight", "enumerate_independent_sets", "grid_independent_set_count",

@@ -145,31 +145,49 @@ def _pmap(fn, items, workers: int):
 
 
 # -- replica tasks (top level: picklable for ProcessPoolExecutor) -------------
+#
+# A task solves one contiguous block of replicas as stacks (one engine call
+# per box, field variant and frame) and returns the block's rows; --workers
+# shards the blocks.  Every replica's numbers are a function of its key
+# alone, so the output does not depend on the worker count or on _BLOCK.
+
+_BLOCK = 64  # replicas per task
 
 
-def _influence_task(arg: tuple) -> float:
-    side, lam, spec_text, master, r = arg
+def _run_blocks(fn, head: tuple, replicas: int, workers: int) -> list:
+    """The rows of replicas 0 .. replicas - 1: one task ``head + (start, stop)``
+    per block."""
+    blocks = [(*head, start, min(start + _BLOCK, replicas)) for start in range(0, replicas, _BLOCK)]
+    return [row for rows in _pmap(fn, blocks, workers) for row in rows]
+
+
+def _sample_fields(spec_text: str, region: LatticeBox, lam: float, master: int, start: int, stop: int):
     spec = DisorderSpec.parse(spec_text)
+    return [sample_field(spec, region, lam, ReplicaSeed(master, r)) for r in range(start, stop)]
+
+
+def _influence_task(arg: tuple) -> list[float]:
+    side, lam, spec_text, master, start, stop = arg
     box = box_lambda(side // 2)
-    field = sample_field(spec, box.expand(1), lam, ReplicaSeed(master, r))
-    return boundary_influence(box, field, (0, 0)).gap
+    fields = _sample_fields(spec_text, box.expand(1), lam, master, start, stop)
+    return boundary_influence(box, fields, (0, 0)).gap.tolist()
 
 
-def _free_energy_task(arg: tuple) -> tuple:
-    j, L, lam, spec_text, master, r = arg
-    spec = DisorderSpec.parse(spec_text)
-    field = sample_field(spec, box_lambda(L).expand(1), lam, ReplicaSeed(master, r))
-    gap = response_gap(L, box_lambda(j), field)
-    cap = pathwise_gap_bound(field, j)
-    annulus_ok = all(c.holds for c in annulus_bound_check(L, j, field))
-    return gap, cap, abs(gap) <= cap + 1e-9, annulus_ok
+def _free_energy_task(arg: tuple) -> list[tuple]:
+    j, L, lam, spec_text, master, start, stop = arg
+    fields = _sample_fields(spec_text, box_lambda(L).expand(1), lam, master, start, stop)
+    gap = response_gap(L, box_lambda(j), fields)
+    cap = pathwise_gap_bound(fields, j)
+    even_odd, odd_even = annulus_bound_check(L, j, fields)
+    pathwise_ok = np.abs(gap) <= cap + 1e-9
+    annulus_ok = even_odd.holds & odd_even.holds
+    return list(zip(gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist()))
 
 
-def _fluctuation_task(arg: tuple) -> float:
-    j, L, lam, spec_text, master, r = arg
-    spec = DisorderSpec.parse(spec_text)
-    field = sample_field(spec, box_lambda(L).expand(1), lam, ReplicaSeed(master, r))
-    return response_gap(L, box_lambda(j), field)
+def _fluctuation_task(arg: tuple) -> list[float]:
+    j, L, lam, spec_text, master, start, stop = arg
+    fields = _sample_fields(spec_text, box_lambda(L).expand(1), lam, master, start, stop)
+    return response_gap(L, box_lambda(j), fields).tolist()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -217,8 +235,7 @@ def cmd_influence(args) -> int:
     records: list[tuple] = []
     summaries: list[tuple] = []
     for side in sides:
-        tasks = [(side, args.lam, label, seed, r) for r in range(replicas)]
-        gaps = _pmap(_influence_task, tasks, workers)
+        gaps = _run_blocks(_influence_task, (side, args.lam, label, seed), replicas, workers)
         j = side // 2
         for r, g in enumerate(gaps):
             records.append((r, seed, j, None, args.lam, label, "origin_gap", g, None))
@@ -240,8 +257,7 @@ def cmd_free_energy(args) -> int:
     workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
     label = spec.label()
-    tasks = [(j, L, args.lam, label, seed, r) for r in range(replicas)]
-    rows = _pmap(_free_energy_task, tasks, workers)
+    rows = _run_blocks(_free_energy_task, (j, L, args.lam, label, seed), replicas, workers)
     records: list[tuple] = []
     for r, (gap, cap, pw_ok, ann_ok) in enumerate(rows):
         records.append((r, seed, j, L, args.lam, label, "response_gap", gap, None))
@@ -278,8 +294,7 @@ def cmd_fluctuations(args) -> int:
         L = args.L if args.L is not None else 2 * j
         if not 1 <= j < L:
             raise ValueError("need 1 <= j < L")
-        tasks = [(j, L, args.lam, label, seed, r) for r in range(replicas)]
-        vals = _pmap(_fluctuation_task, tasks, workers)
+        vals = _run_blocks(_fluctuation_task, (j, L, args.lam, label, seed), replicas, workers)
         for r, v in enumerate(vals):
             records.append((r, seed, j, L, args.lam, label, "response_gap", v, None))
         arr = np.asarray(vals)
@@ -317,9 +332,9 @@ def cmd_sample(args) -> int:
 
 
 def _determinism_check(seed: int) -> CheckResult:
-    cfg = [(4, 1.0, "bernoulli:0.5", seed, r) for r in range(8)]
-    seq = [_influence_task(t) for t in cfg]
-    par = _pmap(_influence_task, cfg, workers=2)
+    cfg = [(4, 1.0, "bernoulli:0.5", seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
+    seq = [g for t in cfg for g in _influence_task(t)]
+    par = [g for block in _pmap(_influence_task, cfg, workers=2) for g in block]
     same = _records_to_csv([(r, v) for r, v in enumerate(seq)]) == _records_to_csv(
         [(r, v) for r, v in enumerate(par)]
     )

@@ -153,31 +153,6 @@ class DisorderSpec:
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    finite_2_plus_eps: bool
-    non_constant: bool
-
-
-def moment_check(spec: DisorderSpec, eps: float = 0.05) -> MomentReport:
-    """Gate used by the large-volume statements: a finite (2+eps)-th moment
-    and an actually-random field."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    p = spec.params
-    fam = spec.family
-    finite = True
-    if fam == "pareto":
-        finite = 2.0 + eps < p[0]
-    if fam == "constant":
-        non_constant = False
-    elif fam == "bernoulli":
-        non_constant = 0.0 < p[0] < 1.0
-    else:
-        non_constant = True
-    return MomentReport(finite_2_plus_eps=finite, non_constant=non_constant)
-
-
-@dataclass(frozen=True)
 class ReplicaSeed:
     """Key of one disorder replica: a master seed plus a replica index."""
 
@@ -213,6 +188,15 @@ def philox_uniforms(key0: int, key1: int, c2, c3) -> np.ndarray:
     return ((ev[0] >> np.uint64(11)) * 2.0**-53).reshape(shape)
 
 
+def region_values(region: LatticeBox, values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``values[..., x - x_min, y - y_min]`` of a region at coordinate arrays
+    that broadcast together, and the neutral 1 outside the region; ``values``
+    may carry leading axes, such as a stack of fields on one region."""
+    ix, iy = xs - region.x_min, ys - region.y_min
+    mx, my = ix % region.width, iy % region.height  # equal inside the region
+    return np.where((mx == ix) & (my == iy), values[..., mx, my], 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ActivityField:
     """Activities ``scale * values[v]`` on a rectangular region.
@@ -241,6 +225,19 @@ class ActivityField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _derived(cls, region: LatticeBox, values: np.ndarray, scale: float) -> "ActivityField":
+        """A field built from checked fields' values and scale: the finiteness,
+        sign and ``scale * values`` checks are skipped, and ``values`` (a fresh
+        float64 array) is kept without a copy."""
+        if values.shape != (region.width, region.height):
+            raise ValueError("values array must match the region shape")
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        for name, value in (("region", region), ("values", values), ("scale", scale)):
+            object.__setattr__(field, name, value)
+        return field
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActivityField):
             return NotImplemented
@@ -263,15 +260,10 @@ class ActivityField:
 
     def values_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``value_at`` over coordinate arrays that broadcast together."""
-        ix, iy = xs - self.region.x_min, ys - self.region.y_min
-        mx, my = ix % self.region.width, iy % self.region.height  # equal inside the region
-        return np.where((mx == ix) & (my == iy), self.values[mx, my], 1.0)
+        return region_values(self.region, self.values, xs, ys)
 
     def is_live(self, v: Site) -> bool:
         return self.value_at(v) > 0.0
-
-    def activity_at(self, v: Site) -> float:
-        return self.scale * self.value_at(v)
 
     def with_value(self, v: Site, x: float) -> "ActivityField":
         """Copy of the field with the value at one site replaced."""
@@ -290,22 +282,26 @@ class ActivityField:
         arr = self.values.copy()
         ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
         arr[ax : ax + inner.width, ay : ay + inner.height] = 1.0
-        return ActivityField(self.region, arr, self.scale)
+        return ActivityField._derived(self.region, arr, self.scale)
 
     def patched(self, inner_field: "ActivityField", inner: LatticeBox) -> "ActivityField":
         """Copy taking its values inside ``inner`` from ``inner_field``."""
         if not self.region.contains_box(inner):
             raise ValueError("inner box must lie inside the field region")
+        patch = inner_field.values_at(*inner.coords())
+        if not math.isfinite(self.scale * float(patch.max())):  # inner_field may have a smaller scale
+            raise ValueError("activities scale * value must be finite")
         arr = self.values.copy()
         ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
-        arr[ax : ax + inner.width, ay : ay + inner.height] = inner_field.values_at(*inner.coords())
-        return ActivityField(self.region, arr, self.scale)
+        arr[ax : ax + inner.width, ay : ay + inner.height] = patch
+        return ActivityField._derived(self.region, arr, self.scale)
 
     def compose(self, site_map: Callable[[Site], Site]) -> "ActivityField":
         """Field with values ``x[site_map(v)]``; sites mapped outside the
         region pick up the neutral default 1.  ``site_map`` is called once,
         on the region's coordinate arrays ``region.coords()``."""
-        return ActivityField(self.region, self.values_at(*site_map(self.region.coords())), self.scale)
+        values = self.values_at(*site_map(self.region.coords()))
+        return ActivityField._derived(self.region, values, self.scale)
 
     def with_scale(self, scale: float) -> "ActivityField":
         return ActivityField(self.region, self.values, scale)
@@ -319,20 +315,6 @@ def sample_field(
         return ActivityField(region, np.full((region.width, region.height), spec.params[0]), scale)
     u = philox_uniforms(seed.master_seed, seed.replica_index, *region.coords())
     return ActivityField(region, spec.from_uniform(u), scale)
-
-
-def parity_imbalance(field: ActivityField, box: LatticeBox) -> int:
-    """(# deleted even sites) - (# deleted odd sites) for a binary field."""
-    if not field.region.contains_box(box):
-        raise ValueError("box must lie inside the field region")
-    n = 0
-    for v in box.sites():
-        x = field.value_at(v)
-        if x not in (0.0, 1.0):
-            raise ValueError("parity imbalance needs a 0/1 field")
-        if x == 0.0:
-            n += 1 if (v[0] + v[1]) % 2 == 0 else -1
-    return n
 
 
 def field_to_json(field: ActivityField) -> dict:

@@ -25,22 +25,40 @@ _SAFETY_BITS inside its exponent range, else in long double (wider only where
 np.longdouble has 80 or 128 bits), else it raises CapacityError, as for a
 zero or non-finite maximum.  Zero activities and frame-blocked sites forbid
 bits; the empty pattern keeps log Z >= 0.
+
+The scan runs on a stack of instances (one box and frame, many fields): every
+table has a leading instance axis, so one numpy call steps the whole stack,
+and a single field is a stack of one.  log_partition, occupation_probabilities
+and occupation_probability take one ActivityField or a sequence; a sequence
+is grouped by each instance's float type and cut into chunks that hold at most
+_SCAN_ENTRIES entries: instances x (largest table + the column vectors the
+marginals store), about 1 MB of float64 with the two ping-pong buffers.  So
+log Z runs up to 963 side-8 or 140 side-12 boxes at once and side 22 one at
+a time, and a stacked sweep needs little more memory than a loop over its
+boxes.  Site steps are elementwise across instances, and log scales, sums
+and the marginal matvecs are taken per instance exactly as for one field, so
+every instance's result is bit for bit what it is alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence, Union
 
 import numpy as np
 
-from .disorder import ActivityField
+from .disorder import ActivityField, region_values
 from .errors import CapacityError
 from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
 _DRAW_ENTRIES = 1 << 16  # cap on a (draws x masks) temporary of sample_exact
+_SCAN_ENTRIES = 1 << 16  # cap on the table and stored-vector entries of one chunk of a stack
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
+_FLOAT_BITS = np.array([bits for _, bits in _FLOATS])
+
+Fields = Union[ActivityField, Sequence[ActivityField]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,132 +89,192 @@ def _plan(height: int) -> _Plan:
     return _Plan(steps, shapes, perm, lo, bits)
 
 
+@lru_cache(maxsize=None)
+def _unperm(height: int) -> np.ndarray:
+    """The inverse of ``_plan(height).perm``: the backward pass gathers through
+    it, faster than a scatter through perm.  Cached apart from the plan, so
+    that heights which only ever run log Z do not hold it."""
+    unperm = np.argsort(_plan(height).perm)
+    unperm.setflags(write=False)
+    return unperm
+
+
+def _as_stack(fields: Fields) -> tuple[list[ActivityField], bool]:
+    """The fields as a list, and whether one bare field was given."""
+    if isinstance(fields, ActivityField):
+        return [fields], True
+    return list(fields), False
+
+
 def box_activities(
-    box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
+    box: LatticeBox, field: Fields, bc: BoundaryCondition | str = FREE_BC
 ) -> np.ndarray:
-    """Effective activities (W x H) of the scan and the heat-bath chain;
-    frame-blocked sites get 0."""
-    if not field.region.contains_box(box):
+    """Effective activities of the scan and the heat-bath chain, W x H for one
+    field and n x W x H for a sequence of n; frame-blocked sites get 0."""
+    fields, single = _as_stack(field)
+    if not all(f.region.contains_box(box) for f in fields):
         raise ValueError("box must lie inside the field region")
-    ax, ay = box.x_min - field.region.x_min, box.y_min - field.region.y_min
-    acts = field.scale * field.values[ax : ax + box.width, ay : ay + box.height]
+    w, h = box.width, box.height
+    corners = [(box.x_min - f.region.x_min, box.y_min - f.region.y_min) for f in fields]
+    acts = np.array([f.values[x : x + w, y : y + h] for f, (x, y) in zip(fields, corners)]).reshape(-1, w, h)
+    acts *= np.array([f.scale for f in fields]).reshape(-1, 1, 1)
     frame = as_boundary_condition(bc).frame_occupied(box)
     if frame:
-        fx, fy = np.array(list(zip(*frame)))
-        live = field.values_at(fx, fy) > 0.0
+        fx, fy = np.array(list(frame), dtype=np.int64).T
         # a frame site touches exactly one box site: its clamp into the box
-        ix = np.minimum(np.maximum(fx[live] - box.x_min, 0), box.width - 1)
-        acts[ix, np.minimum(np.maximum(fy[live] - box.y_min, 0), box.height - 1)] = 0.0
-    return acts
+        ix = np.minimum(np.maximum(fx - box.x_min, 0), w - 1)
+        iy = np.minimum(np.maximum(fy - box.y_min, 0), h - 1)
+        regions = [f.region for f in fields]
+        for region in set(regions):  # the fields on one region share one lookup
+            idx = np.array([k for k, r in enumerate(regions) if r == region])
+            live = region_values(region, np.array([fields[k].values for k in idx]), fx, fy) > 0.0
+            k, s = np.nonzero(live)
+            acts[idx[k], ix[s], iy[s]] = 0.0
+    return acts[0] if single else acts
 
 
-def _rescale(t: np.ndarray) -> float:
-    """Divide ``t`` by its maximum in place; return the log of the maximum
-    (np.log, as a long double maximum may lie past the float64 range)."""
-    m = t.max()
-    if not 0.0 < m < np.inf:
+def _rescale(t: np.ndarray) -> np.ndarray:
+    """Divide each row of ``t`` by its maximum in place; return the logs of the
+    maxima, each rounded to float64 (np.log, as a long double maximum may lie
+    past the float64 range)."""
+    m = t.max(axis=1)
+    if not 0.0 < m.min() <= m.max() < np.inf:
         raise CapacityError("the transfer scan left floating-point range")
-    t /= m
-    return float(np.log(m))
+    t /= m[:, None]
+    return np.log(m).astype(np.float64, copy=False)
 
 
 class _Scan:
-    """Forward and transposed site sweeps for one instance."""
+    """Forward and transposed site sweeps for a stack of instances of one
+    height and one float type: every table carries a leading instance axis."""
 
-    def __init__(self, box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str):
-        self.acts = box_activities(box, field, bc)
-        if box.height > MAX_HEIGHT:
-            raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
-        self.plan = _plan(box.height)
-        col_bits = np.log2(1.0 + self.acts).sum(axis=1).tolist()
-        span = max(a + b for a, b in zip(col_bits, col_bits[1:] + [0.0]))
-        self.dtype = next((t for t, bits in _FLOATS if span + _SAFETY_BITS < bits), None)
-        if self.dtype is None:
-            raise CapacityError("activities span too wide a range for an exact scan")
+    def __init__(self, acts: np.ndarray, dtype: type):
+        self.dtype, self.count = dtype, len(acts)
+        self.plan = _plan(acts.shape[2])
+        # per column and row, the factor that scales a stack of tables: an
+        # (instances, 1, 1) column, or a scalar for one instance, which numpy
+        # multiplies ~10% faster on the tall tables of one large box
+        acts = acts.astype(dtype, copy=False)
+        self.acts = acts[0] if self.count == 1 else acts.transpose(1, 2, 0)[..., None, None]
+        self.live = acts.any(axis=0).tolist()
 
     def _rows(self, views) -> tuple[list[np.ndarray], list[tuple]]:
-        """The table before each row and after the last, on two ping-pong buffers
+        """The tables before each row and after the last, on two ping-pong buffers
         (the first apart, as each hand-over fills it from the last), and ``views``."""
-        shapes = self.plan.shapes
-        size = max(a * b for a, b in shapes[1:])
+        shapes, b = self.plan.shapes, self.count
+        size = b * max(p * q for p, q in shapes[1:])
         bufs = (np.empty(size, self.dtype), np.empty(size, self.dtype))
-        tables = [np.empty(shapes[0], self.dtype)]
-        tables += [bufs[k % 2][: a * b].reshape(a, b) for k, (a, b) in enumerate(shapes[1:])]
+        tables = [np.empty((b, *shapes[0]), self.dtype)]
+        tables += [bufs[k % 2][: b * p * q].reshape(b, p, q) for k, (p, q) in enumerate(shapes[1:])]
         return tables, [views(*step, t, u) for step, t, u in zip(self.plan.steps, tables, tables[1:])]
 
     def column(self, x: int) -> np.ndarray:
-        """Column x's unscaled weights (ascending masks) next to an empty column
-        x - 1: forward steps whose tables keep one hi column."""
-        w = np.ones(len(self.plan.masks), self.dtype)
-        steps = zip(self.plan.steps, self.plan.shapes[1:], self.acts[x].tolist())
-        for (top, keep, _, _), (end, _), a in steps:
-            np.multiply(w[keep], a, w[top:end])
-        return w
+        """Column x's unscaled weights (instances x ascending masks) next to an
+        empty column x - 1: forward steps whose tables keep one hi column."""
+        w = np.ones((self.count, 1, len(self.plan.masks)), self.dtype)
+        for (top, keep, _, _), (end, _), a in zip(self.plan.steps, self.plan.shapes[1:], self.acts[x]):
+            np.multiply(w[..., keep], a, w[..., top:end])
+        return w[:, 0]
 
     def forward(self):
-        """Yield per column its prefix vector (ascending masks, max 1) and log scale."""
+        """Yield per column its prefix vectors (instances x ascending masks, max 1
+        per instance) and their float64 log scales."""
         tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
-            u[:top], t[:, :f1], u[:top, :w1], t[:, f1:], u[top:], t[keep, :f1]))
+            u[:, :top], t[:, :, :f1], u[:, :top, :w1], t[:, :, f1:], u[:, top:], t[:, keep, :f1]))
         v = self.column(0)  # the column left of the box is empty
         log_scale = _rescale(v)
         yield v, log_scale
-        for acts in self.acts[1:].tolist():
-            np.take(v, self.plan.perm, out=tables[0][0], mode="clip")
+        for acts in self.acts[1:]:
+            np.take(v, self.plan.perm, axis=1, out=tables[0][:, 0], mode="clip")
             for (u0, t0, u_sum, t1, u1, keep), a in zip(rows, acts):
                 np.copyto(u0, t0)
                 np.add(u_sum, t1, u_sum)
                 np.multiply(keep, a, u1)
-            v = tables[-1][:, 0]
-            log_scale += _rescale(v)
+            v = tables[-1][:, :, 0]
+            log_scale = log_scale + _rescale(v)
             yield v, log_scale
 
     def backward(self):
-        """Yield the suffix vectors (ascending masks, max 1), last column first."""
+        """Yield the suffix vectors (instances x ascending masks, max 1 per
+        instance), last column first."""
         tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
-            t[:, :f1], u[:top], t[:, f1:], u[:top, :w1], u[top:], t[keep, :f1]))
-        beta = np.ones(len(self.plan.masks), self.dtype)
+            t[:, :, :f1], u[:, :top], t[:, :, f1:], u[:, :top, :w1], u[:, top:], t[:, keep, :f1]))
+        beta = np.ones((self.count, len(self.plan.masks)), self.dtype)
+        unperm = _unperm(len(self.plan.steps))
         for x in reversed(range(1, len(self.acts))):
             yield beta
-            np.copyto(tables[-1][:, 0], beta)
-            for (t0, u0, t1, u1, bottom, keep), a in zip(reversed(rows), self.acts[x, ::-1].tolist()):
+            np.copyto(tables[-1][:, :, 0], beta)
+            for (t0, u0, t1, u1, bottom, keep), a, live in zip(
+                reversed(rows), self.acts[x, ::-1], self.live[x][::-1]
+            ):
                 np.copyto(t0, u0)
                 np.copyto(t1, u1)
-                if a:  # a dead site adds nothing
+                if live:  # a site dead in every instance adds nothing
                     np.multiply(bottom, a, bottom)
                     np.add(keep, bottom, keep)
-            beta = np.empty_like(beta)
-            beta[self.plan.perm] = tables[0][0]
+            beta = np.take(tables[0][:, 0], unperm, axis=1)
             _rescale(beta)
         yield beta
 
 
+def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition | str, kept: int = 0):
+    """Yield (instance indices, scan) over the stack: instances grouped by their
+    float type, each group cut into chunks of at most _SCAN_ENTRIES entries in
+    the largest table plus ``kept`` column vectors per instance."""
+    acts = box_activities(box, fields, bc)
+    if box.height > MAX_HEIGHT:
+        raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
+    col_bits = np.log2(1.0 + acts).sum(axis=2)
+    span = col_bits.copy()  # over two adjacent columns; the last has an empty right neighbour
+    span[:, :-1] += col_bits[:, 1:]
+    kinds = (span.max(axis=1)[:, None] + _SAFETY_BITS >= _FLOAT_BITS).sum(axis=1).tolist()
+    if len(_FLOATS) in kinds:
+        raise CapacityError("activities span too wide a range for an exact scan")
+    plan = _plan(box.height)
+    chunk = max(1, _SCAN_ENTRIES // (max(p * q for p, q in plan.shapes) + kept * len(plan.masks)))
+    for k in sorted(set(kinds)):
+        group = [i for i, kind in enumerate(kinds) if kind == k]
+        for start in range(0, len(group), chunk):
+            idx = group[start : start + chunk]
+            yield idx, _Scan(acts[idx], _FLOATS[k][0])
+
+
 def log_partition(
-    box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
-) -> float:
-    """log of the partition sum over admissible occupation patterns."""
-    *_, (alpha, log_scale) = _Scan(box, field, bc).forward()
-    return float(np.log(alpha.sum())) + log_scale
+    box: LatticeBox, field: Fields, bc: BoundaryCondition | str = FREE_BC
+) -> float | np.ndarray:
+    """log of the partition sum over admissible occupation patterns: a float
+    for one field, an array with one entry per field for a sequence."""
+    fields, single = _as_stack(field)
+    out = np.empty(len(fields))
+    for idx, scan in _scans(box, fields, bc):
+        *_, (alpha, log_scale) = scan.forward()
+        out[idx] = np.log(alpha.sum(axis=1)).astype(np.float64) + log_scale
+    return float(out[0]) if single else out
 
 
 def occupation_probabilities(
-    box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC
-) -> dict[Site, float]:
-    """Exact single-site occupation probabilities for all box sites."""
-    scan = _Scan(box, field, bc)
-    alphas = [alpha.copy() for alpha, _ in scan.forward()]
-    cols = np.empty((box.width, box.height))
-    for ix, beta in zip(reversed(range(box.width)), scan.backward()):
-        mass = alphas[ix] * beta
-        cols[ix] = scan.plan.bits @ mass / mass.sum()
-    return dict(zip(box.sites(), cols.ravel().tolist()))
+    box: LatticeBox, field: Fields, bc: BoundaryCondition | str = FREE_BC
+) -> dict[Site, float] | np.ndarray:
+    """Exact single-site occupation probabilities: a dict over the box sites
+    for one field, an (n, W, H) array for a sequence of n fields."""
+    fields, single = _as_stack(field)
+    probs = np.empty((len(fields), box.width, box.height))
+    for idx, scan in _scans(box, fields, bc, kept=box.width):
+        alphas = [alpha.copy() for alpha, _ in scan.forward()]
+        for ix, beta in zip(reversed(range(box.width)), scan.backward()):
+            # one matvec per instance: a stacked matmul need not sum in the same order
+            for i, mass in zip(idx, alphas[ix] * beta):
+                probs[i, ix] = scan.plan.bits @ mass / mass.sum()
+    return dict(zip(box.sites(), probs[0].ravel().tolist())) if single else probs
 
 
 def occupation_probability(
-    box: LatticeBox, field: ActivityField, v: Site, bc: BoundaryCondition | str = FREE_BC
-) -> float:
+    box: LatticeBox, field: Fields, v: Site, bc: BoundaryCondition | str = FREE_BC
+) -> float | np.ndarray:
     if not box.contains(v):
         raise ValueError("site lies outside the box")
-    return occupation_probabilities(box, field, bc)[v]
+    probs = occupation_probabilities(box, field, bc)
+    return probs[v] if isinstance(probs, dict) else probs[:, v[0] - box.x_min, v[1] - box.y_min]
 
 
 def sample_exact(
@@ -214,7 +292,7 @@ def sample_exact(
     if draws < 1:
         raise ValueError("draws must be at least 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    scan = _Scan(box, field, bc)
+    ((_, scan),) = _scans(box, [field], bc)
     masks = scan.plan.masks
     betas = list(scan.backward())[::-1]
     chunk = max(1, _DRAW_ENTRIES // len(masks))

@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.stats
 
 from .disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
-from .engine import log_partition, occupation_probabilities, occupation_probability
+from .engine import Fields, _as_stack, log_partition, occupation_probabilities, occupation_probability
 from .lattice import (
     BoundaryCondition,
     LatticeBox,
@@ -34,26 +34,33 @@ def _outer_box(L: "int | LatticeBox") -> LatticeBox:
     return L if isinstance(L, LatticeBox) else box_lambda(L)
 
 
+def _unstack(values: np.ndarray, single: bool):
+    return values[0].item() if single else values
+
+
 def free_energy_response(
     L: "int | LatticeBox",
     inner: LatticeBox,
-    field: ActivityField,
+    field: Fields,
     bc: "BoundaryCondition | str",
-) -> float:
-    """(log Z(field) - log Z(field switched off inside)) / scale."""
+) -> "float | np.ndarray":
+    """(log Z(field) - log Z(field switched off inside)) / scale, per field."""
     outer = _outer_box(L)
     bc = as_boundary_condition(bc)
-    if field.scale <= 0:
+    fields, single = _as_stack(field)
+    scales = np.array([f.scale for f in fields])
+    if np.any(scales <= 0):
         raise ValueError("free-energy response needs a positive activity scale")
     if not outer.contains_box(inner):
         raise ValueError("inner box must lie inside the outer box")
-    on = log_partition(outer, field, bc)
-    off = log_partition(outer, field.switched_off(inner), bc)
-    return (on - off) / field.scale
+    on = log_partition(outer, fields, bc)
+    off = log_partition(outer, [f.switched_off(inner) for f in fields], bc)
+    return _unstack((on - off) / scales, single)
 
 
-def response_gap(L: "int | LatticeBox", inner: LatticeBox, field: ActivityField) -> float:
-    """Even-minus-odd boundary gap of the free-energy response, one field."""
+def response_gap(L: "int | LatticeBox", inner: LatticeBox, field: Fields) -> "float | np.ndarray":
+    """Even-minus-odd boundary gap of the free-energy response: a float for
+    one field, an array for a sequence."""
     return free_energy_response(L, inner, field, "even") - free_energy_response(L, inner, field, "odd")
 
 
@@ -68,11 +75,13 @@ def annulus_log_sum(field: ActivityField, j: int) -> float:
     return total
 
 
-def pathwise_gap_bound(field: ActivityField, j: int) -> float:
-    """(2 / scale) * annulus log sum: a deterministic cap on |response gap|."""
-    if field.scale <= 0:
+def pathwise_gap_bound(field: Fields, j: int) -> "float | np.ndarray":
+    """(2 / scale) * annulus log sum: a deterministic cap on |response gap|,
+    per field."""
+    fields, single = _as_stack(field)
+    if any(f.scale <= 0 for f in fields):
         raise ValueError("bound needs a positive activity scale")
-    return 2.0 / field.scale * annulus_log_sum(field, j)
+    return _unstack(np.array([2.0 / f.scale * annulus_log_sum(f, j) for f in fields]), single)
 
 
 def _require_symmetric_region(field: ActivityField) -> None:
@@ -83,15 +92,18 @@ def _require_symmetric_region(field: ActivityField) -> None:
 
 @dataclass(frozen=True)
 class AnnulusCheck:
+    """One order of the annulus bound: floats and a bool for one field,
+    arrays over the fields for a sequence."""
+
     bc_from: str
     bc_to: str
-    lhs: float
-    rhs: float
-    holds: bool
+    lhs: "float | np.ndarray"
+    rhs: "float | np.ndarray"
+    holds: "bool | np.ndarray"
 
 
 def annulus_bound_check(
-    L: int, j: int, field: ActivityField, tol: float = DEFAULT_TOL
+    L: int, j: int, field: Fields, tol: float = DEFAULT_TOL
 ) -> list[AnnulusCheck]:
     """Swapping the boundary parity costs at most the annulus log sum.
 
@@ -101,32 +113,38 @@ def annulus_bound_check(
     """
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
-    _require_symmetric_region(field)
+    fields, single = _as_stack(field)
     outer = box_lambda(L)
-    if not field.region.contains_box(outer):
-        raise ValueError("field region must contain the outer box")
-    pulled = field.compose(lambda v: phi_j(v, j))
-    rhs = annulus_log_sum(field, j)
+    for f in fields:
+        _require_symmetric_region(f)
+        if not f.region.contains_box(outer):
+            raise ValueError("field region must contain the outer box")
+    pulled = [f.compose(lambda v: phi_j(v, j)) for f in fields]
+    rhs = np.array([annulus_log_sum(f, j) for f in fields])
     out = []
     for tau, tau2 in (("even", "odd"), ("odd", "even")):
-        lhs = log_partition(outer, field, tau) - log_partition(outer, pulled, tau2)
-        out.append(AnnulusCheck(tau, tau2, lhs, rhs, lhs <= rhs + tol))
+        lhs = log_partition(outer, fields, tau) - log_partition(outer, pulled, tau2)
+        parts = (lhs, rhs, lhs <= rhs + tol)
+        out.append(AnnulusCheck(tau, tau2, *(_unstack(p, single) for p in parts)))
     return out
 
 
 @dataclass(frozen=True)
 class InfluenceGap:
+    """Even and odd occupation probabilities of one site: floats for one
+    field, arrays over the fields for a sequence."""
+
     site: Site
-    p_even: float
-    p_odd: float
+    p_even: "float | np.ndarray"
+    p_odd: "float | np.ndarray"
     box: LatticeBox
 
     @property
-    def gap(self) -> float:
+    def gap(self) -> "float | np.ndarray":
         return self.p_even - self.p_odd
 
 
-def boundary_influence(box: LatticeBox, field: ActivityField, v: Site) -> InfluenceGap:
+def boundary_influence(box: LatticeBox, field: Fields, v: Site) -> InfluenceGap:
     """Even-vs-odd boundary effect on one site's occupation probability."""
     if not box.contains(v):
         raise ValueError("site lies outside the box")
@@ -138,11 +156,14 @@ def boundary_influence(box: LatticeBox, field: ActivityField, v: Site) -> Influe
     )
 
 
-def influence_table(box: LatticeBox, field: ActivityField) -> dict[Site, float]:
-    """Even-minus-odd occupation gap for every site of the box."""
+def influence_table(box: LatticeBox, field: Fields) -> "dict[Site, float] | np.ndarray":
+    """Even-minus-odd occupation gap for every site of the box: a dict for one
+    field, an (n, W, H) array for a sequence of n."""
     even = occupation_probabilities(box, field, "even")
     odd = occupation_probabilities(box, field, "odd")
-    return {v: even[v] - odd[v] for v in box.sites()}
+    if isinstance(even, dict):
+        return {v: even[v] - odd[v] for v in box.sites()}
+    return even - odd
 
 
 @dataclass(frozen=True)
@@ -234,13 +255,14 @@ def sampled_response_gap(
     return response_gap(L, box_lambda(j), field)
 
 
-def conditional_gap_replica(
-    L: int, j: int, inside_field: ActivityField, spec: DisorderSpec, seed: ReplicaSeed
-) -> float:
-    """Response gap with the inner field held fixed, outside resampled."""
-    outer = sample_field(spec, _sampling_region(L), inside_field.scale, seed)
-    glued = outer.patched(inside_field, box_lambda(j))
-    return response_gap(L, box_lambda(j), glued)
+def sampled_response_gaps(
+    L: int, j: int, spec: DisorderSpec, scale: float, seed: int, replicas: int
+) -> np.ndarray:
+    """``sampled_response_gap`` of replicas 0 .. replicas - 1 under one master
+    seed, as one stacked solve."""
+    region = _sampling_region(L)
+    fields = [sample_field(spec, region, scale, ReplicaSeed(seed, r)) for r in range(replicas)]
+    return response_gap(L, box_lambda(j), fields)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -279,12 +301,12 @@ def estimate_response_gap(
         raise ValueError("need 1 <= j < L")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    values = np.array(
-        [
-            conditional_gap_replica(L, j, inside_field, spec, ReplicaSeed(seed, r))
-            for r in range(replicas)
-        ]
-    )
+    inner, region = box_lambda(j), _sampling_region(L)
+    glued = [
+        sample_field(spec, region, inside_field.scale, ReplicaSeed(seed, r)).patched(inside_field, inner)
+        for r in range(replicas)
+    ]
+    values = response_gap(L, inner, glued)
     mean, err = _mean_stderr(values)
     return ResponseGapEstimate(mean, err, replicas, j, L, inside_field.scale, spec, seed)
 
@@ -320,26 +342,8 @@ def fluctuation_scaling(
         L = l_of(j)
         if not 1 <= j < L:
             raise ValueError("need 1 <= j < L(j)")
-        vals = np.array(
-            [
-                sampled_response_gap(L, j, spec, scale, ReplicaSeed(seed, r))
-                for r in range(replicas)
-            ]
-        )
+        vals = sampled_response_gaps(L, j, spec, scale, seed, replicas)
         var = float(vals.var(ddof=1))
         volume = box_lambda(j).site_count
         rows.append(ScalingRow(j, volume, float(vals.mean()), var, var / volume, replicas))
     return rows
-
-
-def l_doubling_shift(
-    j: int, inside_field: ActivityField, spec: DisorderSpec, replicas: int, seed: int
-) -> tuple[ResponseGapEstimate, ResponseGapEstimate]:
-    """Convergence diagnostic: the same estimate at L = 2j and L = 2j + 2.
-
-    Reports the pair; callers compare the shift against the Monte-Carlo
-    errors themselves (it is a diagnostic, not an assertion).
-    """
-    a = estimate_response_gap(2 * j, j, inside_field, spec, replicas, seed)
-    b = estimate_response_gap(2 * j + 2, j, inside_field, spec, replicas, seed)
-    return a, b

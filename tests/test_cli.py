@@ -205,6 +205,18 @@ def test_sweeps_are_pinned(capsys, name):
     assert out == (Path(__file__).parent / "data" / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(_SWEEP_PINS))
+def test_sweeps_do_not_depend_on_workers_or_block_size(capsys, monkeypatch, name):
+    # replica blocks of 3 and 7 split every pinned sweep unevenly
+    want = (Path(__file__).parent / "data" / f"{name}.csv").read_text()
+    for block in (3, 7):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(_SWEEP_PINS[name].split() + ["--workers", workers, "--out", "-"], capsys)
+            assert code == 0
+            assert out == want
+
+
 @needs_long_double
 def test_huge_activity_logz_matches_oracle(capsys):
     code, out, _ = run_cli(["logz", "--j", "2", "--bc", "even", "--lambda", "1e200"], capsys)

@@ -12,8 +12,6 @@ from hardcore2d.disorder import (
     ReplicaSeed,
     field_from_json,
     field_to_json,
-    moment_check,
-    parity_imbalance,
     philox_uniforms,
     sample_field,
     save_field,
@@ -93,16 +91,6 @@ def test_draw_ranges_and_means():
     assert DisorderSpec.pareto(3.0, 2.0).mean() == pytest.approx(3.0)
 
 
-def test_moment_check_flags():
-    assert moment_check(DisorderSpec.bernoulli(0.5)).non_constant
-    assert not moment_check(DisorderSpec.constant(2.0)).non_constant
-    assert not moment_check(DisorderSpec.bernoulli(0.0)).non_constant
-    assert not moment_check(DisorderSpec.bernoulli(1.0)).non_constant
-    assert moment_check(DisorderSpec.pareto(3.0, 1.0)).finite_2_plus_eps
-    assert not moment_check(DisorderSpec.pareto(2.0, 1.0)).finite_2_plus_eps
-    assert moment_check(DisorderSpec.lognormal(0.0, 1.0)).finite_2_plus_eps
-
-
 def test_field_values_depend_only_on_site_and_seed():
     spec = DisorderSpec.uniform(0.0, 2.0)
     small = sample_field(spec, box_lambda(1), 1.0, ReplicaSeed(42, 0))
@@ -119,7 +107,7 @@ def test_value_defaults_to_one_outside_region():
     f = sample_field(DisorderSpec.constant(3.0), box_lambda(1), 2.0, ReplicaSeed(0, 0))
     assert f.value_at((50, 50)) == 1.0
     assert f.value_at((0, 0)) == 3.0
-    assert f.activity_at((0, 0)) == pytest.approx(6.0)
+    assert f.scale * f.value_at((0, 0)) == pytest.approx(6.0)
 
 
 def test_switch_off_and_replace():
@@ -169,18 +157,6 @@ def test_field_rejects_overflowing_activities():
     # zero times a huge scale, and huge values at scale zero, stay finite
     ActivityField(box, np.array([[0.0, 1.0], [1.0, 1.0]]), 1e308)
     ActivityField(box, np.full((2, 2), 1e300), 0.0)
-
-
-def test_parity_imbalance_counts_deletions_by_parity():
-    vals = np.ones((2, 2))
-    f = ActivityField(centered_box(2, 2), vals, 1.0)
-    assert parity_imbalance(f, centered_box(2, 2)) == 0
-    f2 = f.with_value((0, 0), 0.0)  # even site deleted
-    assert parity_imbalance(f2, centered_box(2, 2)) == 1
-    f3 = f2.with_value((0, 1), 0.0)  # odd site deleted too
-    assert parity_imbalance(f3, centered_box(2, 2)) == 0
-    with pytest.raises(ValueError):
-        parity_imbalance(f.with_value((0, 0), 0.5), centered_box(2, 2))
 
 
 def test_field_json_round_trip(tmp_path):
@@ -287,3 +263,14 @@ def test_patched_matches_its_per_site_definition():
             want = inner_field.value_at(v) if inner.contains(v) else outer.value_at(v)
             assert got.value_at(v) == want
         assert got.scale == outer.scale
+
+
+def test_patched_refuses_values_its_scale_overflows():
+    # a derived field skips re-validation, but values patched in from a field
+    # with a smaller scale can still overflow the larger one
+    box = centered_box(2, 2)
+    outer = ActivityField(box, np.ones((2, 2)), 1e300)
+    with pytest.raises(ValueError, match="finite"):
+        outer.patched(ActivityField(box, np.full((2, 2), 1e10), 1.0), box)
+    patched = outer.patched(ActivityField(box, np.full((2, 2), 2.0), 1.0), box)
+    assert patched.values.tolist() == [[2.0, 2.0], [2.0, 2.0]]

@@ -205,7 +205,8 @@ def test_draws_do_not_depend_on_the_batch_size(exponent, dtype):
     box = centered_box(3, 20)
     exps = np.random.default_rng(8).choice([-exponent, 0, 0, 0, exponent], size=(5, 22))
     f = ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
-    assert engine._Scan(box, f, EVEN_BC).dtype == dtype
+    ((_, scan),) = engine._scans(box, [f], EVEN_BC)
+    assert scan.dtype == dtype
     gen = np.random.default_rng(5)
     one_at_a_time = [sample_exact(box, f, EVEN_BC, gen)[0] for _ in range(10)]
     assert sample_exact(box, f, EVEN_BC, np.random.default_rng(5), draws=10) == one_at_a_time
@@ -236,6 +237,63 @@ def test_box_activities_match_their_per_site_definition():
                 custom.add(tuple(u))
         for bc in (EVEN_BC, ODD_BC, FREE_BC, BoundaryCondition("custom", frozenset(custom))):
             blocked = {w for u in bc.frame_occupied(box, field.is_live) for w in neighbours(u)}
-            want = [[0.0 if (x, y) in blocked else field.activity_at((x, y))
+            want = [[0.0 if (x, y) in blocked else field.scale * field.value_at((x, y))
                      for y in range(box.y_min, box.y_max + 1)] for x in range(box.x_min, box.x_max + 1)]
             assert engine.box_activities(box, field, bc).tolist() == want
+
+
+def random_stack(rng, box, n):
+    """n dyadic fields on the box and its frame, a quarter of the sites dead;
+    on a wide np.longdouble every third field spans 2^-400 .. 2^400."""
+    region = box.expand(1)
+    fields = []
+    for k in range(n):
+        vals = rng.integers(1, 33, size=(region.width, region.height)) / 16.0
+        if WIDE and k % 3 == 0:
+            vals *= np.ldexp(1.0, rng.choice([-400, 0, 400], size=vals.shape))
+        vals[rng.random(vals.shape) < 0.25] = 0.0
+        fields.append(ActivityField(region, vals, float(rng.choice((0.5, 1.0, 5.0)))))
+    return fields
+
+
+def random_frames(rng, box):
+    custom = set()
+    for u in rng.permutation(sorted(external_boundary(box))).tolist():
+        if rng.random() < 0.5 and not any(w in custom for w in neighbours(tuple(u))):
+            custom.add(tuple(u))
+    return EVEN_BC, ODD_BC, FREE_BC, BoundaryCondition("custom", frozenset(custom))
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 3])
+def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
+    # per_chunk instances per log Z chunk (fewer for marginals), so chunks end mid-stack
+    rng = np.random.default_rng(2024)
+    for w, h in ((1, 1), (3, 4), (5, 6), (4, 9)):
+        box = LatticeBox(-1, w - 2, 0, h - 1)
+        if per_chunk:
+            largest = max(p * q for p, q in engine._plan(h).shapes)
+            monkeypatch.setattr(engine, "_SCAN_ENTRIES", per_chunk * largest)
+        fields = random_stack(rng, box, 10)
+        for bc in random_frames(rng, box):
+            if WIDE and h > 1:
+                assert {scan.dtype for _, scan in engine._scans(box, fields, bc)} == {np.float64, np.longdouble}
+            logz = log_partition(box, fields, bc)
+            probs = occupation_probabilities(box, fields, bc)
+            assert logz.shape == (10,) and probs.shape == (10, w, h)
+            for i, f in enumerate(fields):
+                assert logz[i] == log_partition(box, f, bc)
+                single = occupation_probabilities(box, f, bc)
+                assert probs[i].ravel().tolist() == [single[v] for v in box.sites()]
+            corner = occupation_probability(box, fields, (box.x_max, box.y_min), bc)
+            assert np.array_equal(corner, probs[:, -1, 0])
+
+
+def test_one_instance_out_of_range_fails_the_stack():
+    box = centered_box(2, 24)
+    fine = uniform_field(box)
+    for bad in (uniform_field(box, scale=1e300), uniform_field(box, value=1e10, scale=1e290)):
+        with pytest.raises(CapacityError):
+            log_partition(box, [fine, bad, fine])
+        with pytest.raises(CapacityError):
+            occupation_probabilities(box, [bad, fine])
+    assert log_partition(box, []).shape == (0,)

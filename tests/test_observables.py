@@ -19,7 +19,6 @@ from hardcore2d.observables import (
     fluctuation_scaling,
     free_energy_response,
     influence_table,
-    l_doubling_shift,
     log_gain_mean,
     pathwise_gap_bound,
     per_site_gap_bound,
@@ -260,11 +259,3 @@ def test_variance_band_asks_decay_at_every_step(monkeypatch, ratios, passed):
     res = validation.check_variance_band(seed=SEED)
     assert res.passed == passed
     assert res.detail.startswith("var/site j=1:")
-
-
-def test_doubling_shift_reports_two_sizes():
-    spec = DisorderSpec.bernoulli(0.5)
-    inside = sample_field(spec, box_lambda(1), 2.0, ReplicaSeed(SEED, 1))
-    near, far = l_doubling_shift(1, inside, spec, replicas=20, seed=SEED)
-    assert near.L == 2 and far.L == 4
-    assert near.j == far.j == 1
