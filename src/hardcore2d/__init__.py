@@ -38,9 +38,6 @@ from .lattice import (
 )
 from .mcmc import CftpResult, GlauberChain, cftp_sample
 from .observables import (
-    AnnulusCheck,
-    DerivativeCheck,
-    InfluenceGap,
     ResponseGapEstimate,
     ScalingRow,
     annulus_bound_check,
@@ -55,7 +52,6 @@ from .observables import (
     pathwise_gap_bound,
     per_site_gap_bound,
     response_gap,
-    sampled_response_gap,
 )
 from .oracle import (
     ExactWeight,
@@ -76,12 +72,10 @@ __all__ = [
     "box_lambda", "centered_box", "external_boundary", "is_even", "parity", "phi_j",
     "reflect_theta", "translate",
     "CftpResult", "GlauberChain", "cftp_sample",
-    "AnnulusCheck", "DerivativeCheck", "InfluenceGap", "ResponseGapEstimate",
-    "ScalingRow", "annulus_bound_check", "annulus_log_sum", "boundary_influence",
-    "derivative_identity_check", "estimate_response_gap", "fluctuation_scaling",
-    "free_energy_response", "influence_table", "log_gain_mean",
+    "ResponseGapEstimate", "ScalingRow", "annulus_bound_check", "annulus_log_sum",
+    "boundary_influence", "derivative_identity_check", "estimate_response_gap",
+    "fluctuation_scaling", "free_energy_response", "influence_table", "log_gain_mean",
     "pathwise_gap_bound", "per_site_gap_bound", "response_gap",
-    "sampled_response_gap",
     "ExactWeight", "enumerate_independent_sets", "grid_independent_set_count",
     "oracle_log_partition", "oracle_occupation", "oracle_occupations",
 ]

@@ -170,7 +170,7 @@ def _influence_task(arg: tuple) -> list[float]:
     side, lam, spec_text, master, start, stop = arg
     box = box_lambda(side // 2)
     fields = _sample_fields(spec_text, box.expand(1), lam, master, start, stop)
-    return boundary_influence(box, fields, (0, 0)).gap.tolist()
+    return boundary_influence(box, fields, (0, 0)).tolist()
 
 
 def _free_energy_task(arg: tuple) -> list[tuple]:
@@ -178,9 +178,9 @@ def _free_energy_task(arg: tuple) -> list[tuple]:
     fields = _sample_fields(spec_text, box_lambda(L).expand(1), lam, master, start, stop)
     gap = response_gap(L, box_lambda(j), fields)
     cap = pathwise_gap_bound(fields, j)
-    even_odd, odd_even = annulus_bound_check(L, j, fields)
+    lhs, rhs = annulus_bound_check(L, j, fields)
     pathwise_ok = np.abs(gap) <= cap + 1e-9
-    annulus_ok = even_odd.holds & odd_even.holds
+    annulus_ok = np.all(lhs <= rhs + 1e-9, axis=0)
     return list(zip(gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist()))
 
 

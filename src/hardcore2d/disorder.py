@@ -341,9 +341,13 @@ def field_from_json(source: dict | str | Path) -> ActivityField:
         raise ValueError(f"malformed field description: {exc}") from exc
     region = LatticeBox(x_min, x_max, y_min, y_max)
     arr = np.full((region.width, region.height), np.nan)
+    seen: set[Site] = set()
     for x, y, val in triples:
         if not region.contains((x, y)):
             raise ValueError(f"field value at {(x, y)} lies outside the region")
+        if (x, y) in seen:
+            raise ValueError(f"field description repeats site {(x, y)}")
+        seen.add((x, y))
         arr[x - region.x_min, y - region.y_min] = val
     if np.any(np.isnan(arr)):
         raise ValueError("field description misses sites of its region")

@@ -255,6 +255,22 @@ def assert_count_error(argv, capsys):
     assert err.startswith("error: ")
 
 
+def test_subnormal_lambda_exits_one_and_tiny_normal_lambda_stays_finite(capsys):
+    # below the smallest normal float, 2 / lambda overflows in both gap bounds
+    argv = ["free-energy", "--j", "1", "--L", "2", "--replicas", "4", "--disorder", "uniform:0,2",
+            "--seed", "1", "--out", "-", "--lambda"]
+    code, _, err = run_cli(argv + ["1e-310"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    code, out, _ = run_cli(argv + ["1e-300"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert all(math.isfinite(float(row[7])) for row in rows)
+    summary = {row[6]: float(row[7]) for row in rows if row[0] == "-1"}
+    # 2 E[X] per ring site as lambda -> 0, over the 12 sites of the j = 1 ring
+    assert summary["expected_gap_bound"] == pytest.approx(24.0, rel=1e-9)
+
+
 def test_free_energy_needs_two_replicas(capsys):
     # one replica has no standard error, none has no ratio
     for n in ("1", "0"):

@@ -180,6 +180,10 @@ def test_field_json_rejects_incomplete_site_lists():
     doc2["values"][0] = doc2["values"][1]
     with pytest.raises(ValueError):
         field_from_json(doc2)
+    # every site listed, one of them twice: the later value must not win silently
+    doc3 = {"region": [0, 0, 0, 1], "scale": 1.0, "values": [[0, 0, 1.0], [0, 1, 2.0], [0, 1, 5.0]]}
+    with pytest.raises(ValueError, match=r"repeats site \(0, 1\)"):
+        field_from_json(doc3)
 
 
 def test_sampled_values_match_family_statistics():

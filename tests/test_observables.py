@@ -1,4 +1,5 @@
 """Free-energy responses, parity influence, annulus bounds, estimators."""
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from hardcore2d import validation
+from hardcore2d import observables, validation
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
-from hardcore2d.lattice import EVEN_BC, ODD_BC, box_lambda, centered_box, reflect_theta
+from hardcore2d.engine import log_partition, occupation_probability
+from hardcore2d.lattice import EVEN_BC, ODD_BC, box_lambda, centered_box, phi_j, reflect_theta
 from hardcore2d.observables import (
     ScalingRow,
     annulus_bound_check,
@@ -23,7 +25,7 @@ from hardcore2d.observables import (
     pathwise_gap_bound,
     per_site_gap_bound,
     response_gap,
-    sampled_response_gap,
+    sampled_response_gaps,
 )
 from hardcore2d.oracle import oracle_log_partition
 
@@ -51,8 +53,6 @@ def test_response_two_point_identity():
     inner = centered_box(1, 1)
     r = free_energy_response(2, inner, f, "odd")
     x = f.value_at((0, 0))
-    from hardcore2d.engine import log_partition
-
     z_on = log_partition(box_lambda(2), f, "odd")
     z_off = log_partition(box_lambda(2), f.switched_off(inner), "odd")
     assert r == pytest.approx((z_on - z_off) / 3.0, abs=1e-14)
@@ -98,6 +98,59 @@ def test_annulus_log_sum_counts_the_ring():
     assert pathwise_gap_bound(f, 2) == pytest.approx(2.0 * ring * math.log(2.0))
 
 
+def _scalar_annulus_log_sum(field, j):
+    # the per-field loop annulus_log_sum replaced: log1p site by site, added in site order
+    acts = field.scale * field.values_at(*box_lambda(j + 1).coords())
+    ring = np.ones(acts.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    total = 0.0
+    for a in acts[ring].tolist():
+        total += math.log1p(a)
+    return total
+
+
+def test_annulus_log_sum_of_a_stack_equals_the_scalar_loop():
+    # regions smaller than, equal to and larger than the (j+1)-box, several families and scales
+    fields = [
+        sample_field(DisorderSpec.parse(text), box_lambda(side), lam, ReplicaSeed(SEED, r))
+        for r, (text, side, lam) in enumerate(itertools.product(
+            ("uniform:0,2", "pareto:2.5,0.5", "lognormal:0,1", "bernoulli:0.7"), (1, 3, 5), (0.3, 4.0, 1e5)
+        ))
+    ]
+    for j in (1, 2, 3):
+        want = [_scalar_annulus_log_sum(f, j) for f in fields]
+        assert annulus_log_sum(fields, j).tolist() == want
+        assert [annulus_log_sum(f, j) for f in fields] == want
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_response_gap_switches_each_field_off_once_and_solves_once_per_frame(monkeypatch):
+    fields = [random_field(3, DisorderSpec.uniform(0.0, 2.0), 4.0, rep) for rep in range(5)]
+    want = [response_gap(3, box_lambda(1), f) for f in fields]
+    offs = _count_calls(monkeypatch, ActivityField, "switched_off")
+    solves = _count_calls(monkeypatch, observables, "log_partition")
+    assert response_gap(3, box_lambda(1), fields).tolist() == want
+    assert (len(offs), len(solves)) == (5, 2)
+
+
+def test_annulus_bound_check_solves_once_per_frame(monkeypatch):
+    fields = [random_field(3, DisorderSpec.bernoulli(0.7), 1.0, rep) for rep in range(5)]
+    solves = _count_calls(monkeypatch, observables, "log_partition")
+    annulus_bound_check(3, 1, fields)
+    assert len(solves) == 2
+
+
 def test_pathwise_bound_dominates_gap():
     spec = DisorderSpec.uniform(0.0, 2.0)
     for rep in range(25):
@@ -108,14 +161,19 @@ def test_pathwise_bound_dominates_gap():
 
 def test_annulus_bound_check_both_orders():
     spec = DisorderSpec.bernoulli(0.7)
-    for rep in range(10):
-        f = random_field(3, spec, 1.0, 100 + rep)
-        checks = annulus_bound_check(3, 1, f)
-        assert len(checks) == 2
-        assert {c.bc_from for c in checks} == {"even", "odd"}
-        for c in checks:
-            assert c.holds
-            assert c.lhs <= c.rhs + 1e-9
+    box = box_lambda(3)
+    fields = [random_field(3, spec, 1.0, 100 + rep) for rep in range(10)]
+    for f in fields:
+        lhs, rhs = annulus_bound_check(3, 1, f)
+        pulled = f.compose(lambda v: phi_j(v, 1))
+        assert lhs.shape == (2,)
+        assert lhs[0] == log_partition(box, f, "even") - log_partition(box, pulled, "odd")
+        assert lhs[1] == log_partition(box, f, "odd") - log_partition(box, pulled, "even")
+        assert rhs == annulus_log_sum(f, 1)
+        assert np.all(lhs <= rhs + 1e-9)
+    lhs, rhs = annulus_bound_check(3, 1, fields)
+    assert lhs.shape == (2, 10) and rhs.shape == (10,)
+    assert np.array_equal(lhs, np.array([annulus_bound_check(3, 1, f)[0] for f in fields]).T)
 
 
 def test_influence_sign_at_small_grid():
@@ -132,27 +190,30 @@ def test_boundary_influence_matches_table():
     box = centered_box(3, 3)
     f = unit_field(box.expand(1), 2.0)
     g = boundary_influence(box, f, (0, 0))
-    assert g.gap == pytest.approx(influence_table(box, f)[(0, 0)], abs=1e-14)
-    assert g.p_even > g.p_odd
+    assert g == pytest.approx(influence_table(box, f)[(0, 0)], abs=1e-14)
+    p_even, p_odd = (occupation_probability(box, f, (0, 0), bc) for bc in ("even", "odd"))
+    assert g == p_even - p_odd
+    assert p_even > p_odd
 
 
 def test_derivative_identity_on_random_instance():
     spec = DisorderSpec.uniform(0.5, 1.5)
     f = random_field(2, spec, 1.0, 7)
-    chk = derivative_identity_check(box_lambda(2), f, "even", (0, 1))
-    assert chk.finite_difference == pytest.approx(chk.marginal, abs=1e-6)
+    fd, marginal = derivative_identity_check(box_lambda(2), f, "even", (0, 1))
+    assert marginal == occupation_probability(box_lambda(2), f, (0, 1), "even")
+    assert fd == pytest.approx(marginal, abs=1e-6)
     with pytest.raises(ValueError):
         derivative_identity_check(box_lambda(2), f, "even", (0, 1), h=0.5)
 
 
 def test_log_gain_mean_closed_forms_match_quadrature():
-    lam = 3.0
+    # small scales are where an elementary antiderivative cancels to nothing
     cases = [
         DisorderSpec.constant(2.0),
         DisorderSpec.bernoulli(0.4),
         DisorderSpec.uniform(0.0, 2.0),
     ]
-    for spec in cases:
+    for lam, spec in itertools.product((1e-12, 1e-8, 1e-5, 1.0, 3.0, 100.0), cases):
         got = log_gain_mean(spec, lam)
         if spec.family == "constant":
             want = math.log1p(lam * spec.params[0])
@@ -173,11 +234,12 @@ def test_per_site_gap_bound_scales():
 
 def test_sampled_gap_reproducible():
     spec = DisorderSpec.bernoulli(0.5)
-    a = sampled_response_gap(2, 1, spec, 4.0, ReplicaSeed(SEED, 5))
-    b = sampled_response_gap(2, 1, spec, 4.0, ReplicaSeed(SEED, 5))
-    assert a == b
-    c = sampled_response_gap(2, 1, spec, 4.0, ReplicaSeed(SEED, 6))
-    assert a != c
+    a = sampled_response_gaps(2, 1, spec, 4.0, SEED, 7)
+    b = sampled_response_gaps(2, 1, spec, 4.0, SEED, 7)
+    assert np.array_equal(a, b)
+    assert a[5] != a[6]
+    alone = sample_field(spec, box_lambda(2).expand(1), 4.0, ReplicaSeed(SEED, 5))
+    assert a[5] == response_gap(2, box_lambda(1), alone)
 
 
 def test_estimate_response_gap_statistics():
@@ -219,6 +281,7 @@ def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
     # criterion 07's j = 1 battery: 16-site boxes, inside the oracle's cap
     spec, lam, L, j = DisorderSpec.bernoulli(0.5), 4.0, 2, 1
     box = box_lambda(L)
+    gaps = sampled_response_gaps(L, j, spec, lam, SEED + 8, 50)
     for r in range(50):
         seed = ReplicaSeed(SEED + 8, r)
         field = sample_field(spec, box.expand(1), lam, seed)
@@ -229,7 +292,7 @@ def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
             - oracle_log_partition(box, field, ODD_BC).log()
             + oracle_log_partition(box, off, ODD_BC).log()
         ) / lam
-        assert sampled_response_gap(L, j, spec, lam, seed) == pytest.approx(want, abs=1e-12)
+        assert gaps[r] == pytest.approx(want, abs=1e-12)
 
 
 def test_variance_band_fails_on_zero_gap():
