@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .lattice import LatticeBox, Site
 
@@ -127,6 +126,8 @@ class DisorderSpec:
             return (u < p[0]).astype(np.float64)
         if fam == "uniform":
             return p[0] + (p[1] - p[0]) * u
+        if fam in ("lognormal", "gamma"):
+            import scipy.special  # here, not at module level: most runs never need scipy
         if fam == "lognormal":
             return np.exp(p[0] + p[1] * scipy.special.ndtri(u))
         if fam == "gamma":
@@ -195,6 +196,17 @@ def region_values(region: LatticeBox, values: np.ndarray, xs: np.ndarray, ys: np
     ix, iy = xs - region.x_min, ys - region.y_min
     mx, my = ix % region.width, iy % region.height  # equal inside the region
     return np.where((mx == ix) & (my == iy), values[..., mx, my], 1.0)
+
+
+def stacked_values(fields: list[ActivityField], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``values_at(xs, ys)`` of each field, stacked on a leading axis; the
+    fields on one region share one lookup."""
+    regions = [f.region for f in fields]
+    out = np.empty((len(fields), *np.broadcast(xs, ys).shape))
+    for region in set(regions):
+        idx = [k for k, r in enumerate(regions) if r == region]
+        out[idx] = region_values(region, np.array([fields[k].values for k in idx]), xs, ys)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .disorder import ActivityField, region_values
+from .disorder import ActivityField, stacked_values
 from .errors import CapacityError
 from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition
 
@@ -124,12 +124,8 @@ def box_activities(
         # a frame site touches exactly one box site: its clamp into the box
         ix = np.minimum(np.maximum(fx - box.x_min, 0), w - 1)
         iy = np.minimum(np.maximum(fy - box.y_min, 0), h - 1)
-        regions = [f.region for f in fields]
-        for region in set(regions):  # the fields on one region share one lookup
-            idx = np.array([k for k, r in enumerate(regions) if r == region])
-            live = region_values(region, np.array([fields[k].values for k in idx]), fx, fy) > 0.0
-            k, s = np.nonzero(live)
-            acts[idx[k], ix[s], iy[s]] = 0.0
+        k, s = np.nonzero(stacked_values(fields, fx, fy) > 0.0)
+        acts[k, ix[s], iy[s]] = 0.0
     return acts[0] if single else acts
 
 

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
-import scipy.stats
 
-from .disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
+from .disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, stacked_values
 from .engine import Fields, _as_stack, log_partition, occupation_probabilities, occupation_probability
 from .lattice import (
     BoundaryCondition,
@@ -44,14 +42,21 @@ def _unstack(values: np.ndarray, single: bool):
     return values[..., 0].item() if values.ndim == 1 else values[..., 0]
 
 
+def _bound_scales(scales) -> np.ndarray:
+    """The scales as an array; below the smallest normal float, 2 / scale
+    overflows and a response divides a log Z difference that underflowed."""
+    scales = np.asarray(scales, dtype=float)
+    if np.any(scales < sys.float_info.min):
+        raise ValueError(f"need an activity scale of at least {sys.float_info.min}")
+    return scales
+
+
 def _responses(L: "int | LatticeBox", inner: LatticeBox, fields: list[ActivityField], bcs) -> np.ndarray:
     """Free-energy responses of the fields, one row per frame in ``bcs``: each
     field is switched off once, and each frame solves fields and copies as
     one stack."""
     outer = L if isinstance(L, LatticeBox) else box_lambda(L)
-    scales = np.array([f.scale for f in fields])
-    if np.any(scales <= 0):
-        raise ValueError("free-energy response needs a positive activity scale")
+    scales = _bound_scales([f.scale for f in fields])
     if not outer.contains_box(inner):
         raise ValueError("inner box must lie inside the outer box")
     stack = fields + [f.switched_off(inner) for f in fields]
@@ -84,23 +89,13 @@ def annulus_log_sum(field: Fields, j: int) -> "float | np.ndarray":
     per field, added up in lexicographic site order."""
     fields, single = _as_stack(field)
     box = box_lambda(j + 1)
-    coords = box.coords()
-    acts = np.array([f.scale * f.values_at(*coords) for f in fields]).reshape(-1, box.width, box.height)
+    acts = stacked_values(fields, *box.coords()) * np.array([f.scale for f in fields])[:, None, None]
     ring = np.ones(acts.shape[1:], dtype=bool)
     ring[1:-1, 1:-1] = False  # the inner box; the mask keeps lexicographic order
     ring_acts = acts[:, ring]
     logs = np.fromiter(map(math.log1p, ring_acts.ravel().tolist()), float, ring_acts.size)
     # a running sum adds left to right, as a scalar loop would; np.sum pairs terms up
     return _unstack(np.cumsum(logs.reshape(ring_acts.shape), axis=1)[:, -1], single)
-
-
-def _bound_scales(scales) -> np.ndarray:
-    """The scales as an array; below the smallest normal float, 2 / scale
-    overflows."""
-    scales = np.asarray(scales, dtype=float)
-    if np.any(scales < sys.float_info.min):
-        raise ValueError(f"bound needs an activity scale of at least {sys.float_info.min}")
-    return scales
 
 
 def pathwise_gap_bound(field: Fields, j: int) -> "float | np.ndarray":
@@ -191,6 +186,9 @@ def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
         return math.log1p(scale * p[0])
     if fam == "bernoulli":
         return p[0] * math.log1p(scale)
+    import scipy.integrate  # here, not at module level: most runs never need scipy
+    import scipy.stats
+
     if fam == "uniform":
         pdf = scipy.stats.uniform(loc=p[0], scale=p[1] - p[0]).pdf
         lo, hi = p

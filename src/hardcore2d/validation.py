@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from .engine import log_partition, occupation_probabilities, sample_exact
@@ -365,6 +364,8 @@ def check_monotone_order(total_sweeps: int, seed: int) -> CheckResult:
 def check_cftp_exactness(
     draws: int, seed: int, boxes=((2, 2), (3, 2)), alpha: float = 1e-3
 ) -> CheckResult:
+    import scipy.stats  # here, not at module level: most runs never need scipy
+
     worst_p = 1.0
     for w, h in boxes:
         box = centered_box(w, h)

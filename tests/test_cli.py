@@ -271,6 +271,18 @@ def test_subnormal_lambda_exits_one_and_tiny_normal_lambda_stays_finite(capsys):
     assert summary["expected_gap_bound"] == pytest.approx(24.0, rel=1e-9)
 
 
+def test_fluctuations_refuse_a_subnormal_lambda_as_free_energy_does(capsys):
+    # below the smallest normal float, every response divides a log Z difference that underflowed
+    argv = ["fluctuations", "--j", "1", "--replicas", "3", "--out", "-", "--lambda"]
+    code, out, err = run_cli(argv + ["1e-310"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    code, out, _ = run_cli(argv + ["1e-300"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 6 and all(math.isfinite(float(row[7])) for row in rows)
+
+
 def test_free_energy_needs_two_replicas(capsys):
     # one replica has no standard error, none has no ratio
     for n in ("1", "0"):

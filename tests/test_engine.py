@@ -140,6 +140,23 @@ def test_free_square_counts_past_the_oracle_cap():
         )
 
 
+def test_hard_square_entropy_approaches_baxters_constant():
+    # for free n x n boxes at unit activity, logZ(n+1, n+1) - logZ(n, n+1) - logZ(n+1, n) + logZ(n, n)
+    # tends to log kappa, the hard-square entropy (Baxter, Ann. Comb. 3, 1999)
+    log_kappa = math.log(1.5030480824753322)
+
+    def log_z(w, h):
+        box = centered_box(w, h)
+        return log_partition(box, uniform_field(box))
+
+    errors = [
+        abs(log_z(n + 1, n + 1) - log_z(n, n + 1) - log_z(n + 1, n) + log_z(n, n) - log_kappa)
+        for n in (8, 12, 16, 20, 23)
+    ]
+    assert errors[-1] < 1e-11
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
 def test_height_cap():
     box = LatticeBox(0, 0, 0, 24)  # height 25
     with pytest.raises(CapacityError):

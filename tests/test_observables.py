@@ -7,10 +7,10 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from hardcore2d import observables, validation
+from hardcore2d import disorder, observables, validation
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import log_partition, occupation_probability
-from hardcore2d.lattice import EVEN_BC, ODD_BC, box_lambda, centered_box, phi_j, reflect_theta
+from hardcore2d.lattice import EVEN_BC, ODD_BC, LatticeBox, box_lambda, centered_box, phi_j, reflect_theta
 from hardcore2d.observables import (
     ScalingRow,
     annulus_bound_check,
@@ -109,17 +109,22 @@ def _scalar_annulus_log_sum(field, j):
     return total
 
 
-def test_annulus_log_sum_of_a_stack_equals_the_scalar_loop():
-    # regions smaller than, equal to and larger than the (j+1)-box, several families and scales
+def test_annulus_log_sum_of_a_stack_equals_the_scalar_loop(monkeypatch):
+    # regions smaller than, equal to and larger than the (j+1)-box, and one off centre,
+    # interleaved in one stack; several families and scales
+    regions = (box_lambda(1), LatticeBox(-1, 4, -3, 2), box_lambda(3), box_lambda(5))
     fields = [
-        sample_field(DisorderSpec.parse(text), box_lambda(side), lam, ReplicaSeed(SEED, r))
-        for r, (text, side, lam) in enumerate(itertools.product(
-            ("uniform:0,2", "pareto:2.5,0.5", "lognormal:0,1", "bernoulli:0.7"), (1, 3, 5), (0.3, 4.0, 1e5)
+        sample_field(DisorderSpec.parse(text), region, lam, ReplicaSeed(SEED, r))
+        for r, (text, lam, region) in enumerate(itertools.product(
+            ("uniform:0,2", "pareto:2.5,0.5", "lognormal:0,1", "bernoulli:0.7"), (0.3, 4.0, 1e5), regions
         ))
     ]
+    lookups = _count_calls(monkeypatch, disorder, "region_values")
     for j in (1, 2, 3):
         want = [_scalar_annulus_log_sum(f, j) for f in fields]
+        lookups.clear()
         assert annulus_log_sum(fields, j).tolist() == want
+        assert len(lookups) == len(regions)  # one lookup per region, not per field
         assert [annulus_log_sum(f, j) for f in fields] == want
 
 

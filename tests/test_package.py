@@ -1,7 +1,19 @@
-"""The package's public surface."""
+"""The package's public surface, and what importing and running it loads."""
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
+
+import numpy as np
 
 import hardcore2d
+from hardcore2d.disorder import DisorderSpec
+from hardcore2d.observables import log_gain_mean
+
+SCIPY_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -10,3 +22,51 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(hardcore2d, name), types.ModuleType), name
     for gone in ("Configuration", "MonotonePair", "sandwich_ordered", "engine", "mcmc"):
         assert gone not in hardcore2d.__all__
+
+
+def run_fresh(code: str) -> list:
+    """The JSON lines a fresh interpreter prints running ``code`` against
+    this package."""
+    src = str(Path(hardcore2d.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import json, sys\n" + textwrap.dedent(code)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert run_fresh("import hardcore2d.cli\n" + SCIPY_LOADED) == [[]]
+
+
+def test_bernoulli_sweeps_and_cftp_sampling_load_no_scipy():
+    out = run_fresh(f"""
+        import contextlib, io
+        from hardcore2d import cli
+        runs = [
+            ["free-energy", "--j", "1", "--L", "2", "--replicas", "2", "--disorder", "bernoulli:0.7"],
+            ["fluctuations", "--j", "1", "--replicas", "2", "--disorder", "bernoulli:0.7"],
+            ["sample", "--box", "3x2", "--draws", "2", "--method", "cftp"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv + ["--out", "-"]) for argv in runs]
+        print(json.dumps(codes))
+        {SCIPY_LOADED}
+    """)
+    assert out == [[0, 0, 0], []]
+
+
+def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
+    u = [0.1, 0.5, 0.9]
+    out = run_fresh(f"""
+        from hardcore2d.disorder import DisorderSpec
+        from hardcore2d.observables import log_gain_mean
+        {SCIPY_LOADED}
+        print(json.dumps(DisorderSpec.parse("gamma:2,1.5").from_uniform({u}).tolist()))
+        print(json.dumps(log_gain_mean(DisorderSpec.parse("uniform:0,2"), 3.0)))
+        {SCIPY_LOADED}
+    """)
+    assert out[0] == []
+    assert out[1] == DisorderSpec.parse("gamma:2,1.5").from_uniform(np.array(u)).tolist()
+    assert out[2] == log_gain_mean(DisorderSpec.parse("uniform:0,2"), 3.0)
+    assert {"scipy.special", "scipy.integrate", "scipy.stats"} <= set(out[3])
