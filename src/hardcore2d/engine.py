@@ -10,9 +10,11 @@ the bit added or consumed next, so a site step needs no gathers: T[:, :f1]
 (consumed bit clear) plus T[:, f1:] folded into its first w1 columns, then the
 rows T[:keep] times the activity for the new bit.  At full height lo is
 ascending mask order; a cached permutation per height hands a column to the
-next.  Marginals meet forward and transposed-step vectors at column edges.
-Exact draws share one backward pass: every draw picks its columns left to
-right from the same suffix vectors, with its own uniforms.
+next.  Marginals meet forward and transposed-step vectors at column edges,
+and a fold takes rows r = H-1..0: the masks with top bit r are the tail after
+the first F(r+2), whose sum is row r's mass and which adds onto the masks
+without bit r.  Exact draws share one backward pass: every draw picks its
+columns left to right from the same suffix vectors, with its own uniforms.
 
 Each column ends divided by its maximum.  Within a column the maximum never
 decreases and grows by at most 2(1 + a) per site, and the float-type rule
@@ -35,9 +37,9 @@ _SCAN_ENTRIES entries: instances x (largest table + the column vectors the
 marginals store), about 1 MB of float64 with the two ping-pong buffers.  So
 log Z runs up to 963 side-8 or 140 side-12 boxes at once and side 22 one at
 a time, and a stacked sweep needs little more memory than a loop over its
-boxes.  Site steps are elementwise across instances, and log scales, sums
-and the marginal matvecs are taken per instance exactly as for one field, so
-every instance's result is bit for bit what it is alone.
+boxes.  Site steps and the marginal fold are elementwise across instances,
+and log scales and sums run along each instance's masks as for one field,
+with no BLAS call, so every instance's result is bit for bit what it is alone.
 """
 from __future__ import annotations
 
@@ -65,11 +67,10 @@ Fields = Union[ActivityField, Sequence[ActivityField]]
 class _Plan:
     """Slice sizes and orders of the scan for one column height."""
 
-    steps: tuple[tuple[int, slice, int, int], ...]  # per row: top, rows T[:keep], f1, w1
+    steps: tuple[tuple[int, slice, int, int], ...]  # per row r: top = F(r+2), rows T[:keep], f1, w1
     shapes: tuple[tuple[int, int], ...]  # table shape before each row, then after
     perm: np.ndarray  # hi position at a column start -> ascending mask position
     masks: np.ndarray  # valid column masks, ascending
-    bits: np.ndarray  # bits[r, i] = bit r of masks[i], as float
 
 
 @lru_cache(maxsize=None)
@@ -81,12 +82,11 @@ def _plan(height: int) -> _Plan:
         lo = np.concatenate([lo, lo[: n[k]] | (1 << k)])
         hi = np.concatenate([hi, hi[: n[k]] | (1 << (height - 1 - k))])
     perm = np.searchsorted(lo, hi)
-    bits = ((lo[None, :] >> np.arange(height)[:, None]) & 1).astype(np.float64)
-    for arr in (perm, lo, bits):
+    for arr in (perm, lo):
         arr.setflags(write=False)
     steps = tuple((n[r + 1], slice(0, n[r]), n[height - r], n[height - r - 1]) for r in range(height))
     shapes = tuple((n[r + 1], n[height - r + 1]) for r in range(height + 1))
-    return _Plan(steps, shapes, perm, lo, bits)
+    return _Plan(steps, shapes, perm, lo)
 
 
 @lru_cache(maxsize=None)
@@ -256,11 +256,16 @@ def occupation_probabilities(
     fields, single = _as_stack(field)
     probs = np.empty((len(fields), box.width, box.height))
     for idx, scan in _scans(box, fields, bc, kept=box.width):
-        alphas = [alpha.copy() for alpha, _ in scan.forward()]
+        mass = np.empty((len(idx), box.width, len(scan.plan.masks)), scan.dtype)
+        for ix, (alpha, _) in enumerate(scan.forward()):
+            mass[:, ix] = alpha
         for ix, beta in zip(reversed(range(box.width)), scan.backward()):
-            # one matvec per instance: a stacked matmul need not sum in the same order
-            for i, mass in zip(idx, alphas[ix] * beta):
-                probs[i, ix] = scan.plan.bits @ mass / mass.sum()
+            mass[:, ix] *= beta
+        total = mass.sum(axis=2)  # taken before the fold sums the tails into the front
+        for r, (top, keep, _, _) in reversed(list(enumerate(scan.plan.steps))):
+            probs[idx, :, r] = mass[..., top:].sum(axis=2) / total
+            mass[..., keep] += mass[..., top:]
+            mass = mass[..., :top]
     return dict(zip(box.sites(), probs[0].ravel().tolist())) if single else probs
 
 

@@ -187,24 +187,28 @@ def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
     if fam == "bernoulli":
         return p[0] * math.log1p(scale)
     import scipy.integrate  # here, not at module level: most runs never need scipy
-    import scipy.stats
 
     if fam == "uniform":
-        pdf = scipy.stats.uniform(loc=p[0], scale=p[1] - p[0]).pdf
         lo, hi = p
-    elif fam == "lognormal":
-        pdf = scipy.stats.lognorm(s=p[1], scale=math.exp(p[0])).pdf
-        lo, hi = 0.0, np.inf
-    elif fam == "gamma":
-        pdf = scipy.stats.gamma(a=p[0], scale=p[1]).pdf
-        lo, hi = 0.0, np.inf
-    else:  # pareto
+
+        def pdf(x: float) -> float:
+            return 1.0 / (hi - lo)
+
+    elif fam == "pareto":
         alpha, x_min = p
 
         def pdf(x: float) -> float:
             return alpha * x_min**alpha * x ** (-alpha - 1.0)
 
         lo, hi = x_min, np.inf
+    else:  # lognormal or gamma, the only families whose pdf needs scipy.stats
+        import scipy.stats
+
+        if fam == "lognormal":
+            pdf = scipy.stats.lognorm(s=p[1], scale=math.exp(p[0])).pdf
+        else:
+            pdf = scipy.stats.gamma(a=p[0], scale=p[1]).pdf
+        lo, hi = 0.0, np.inf
     val, _ = scipy.integrate.quad(
         lambda x: math.log1p(scale * x) * pdf(x), lo, hi, epsabs=0.0, epsrel=1e-10, limit=200
     )

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +201,8 @@ _SWEEP_PINS = {
 @pytest.mark.parametrize("name", sorted(_SWEEP_PINS))
 def test_sweeps_are_pinned(capsys, name):
     # CSV bodies of fixed-seed sweeps, recorded before field sampling and the
-    # field surgeries moved from per-site loops to whole arrays
+    # field surgeries moved from per-site loops to whole arrays; the influence
+    # CSV re-recorded once when marginals moved from a BLAS matvec to the fold
     code, out, _ = run_cli(_SWEEP_PINS[name].split() + ["--out", "-"], capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / f"{name}.csv").read_text()
@@ -215,6 +218,19 @@ def test_sweeps_do_not_depend_on_workers_or_block_size(capsys, monkeypatch, name
             code, out, _ = run_cli(_SWEEP_PINS[name].split() + ["--workers", workers, "--out", "-"], capsys)
             assert code == 0
             assert out == want
+
+
+def test_influence_pin_does_not_depend_on_the_blas_kernel():
+    # numpy's OpenBLAS picks its kernel at load time, so a fresh process runs an
+    # old SSE3 one, under which a BLAS matvec in the marginals changed this CSV
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = _SWEEP_PINS["influence_bernoulli_seed11"].split() + ["--out", "-"]
+    done = subprocess.run([sys.executable, "-m", "hardcore2d.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (Path(__file__).parent / "data" / "influence_bernoulli_seed11.csv").read_bytes()
 
 
 @needs_long_double

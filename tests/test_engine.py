@@ -101,6 +101,23 @@ def test_matches_oracle_on_random_instances():
         assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_marginals_match_the_oracle_up_to_height_20():
+    # row r's marginal is the tail sum at fold step r, so these boxes check every
+    # step up to r = 19 (the seed leaves each row live somewhere in every box);
+    # one frame per box, as each enumeration takes ~0.2 s
+    rng = np.random.default_rng(2273)
+    for k, (short, long) in enumerate(((1, 20), (2, 10), (3, 6), (4, 5))):
+        for turn, (w, h) in enumerate(((short, long), (long, short))):
+            box = LatticeBox(0, w - 1, 0, h - 1)
+            f = dyadic_field(box.expand(1), rng, scale=float(rng.choice((0.5, 1.0, 5.0))))
+            bc = random_frames(rng, box)[(k + 2 * turn + 2) % 4]  # the tall boxes take all four frames
+            got = occupation_probabilities(box, f, bc)
+            want = oracle_occupations(box, f, bc)
+            assert min(max(got[(x, y)] for x in range(w)) for y in range(h)) > 0.0  # every step carries mass
+            for v in box.sites():
+                assert got[v] == pytest.approx(float(want[v]), abs=1e-12)
+
+
 def test_field_region_may_exceed_box():
     region = box_lambda(2)
     box = box_lambda(1)
@@ -118,7 +135,8 @@ def test_box_must_fit_field_region():
 
 
 def test_tall_boxes_use_the_same_math():
-    # a box and its transpose run the scan at different heights and must agree
+    # a box and its transpose run the scan at different heights and must agree,
+    # marginals too: at 36 and 133 sites the tall boxes lie past the oracle's 20
     rng = np.random.default_rng(77)
     for w, h in ((2, 18), (7, 19)):
         tall = LatticeBox(0, w - 1, 0, h - 1)
@@ -129,6 +147,10 @@ def test_tall_boxes_use_the_same_math():
         a = log_partition(tall, f_tall)
         b = log_partition(wide, f_wide)
         assert a == pytest.approx(b, abs=1e-10)
+        p_tall = occupation_probabilities(tall, f_tall)
+        p_wide = occupation_probabilities(wide, f_wide)
+        for x, y in tall.sites():
+            assert p_tall[(x, y)] == pytest.approx(p_wide[(y, x)], abs=1e-12)
 
 
 def test_free_square_counts_past_the_oracle_cap():

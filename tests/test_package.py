@@ -57,6 +57,7 @@ def test_bernoulli_sweeps_and_cftp_sampling_load_no_scipy():
 
 
 def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
+    # uniform's pdf is a constant, so only the lognormal and gamma gains need scipy.stats
     u = [0.1, 0.5, 0.9]
     out = run_fresh(f"""
         from hardcore2d.disorder import DisorderSpec
@@ -65,8 +66,13 @@ def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
         print(json.dumps(DisorderSpec.parse("gamma:2,1.5").from_uniform({u}).tolist()))
         print(json.dumps(log_gain_mean(DisorderSpec.parse("uniform:0,2"), 3.0)))
         {SCIPY_LOADED}
+        print(json.dumps(log_gain_mean(DisorderSpec.parse("lognormal:0,1"), 3.0)))
+        {SCIPY_LOADED}
     """)
     assert out[0] == []
     assert out[1] == DisorderSpec.parse("gamma:2,1.5").from_uniform(np.array(u)).tolist()
     assert out[2] == log_gain_mean(DisorderSpec.parse("uniform:0,2"), 3.0)
-    assert {"scipy.special", "scipy.integrate", "scipy.stats"} <= set(out[3])
+    assert {"scipy.special", "scipy.integrate"} <= set(out[3])
+    assert "scipy.stats" not in out[3]
+    assert out[4] == log_gain_mean(DisorderSpec.parse("lognormal:0,1"), 3.0)
+    assert "scipy.stats" in out[5]
