@@ -38,7 +38,6 @@ from .lattice import (
 )
 from .mcmc import CftpResult, GlauberChain, cftp_sample
 from .observables import (
-    ResponseGapEstimate,
     ScalingRow,
     annulus_bound_check,
     annulus_log_sum,
@@ -72,7 +71,7 @@ __all__ = [
     "box_lambda", "centered_box", "external_boundary", "is_even", "parity", "phi_j",
     "reflect_theta", "translate",
     "CftpResult", "GlauberChain", "cftp_sample",
-    "ResponseGapEstimate", "ScalingRow", "annulus_bound_check", "annulus_log_sum",
+    "ScalingRow", "annulus_bound_check", "annulus_log_sum",
     "boundary_influence", "derivative_identity_check", "estimate_response_gap",
     "fluctuation_scaling", "free_energy_response", "influence_table", "log_gain_mean",
     "pathwise_gap_bound", "per_site_gap_bound", "response_gap",

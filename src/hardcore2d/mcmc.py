@@ -17,9 +17,13 @@ already updated and its right and upper ones not yet, so new[r] = a[r] &
 ~new[r - 1] with a = (u < odds) & ~(left_new | right_old | old >> 1).  Inside
 each run of set bits of a, new therefore keeps the bits at even offsets from
 the run's start, so a whole column updates at once: adding the starts of the
-runs that begin on an even bit carries through exactly those runs.  The
-coupled pair shares one integer per column, lower in bits 0..H-1 and upper in
-bits H+1..2H; the zero guard bit between them keeps their runs apart.
+runs that begin on an even bit carries through exactly those runs.
+
+The coupled pair is the only chain state: one integer per column, lower in
+bits 0..H-1, a zero guard bit at H that keeps the halves' runs apart, upper in
+bits H+1..2H.  A single chain is a pair with equal halves, which the sweep
+keeps equal because both halves see the same uniforms.  So the monotone check
+(``validation.check_monotone_order``) sweeps exactly the pair CFTP sweeps.
 """
 from __future__ import annotations
 
@@ -38,11 +42,9 @@ _EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
 
 
 class GlauberChain:
-    """Reusable heat-bath kernel for one (box, field, bc) triple.
-
-    A state is a boolean grid padded by one empty ring; the sweeps work on
-    its columns packed as integers.
-    """
+    """Reusable heat-bath kernel for one (box, field, bc) triple.  Its one state
+    is the packed pair of the module docstring; a single chain is a pair with
+    equal halves."""
 
     def __init__(
         self,
@@ -53,51 +55,51 @@ class GlauberChain:
         self.box = box
         acts = box_activities(box, field, bc)
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
-        self._even = np.add(*box.coords()) % 2 == 0
+        self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
+        self._low, self._shift = (1 << box.height) - 1, box.height + 1
 
-    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper): the maximal unblocked live odd and even sets."""
-        lower, upper = grids = np.zeros((2, self.box.width + 2, self.box.height + 2), dtype=bool)
-        grids[:, 1:-1, 1:-1] = (self.odds > 0.0) & np.stack([~self._even, self._even])
-        return lower, upper
+    def extremes(self) -> list[int]:
+        """The pair of the maximal unblocked live odd (lower) and even (upper) sets."""
+        live = zip(_pack(self.odds > 0.0).tolist(), self._even)
+        return [c & ~e | (c & e) << self._shift for c, e in live]
 
-    def ordered(self, lower: np.ndarray, upper: np.ndarray) -> bool:
+    def ordered(self, pair: list[int]) -> bool:
         """lower's even sites inside upper's, upper's odd sites inside lower's."""
-        lo, up = lower[1:-1, 1:-1], upper[1:-1, 1:-1]
-        return not np.any(np.where(self._even, lo & ~up, up & ~lo))
+        low, s = self._low, self._shift
+        return not any(c & low & ~(c >> s) & e | c >> s & ~c & ~e for c, e in zip(pair, self._even))
 
-    def occupied(self, grid: np.ndarray) -> frozenset[Site]:
-        """The box sites a state occupies."""
-        xs, ys = np.nonzero(grid[1:-1, 1:-1])
+    def occupied(self, pair: list[int]) -> frozenset[Site]:
+        """The box sites the pair's lower half occupies."""
+        lower = np.array([c & self._low for c in pair], dtype=np.uint64)
+        xs, ys = np.nonzero(lower[:, None] >> np.arange(self.box.height, dtype=np.uint64) & 1)
         return frozenset(zip((xs + self.box.x_min).tolist(), (ys + self.box.y_min).tolist()))
 
     # -- dynamics ------------------------------------------------------------
 
-    def sweep_grid(self, grid: np.ndarray, uniforms: np.ndarray) -> None:
-        """One in-place lexicographic heat-bath sweep."""
-        rises = _pack(uniforms.reshape(self.odds.shape) < self.odds).tolist()
-        grid[:] = _unpack(_sweep(_pack(grid[1:-1, 1:-1]).tolist(), rises), self.box.height)
+    def rises(self, uniforms: np.ndarray) -> list[list[int]]:
+        """The pair's packed u < odds, one row per time of site_count uniforms."""
+        packed = _pack(uniforms.reshape(-1, *self.odds.shape) < self.odds).tolist()
+        return [[r | r << self._shift for r in row] for row in packed]
 
-    def sweep_pair(self, lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> None:
-        """Advance both chains in place with one shared uniform per site."""
-        u = rng.random(self.box.site_count)
-        self.sweep_grid(lower, u)
-        self.sweep_grid(upper, u)
-        if not self.ordered(lower, upper):
+    def sweep_pair(self, pair: list[int], rng: np.random.Generator) -> list[int]:
+        """The pair after one sweep with one shared uniform per site."""
+        pair = _sweep(pair, self.rises(rng.random(self.box.site_count))[0])
+        if not self.ordered(pair):
             raise RuntimeError("monotone coupling lost its order; kernel bug")
+        return pair
 
     def run_occupation(
         self, sweeps: int, burn_in: int, rng: np.random.Generator
     ) -> dict[Site, float]:
-        """Per-site occupation frequency of a single long run."""
-        grid = self.extremes()[1]
-        counts = np.zeros(self.odds.shape)
-        n = self.box.site_count
+        """Per-site occupation frequency of a single long run from the even set."""
+        pair = [up | up << self._shift for up in (c >> self._shift for c in self.extremes())]
+        counts = dict.fromkeys(self.box.sites(), 0)
         for t in range(burn_in + sweeps):
-            self.sweep_grid(grid, rng.random(n))
+            pair = self.sweep_pair(pair, rng)
             if t >= burn_in:
-                counts += grid[1:-1, 1:-1]
-        return dict(zip(self.box.sites(), (counts / sweeps).ravel().tolist()))
+                for v in self.occupied(pair):
+                    counts[v] += 1
+        return {v: c / sweeps for v, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,6 @@ class CftpResult:
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Columns as integers: bit r of entry [..., x] is bits[..., x, r]."""
     return (bits << np.arange(bits.shape[-1], dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
-
-
-def _unpack(cols: list[int], height: int) -> np.ndarray:
-    """The padded grid of packed columns (their low ``height`` bits)."""
-    ring = [[0] * (height + 2)]
-    return np.array(ring + [[0, *(c >> r & 1 for r in range(height)), 0] for c in cols] + ring, dtype=bool)
 
 
 def _sweep(cols: list[int], rises: list[int]) -> list[int]:
@@ -154,23 +150,19 @@ def cftp_sample(
     if not isinstance(seed, ReplicaSeed):
         seed = ReplicaSeed(int(seed))
     chain = GlauberChain(box, field, bc)
-    h, n = box.height, box.site_count
-    lower, upper = (_pack(g[1:-1, 1:-1]).tolist() for g in chain.extremes())
-    start = [lo | up << h + 1 for lo, up in zip(lower, upper)]
+    start = chain.extremes()
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
     total = epochs = 0
     horizon = 1
     while horizon <= max_sweeps:
         epochs += 1
-        fresh = _time_uniforms(seed, range(len(rises) + 1, horizon + 1), n)
-        packed = _pack(fresh.reshape(-1, *chain.odds.shape) < chain.odds).tolist()
-        rises += [[r | r << h + 1 for r in row] for row in packed]
+        rises += chain.rises(_time_uniforms(seed, range(len(rises) + 1, horizon + 1), box.site_count))
         state = start
         for t in range(horizon, 0, -1):
             state = _sweep(state, rises[t - 1])
         total += horizon
-        if all(c & (1 << h) - 1 == c >> h + 1 for c in state):
-            return CftpResult(chain.occupied(_unpack(state, h)), epochs, total)
+        if all(c & chain._low == c >> chain._shift for c in state):  # the halves merged
+            return CftpResult(chain.occupied(state), epochs, total)
         horizon *= 2
-    raise CoalescenceTimeout(f"{box.width}x{h} box: no coalescence in {epochs} epochs, the last from "
+    raise CoalescenceTimeout(f"{box.width}x{box.height} box: no coalescence in {epochs} epochs, the last from "
                              f"{horizon // 2} sweeps back, {total} pair sweeps in all (max_sweeps={max_sweeps})")

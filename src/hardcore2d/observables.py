@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,18 +243,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-@dataclass(frozen=True)
-class ResponseGapEstimate:
-    mean: float
-    std_error: float
-    replicas: int
-    j: int
-    L: int
-    scale: float
-    spec: DisorderSpec
-    seed: int
-
-
 def estimate_response_gap(
     L: int,
     j: int,
@@ -262,8 +250,9 @@ def estimate_response_gap(
     spec: DisorderSpec,
     replicas: int,
     seed: int,
-) -> ResponseGapEstimate:
-    """Monte-Carlo estimate of the conditional even-odd response gap.
+) -> tuple[float, float]:
+    """Monte-Carlo estimate of the conditional even-odd response gap, as
+    (mean, standard error).
 
     Replica r resamples the field outside the inner box with key (seed, r)
     and glues the fixed inside values back in; the estimate is the mean gap.
@@ -277,9 +266,7 @@ def estimate_response_gap(
         sample_field(spec, region, inside_field.scale, ReplicaSeed(seed, r)).patched(inside_field, inner)
         for r in range(replicas)
     ]
-    values = response_gap(L, inner, glued)
-    mean, err = _mean_stderr(values)
-    return ResponseGapEstimate(mean, err, replicas, j, L, inside_field.scale, spec, seed)
+    return _mean_stderr(response_gap(L, inner, glued))
 
 
 @dataclass(frozen=True)
@@ -298,22 +285,20 @@ def fluctuation_scaling(
     spec: DisorderSpec,
     replicas: int,
     seed: int,
-    l_rule: Callable[[int], int] | None = None,
 ) -> list[ScalingRow]:
-    """Variance of the fully resampled response gap against inner volume.
+    """Variance of the fully resampled response gap against inner volume, in
+    the outer box box_lambda(2j).
 
     The returned ratio variance / (4 j^2) should be flat when the gap
     fluctuates like the square root of the inner volume.
     """
     if replicas < 30:
         raise ValueError("need at least 30 replicas for a variance table")
-    l_of = l_rule or (lambda j: 2 * j)
     rows = []
     for j in j_values:
-        L = l_of(j)
-        if not 1 <= j < L:
-            raise ValueError("need 1 <= j < L(j)")
-        vals = sampled_response_gaps(L, j, spec, scale, seed, replicas)
+        if j < 1:
+            raise ValueError("need j >= 1")
+        vals = sampled_response_gaps(2 * j, j, spec, scale, seed, replicas)
         var = float(vals.var(ddof=1))
         volume = box_lambda(j).site_count
         rows.append(ScalingRow(j, volume, float(vals.mean()), var, var / volume, replicas))

@@ -1,14 +1,16 @@
 """Brute-force ground truth for small boxes.
 
 Everything here trades speed for transparency: independent sets come from a
-filter over all subsets, partition sums use exact arithmetic, and the set
-counts are cross-checked against a row-by-row recursion that shares no code
-with the transfer scan of the fast engine.
+filter over all subsets of the usable (live, not frame-blocked) sites,
+partition sums use exact arithmetic, and the set counts are cross-checked
+against a row-by-row recursion that shares no code with the transfer scan of
+the fast engine.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,29 +23,17 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, neighbours
 MAX_SITES = 20
 
 
-def _site_layout(
+def _usable_sites(
     box: LatticeBox, bc: BoundaryCondition, field: ActivityField | None
-) -> tuple[list[Site], list[tuple[int, int]], int]:
-    """Site list, in-box adjacency pairs, and the bitmask of unusable sites."""
-    sites = list(box.sites())
-    index = {v: i for i, v in enumerate(sites)}
-    edges = [
-        (i, index[w])
-        for i, v in enumerate(sites)
-        for w in neighbours(v)
-        if w in index and index[w] > i
-    ]
-    forbidden = 0
-    if field is not None:
-        for i, v in enumerate(sites):
-            if not field.is_live(v):
-                forbidden |= 1 << i
+) -> tuple[list[Site], list[tuple[int, int]]]:
+    """The box sites neither dead nor frame-blocked, in box order, and the
+    adjacency pairs among them."""
     is_live = field.is_live if field is not None else None
-    for u in bc.frame_occupied(box, is_live):
-        for w in neighbours(u):
-            if w in index:
-                forbidden |= 1 << index[w]
-    return sites, edges, forbidden
+    blocked = {w for u in bc.frame_occupied(box, is_live) for w in neighbours(u)}
+    sites = [v for v in box.sites() if v not in blocked and (is_live is None or is_live(v))]
+    index = {v: i for i, v in enumerate(sites)}
+    edges = [(i, index[w]) for i, v in enumerate(sites) for w in neighbours(v) if index.get(w, -1) > i]
+    return sites, edges
 
 
 def enumerate_independent_sets(
@@ -51,20 +41,29 @@ def enumerate_independent_sets(
     bc: BoundaryCondition = FREE_BC,
     field: ActivityField | None = None,
 ) -> list[frozenset[Site]]:
-    """All admissible occupation patterns: independent, live, frame-compatible."""
-    n = box.site_count
-    if n > MAX_SITES:
+    """All admissible occupation patterns: independent, live, frame-compatible.
+
+    Only subsets of the usable sites are filtered, so the cost follows 2^usable;
+    the patterns come in ascending order of their bitmask over the box sites."""
+    if box.site_count > MAX_SITES:
         raise CapacityError(f"subset enumeration is capped at {MAX_SITES} sites")
-    sites, edges, forbidden = _site_layout(box, bc, field)
-    subs = np.arange(1 << n, dtype=np.int64)
-    ok = (subs & forbidden) == 0
+    sites, edges = _usable_sites(box, bc, field)
+    subs = np.arange(1 << len(sites), dtype=np.int64)
+    ok = np.ones(len(subs), dtype=bool)
     for i, j in edges:
         ok &= ((subs >> i) & (subs >> j) & 1) == 0
-    out = []
-    for s in subs[ok]:
-        s = int(s)
-        out.append(frozenset(sites[i] for i in range(n) if (s >> i) & 1))
-    return out
+    return [frozenset(v for i, v in enumerate(sites) if s >> i & 1) for s in subs[ok].tolist()]
+
+
+def _weighted_sets(
+    box: LatticeBox, field: ActivityField, bc: BoundaryCondition
+) -> Iterator[tuple[frozenset[Site], Fraction]]:
+    """Each admissible pattern with its exact weight: binary floats are exact
+    dyadic rationals, so every weight is represented without error."""
+    lam = Fraction(field.scale)
+    weight = {v: lam * Fraction(field.value_at(v)) for v in box.sites()}
+    for occ in enumerate_independent_sets(box, bc, field):
+        yield occ, math.prod((weight[v] for v in occ), start=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -86,31 +85,17 @@ class ExactWeight:
 def oracle_log_partition(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition = FREE_BC
 ) -> ExactWeight:
-    """Exact partition sum by enumeration, in rationals: binary floats are
-    exact dyadic rationals, so every weight is represented without error."""
-    sets = enumerate_independent_sets(box, bc, field)
-    lam = Fraction(field.scale)
-    z = Fraction(0)
-    for occ in sets:
-        w = Fraction(1)
-        for v in occ:
-            w *= lam * Fraction(field.value_at(v))
-        z += w
-    return ExactWeight(z)
+    """Exact partition sum by enumeration, in rationals."""
+    return ExactWeight(sum((w for _, w in _weighted_sets(box, field, bc)), Fraction(0)))
 
 
 def oracle_occupations(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition = FREE_BC
 ) -> dict[Site, Fraction]:
     """Exact occupation probability of every box site."""
-    sets = enumerate_independent_sets(box, bc, field)
-    lam = Fraction(field.scale)
     z = Fraction(0)
     mass: dict[Site, Fraction] = {v: Fraction(0) for v in box.sites()}
-    for occ in sets:
-        w = Fraction(1)
-        for v in occ:
-            w *= lam * Fraction(field.value_at(v))
+    for occ, w in _weighted_sets(box, field, bc):
         z += w
         for v in occ:
             mass[v] += w

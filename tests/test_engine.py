@@ -103,19 +103,21 @@ def test_matches_oracle_on_random_instances():
 
 def test_marginals_match_the_oracle_up_to_height_20():
     # row r's marginal is the tail sum at fold step r, so these boxes check every
-    # step up to r = 19 (the seed leaves each row live somewhere in every box);
-    # one frame per box, as each enumeration takes ~0.2 s
+    # step up to r = 19 (the seed leaves each row live somewhere in every box,
+    # under at least one of its four frames)
     rng = np.random.default_rng(2273)
-    for k, (short, long) in enumerate(((1, 20), (2, 10), (3, 6), (4, 5))):
-        for turn, (w, h) in enumerate(((short, long), (long, short))):
+    for short, long in ((1, 20), (2, 10), (3, 6), (4, 5)):
+        for w, h in ((short, long), (long, short)):
             box = LatticeBox(0, w - 1, 0, h - 1)
             f = dyadic_field(box.expand(1), rng, scale=float(rng.choice((0.5, 1.0, 5.0))))
-            bc = random_frames(rng, box)[(k + 2 * turn + 2) % 4]  # the tall boxes take all four frames
-            got = occupation_probabilities(box, f, bc)
-            want = oracle_occupations(box, f, bc)
-            assert min(max(got[(x, y)] for x in range(w)) for y in range(h)) > 0.0  # every step carries mass
-            for v in box.sites():
-                assert got[v] == pytest.approx(float(want[v]), abs=1e-12)
+            carried = np.zeros(h)
+            for bc in random_frames(rng, box):
+                got = occupation_probabilities(box, f, bc)
+                want = oracle_occupations(box, f, bc)
+                carried = np.maximum(carried, [max(got[(x, y)] for x in range(w)) for y in range(h)])
+                for v in box.sites():
+                    assert got[v] == pytest.approx(float(want[v]), abs=1e-12)
+            assert carried.min() > 0.0  # every step carries mass
 
 
 def test_field_region_may_exceed_box():

@@ -10,6 +10,7 @@ from hardcore2d.errors import CapacityError, CoalescenceTimeout
 from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, is_even, neighbours
 from hardcore2d.mcmc import GlauberChain, cftp_sample
 from hardcore2d.oracle import enumerate_independent_sets
+from hardcore2d.validation import check_monotone_order
 
 
 def uniform_field(box, value=1.0, scale=1.0):
@@ -46,6 +47,11 @@ def columns(grid):
     return [sum(int(b) << r for r, b in enumerate(col)) for col in grid[1:-1, 1:-1]]
 
 
+def halves(chain, pair):
+    """The occupied sets of a pair's lower and upper halves."""
+    return chain.occupied(pair), chain.occupied([c >> chain.box.height + 1 for c in pair])
+
+
 def test_column_kernel_matches_the_site_loop():
     rng = np.random.default_rng(2024)
     for case in range(48):
@@ -55,31 +61,34 @@ def test_column_kernel_matches_the_site_loop():
         chain = GlauberChain(box, ActivityField(box, values, 1.0), ("free", "even", "odd", "empty")[case % 4])
         # arbitrary starting states, mostly not admissible
         lower, upper = (np.pad(rng.random((w, h)) < 0.5, 1) for _ in range(2))
-        grid = lower.copy()
         pair = [lo | up << h + 1 for lo, up in zip(columns(lower), columns(upper))]
+        single = [lo | lo << h + 1 for lo in columns(upper)]
         for _ in range(5):
             u = rng.random(box.site_count)
-            rises = columns(np.pad(u.reshape(w, h) < chain.odds, 1))
-            pair = mcmc._sweep(pair, [r | r << h + 1 for r in rises])
+            rises = chain.rises(u)
+            assert rises == chain.rises(u[None, :])  # one row per time
+            pair, single = mcmc._sweep(pair, rises[0]), mcmc._sweep(single, rises[0])
             reference_sweep(lower, chain.odds, u)
             reference_sweep(upper, chain.odds, u)
-            chain.sweep_grid(grid, u)
-            assert np.array_equal(grid, lower)
             assert [c & (1 << h) - 1 for c in pair] == columns(lower)
             assert [c >> h + 1 for c in pair] == columns(upper)
             assert not any(c >> h & 1 for c in pair)  # the guard bit stays clear
+            assert single == [c | c << h + 1 for c in columns(upper)]  # equal halves stay equal
+            xs, ys = np.nonzero(lower)
+            assert chain.occupied(pair) == set(zip(xs + box.x_min - 1, ys + box.y_min - 1))
 
 
 def test_sweep_preserves_independence_and_constraints():
     box = box_lambda(2)
     f = uniform_field(box, value=3.0).with_value((0, 0), 0.0)
     chain = GlauberChain(box, f, EVEN_BC)
-    grid = np.zeros((box.width + 2, box.height + 2), dtype=bool)
+    pair = [0] * box.width  # a single chain: both halves empty
     rng = np.random.default_rng(1)
     for _ in range(50):
-        chain.sweep_grid(grid, rng.random(box.site_count))
-        assert grid.sum() == grid[1:-1, 1:-1].sum()  # the padding ring stays empty
-        assert_admissible(chain.occupied(grid), box, f, EVEN_BC)
+        pair = chain.sweep_pair(pair, rng)
+        lower, upper = halves(chain, pair)
+        assert lower == upper
+        assert_admissible(lower, box, f, EVEN_BC)
 
 
 def test_extremes_are_the_unblocked_live_sublattices():
@@ -88,9 +97,9 @@ def test_extremes_are_the_unblocked_live_sublattices():
     frame = EVEN_BC.frame_occupied(box, f.is_live)
     free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
     chain = GlauberChain(box, f, EVEN_BC)
-    lower, upper = chain.extremes()
-    assert chain.occupied(upper) == {v for v in free if is_even(v)}
-    assert chain.occupied(lower) == {v for v in free if not is_even(v)}
+    lower, upper = halves(chain, chain.extremes())
+    assert upper == {v for v in free if is_even(v)}
+    assert lower == {v for v in free if not is_even(v)}
 
 
 def test_extremes_are_ordered_and_stay_ordered():
@@ -100,14 +109,31 @@ def test_extremes_are_ordered_and_stay_ordered():
         box = centered_box(4, 3)
         f = sample_field(spec, box.expand(1), 6.0, ReplicaSeed(17, rep))
         chain = GlauberChain(box, f, "even")
-        lower, upper = chain.extremes()
-        assert sandwiched(chain.occupied(lower), chain.occupied(upper))
-        assert chain.ordered(lower, upper)
+        pair = chain.extremes()
+        lower, upper = halves(chain, pair)
+        assert sandwiched(lower, upper)
+        assert chain.ordered(pair)
         # swapped, the extremes are ordered only when both are empty
-        assert chain.ordered(upper, lower) == (chain.occupied(lower) == chain.occupied(upper))
+        h = box.height
+        swapped = [c >> h + 1 | (c & (1 << h) - 1) << h + 1 for c in pair]
+        assert chain.ordered(swapped) == (lower == upper)
         for _ in range(60):
-            chain.sweep_pair(lower, upper, rng)
-            assert sandwiched(chain.occupied(lower), chain.occupied(upper))
+            pair = chain.sweep_pair(pair, rng)
+            assert sandwiched(*halves(chain, pair))
+
+
+def test_monotone_check_sees_the_pair_packing(monkeypatch):
+    assert check_monotone_order(2000, 20260815 + 9).passed
+    init = GlauberChain.__init__
+
+    def guardless(self, *args):
+        init(self, *args)
+        self._shift = self.box.height  # upper at bit H: no guard bit between the halves
+
+    monkeypatch.setattr(GlauberChain, "__init__", guardless)
+    for seed in (20260815 + 9, 20260816 + 9):
+        res = check_monotone_order(2000, seed)
+        assert not res.passed and "lost its order" in res.detail
 
 
 def test_long_run_occupation_matches_exact_marginals():

@@ -250,13 +250,12 @@ def test_sampled_gap_reproducible():
 def test_estimate_response_gap_statistics():
     spec = DisorderSpec.uniform(0.0, 2.0)
     inside = sample_field(spec, box_lambda(1), 2.0, ReplicaSeed(SEED, 999))
-    est = estimate_response_gap(3, 1, inside, spec, replicas=50, seed=SEED)
-    assert est.replicas == 50
-    assert est.std_error > 0
+    mean, err = estimate_response_gap(3, 1, inside, spec, replicas=50, seed=SEED)
+    assert err > 0
     # the conditional mean is bounded by the per-site constant times the ring
     ring = box_lambda(2).site_count - box_lambda(1).site_count
     cap = per_site_gap_bound(2.0, spec) * ring
-    assert abs(est.mean) <= cap + 4 * est.std_error
+    assert abs(mean) <= cap + 4 * err
 
 
 def test_estimate_requires_two_replicas():
