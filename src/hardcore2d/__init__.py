@@ -11,6 +11,7 @@ from .disorder import (
     field_from_json,
     field_to_json,
     sample_field,
+    sample_fields,
     save_field,
 )
 from .engine import (
@@ -38,13 +39,11 @@ from .lattice import (
 )
 from .mcmc import CftpResult, GlauberChain, cftp_sample
 from .observables import (
-    ScalingRow,
     annulus_bound_check,
     annulus_log_sum,
     boundary_influence,
     derivative_identity_check,
     estimate_response_gap,
-    fluctuation_scaling,
     free_energy_response,
     influence_table,
     log_gain_mean,
@@ -63,7 +62,7 @@ from .oracle import (
 
 __all__ = [
     "ActivityField", "DisorderSpec", "ReplicaSeed",
-    "field_from_json", "field_to_json", "sample_field", "save_field",
+    "field_from_json", "field_to_json", "sample_field", "sample_fields", "save_field",
     "log_partition", "occupation_probabilities", "occupation_probability",
     "sample_exact",
     "CapacityError", "CoalescenceTimeout",
@@ -71,9 +70,9 @@ __all__ = [
     "box_lambda", "centered_box", "external_boundary", "is_even", "parity", "phi_j",
     "reflect_theta", "translate",
     "CftpResult", "GlauberChain", "cftp_sample",
-    "ScalingRow", "annulus_bound_check", "annulus_log_sum",
+    "annulus_bound_check", "annulus_log_sum",
     "boundary_influence", "derivative_identity_check", "estimate_response_gap",
-    "fluctuation_scaling", "free_energy_response", "influence_table", "log_gain_mean",
+    "free_energy_response", "influence_table", "log_gain_mean",
     "pathwise_gap_bound", "per_site_gap_bound", "response_gap",
     "ExactWeight", "enumerate_independent_sets", "grid_independent_set_count",
     "oracle_log_partition", "oracle_occupation", "oracle_occupations",

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,12 +29,14 @@ from .disorder import (
     ReplicaSeed,
     field_from_json,
     sample_field,
+    sample_fields,
 )
 from .engine import log_partition, occupation_probability, sample_exact
 from .errors import CapacityError, CoalescenceTimeout
 from .lattice import LatticeBox, as_boundary_condition, box_lambda, centered_box
 from .mcmc import cftp_sample
 from .observables import (
+    _mean_stderr,
     annulus_bound_check,
     boundary_influence,
     pathwise_gap_bound,
@@ -103,9 +104,10 @@ def _parse_box(args) -> tuple[LatticeBox, int | None]:
     if getattr(args, "box", None):
         w, _, h = args.box.lower().partition("x")
         try:
-            return centered_box(int(w), int(h)), None
+            w, h = int(w), int(h)
         except ValueError as exc:
             raise ValueError(f"bad --box {args.box!r}: expected WxH") from exc
+        return centered_box(w, h), None
     raise ValueError("give either --box WxH or --j J")
 
 
@@ -161,21 +163,16 @@ def _run_blocks(fn, head: tuple, replicas: int, workers: int) -> list:
     return [row for rows in _pmap(fn, blocks, workers) for row in rows]
 
 
-def _sample_fields(spec_text: str, region: LatticeBox, lam: float, master: int, start: int, stop: int):
-    spec = DisorderSpec.parse(spec_text)
-    return [sample_field(spec, region, lam, ReplicaSeed(master, r)) for r in range(start, stop)]
-
-
 def _influence_task(arg: tuple) -> list[float]:
     side, lam, spec_text, master, start, stop = arg
     box = box_lambda(side // 2)
-    fields = _sample_fields(spec_text, box.expand(1), lam, master, start, stop)
+    fields = sample_fields(DisorderSpec.parse(spec_text), box.expand(1), lam, master, start, stop)
     return boundary_influence(box, fields, (0, 0)).tolist()
 
 
 def _free_energy_task(arg: tuple) -> list[tuple]:
     j, L, lam, spec_text, master, start, stop = arg
-    fields = _sample_fields(spec_text, box_lambda(L).expand(1), lam, master, start, stop)
+    fields = sample_fields(DisorderSpec.parse(spec_text), box_lambda(L).expand(1), lam, master, start, stop)
     gap = response_gap(L, box_lambda(j), fields)
     cap = pathwise_gap_bound(fields, j)
     lhs, rhs = annulus_bound_check(L, j, fields)
@@ -186,7 +183,7 @@ def _free_energy_task(arg: tuple) -> list[tuple]:
 
 def _fluctuation_task(arg: tuple) -> list[float]:
     j, L, lam, spec_text, master, start, stop = arg
-    fields = _sample_fields(spec_text, box_lambda(L).expand(1), lam, master, start, stop)
+    fields = sample_fields(DisorderSpec.parse(spec_text), box_lambda(L).expand(1), lam, master, start, stop)
     return response_gap(L, box_lambda(j), fields).tolist()
 
 
@@ -264,9 +261,7 @@ def cmd_free_energy(args) -> int:
         records.append((r, seed, j, L, args.lam, label, "pathwise_bound", cap, None))
         records.append((r, seed, j, L, args.lam, label, "pathwise_holds", pw_ok, None))
         records.append((r, seed, j, L, args.lam, label, "annulus_holds", ann_ok, None))
-    gaps = np.asarray([row[0] for row in rows])
-    mean = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps)))
+    mean, stderr = _mean_stderr(np.asarray([row[0] for row in rows]))
     ratio = max(abs(row[0]) / row[1] if row[1] > 0 else 0.0 for row in rows)
     annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
     expected_cap = per_site_gap_bound(args.lam, spec) * annulus

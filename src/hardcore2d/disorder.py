@@ -33,15 +33,8 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
-# family name -> (arity, parameter names)
-_FAMILIES = {
-    "constant": (1, ("value",)),
-    "bernoulli": (1, ("p",)),
-    "uniform": (2, ("low", "high")),
-    "lognormal": (2, ("mu", "sigma")),
-    "gamma": (2, ("shape", "scale")),
-    "pareto": (2, ("alpha", "x_min")),
-}
+# family name -> number of parameters
+_FAMILIES = {"constant": 1, "bernoulli": 1, "uniform": 2, "lognormal": 2, "gamma": 2, "pareto": 2}
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ class DisorderSpec:
             raise ValueError(f"unknown disorder family {self.family!r}")
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        arity = _FAMILIES[self.family][0]
+        arity = _FAMILIES[self.family]
         if len(params) != arity:
             raise ValueError(f"{self.family} takes {arity} parameter(s)")
         if any(not math.isfinite(p) for p in params):
@@ -327,6 +320,14 @@ def sample_field(
         return ActivityField(region, np.full((region.width, region.height), spec.params[0]), scale)
     u = philox_uniforms(seed.master_seed, seed.replica_index, *region.coords())
     return ActivityField(region, spec.from_uniform(u), scale)
+
+
+def sample_fields(
+    spec: DisorderSpec, region: LatticeBox, scale: float, master: int, start: int, stop: int
+) -> list[ActivityField]:
+    """The fields of replicas ``start .. stop - 1`` under one master seed:
+    entry i is ``sample_field`` keyed by ``ReplicaSeed(master, start + i)``."""
+    return [sample_field(spec, region, scale, ReplicaSeed(master, r)) for r in range(start, stop)]
 
 
 def field_to_json(field: ActivityField) -> dict:

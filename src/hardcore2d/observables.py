@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, stacked_values
+from .disorder import ActivityField, DisorderSpec, sample_fields, stacked_values
 from .engine import Fields, _as_stack, log_partition, occupation_probabilities, occupation_probability
 from .lattice import (
     BoundaryCondition,
@@ -221,18 +219,13 @@ def per_site_gap_bound(scale: float, spec: DisorderSpec) -> float:
     return 2.0 / scale * log_gain_mean(spec, scale)
 
 
-def _sampling_region(L: int) -> LatticeBox:
-    # one extra ring so the boundary frame is diluted like everything else
-    return box_lambda(L).expand(1)
-
-
 def sampled_response_gaps(
     L: int, j: int, spec: DisorderSpec, scale: float, seed: int, replicas: int
 ) -> np.ndarray:
     """Response gaps of fully resampled fields (inner sites included), for
     replicas 0 .. replicas - 1 under one master seed, as one stacked solve."""
-    region = _sampling_region(L)
-    fields = [sample_field(spec, region, scale, ReplicaSeed(seed, r)) for r in range(replicas)]
+    # one extra ring so the boundary frame is diluted like everything else
+    fields = sample_fields(spec, box_lambda(L).expand(1), scale, seed, 0, replicas)
     return response_gap(L, box_lambda(j), fields)
 
 
@@ -261,45 +254,6 @@ def estimate_response_gap(
         raise ValueError("need 1 <= j < L")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    inner, region = box_lambda(j), _sampling_region(L)
-    glued = [
-        sample_field(spec, region, inside_field.scale, ReplicaSeed(seed, r)).patched(inside_field, inner)
-        for r in range(replicas)
-    ]
-    return _mean_stderr(response_gap(L, inner, glued))
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    j: int
-    volume: int
-    mean: float
-    variance: float
-    variance_per_site: float
-    replicas: int
-
-
-def fluctuation_scaling(
-    j_values: Sequence[int],
-    scale: float,
-    spec: DisorderSpec,
-    replicas: int,
-    seed: int,
-) -> list[ScalingRow]:
-    """Variance of the fully resampled response gap against inner volume, in
-    the outer box box_lambda(2j).
-
-    The returned ratio variance / (4 j^2) should be flat when the gap
-    fluctuates like the square root of the inner volume.
-    """
-    if replicas < 30:
-        raise ValueError("need at least 30 replicas for a variance table")
-    rows = []
-    for j in j_values:
-        if j < 1:
-            raise ValueError("need j >= 1")
-        vals = sampled_response_gaps(2 * j, j, spec, scale, seed, replicas)
-        var = float(vals.var(ddof=1))
-        volume = box_lambda(j).site_count
-        rows.append(ScalingRow(j, volume, float(vals.mean()), var, var / volume, replicas))
-    return rows
+    inner = box_lambda(j)
+    outside = sample_fields(spec, box_lambda(L).expand(1), inside_field.scale, seed, 0, replicas)
+    return _mean_stderr(response_gap(L, inner, [f.patched(inside_field, inner) for f in outside]))

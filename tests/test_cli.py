@@ -157,6 +157,13 @@ def test_validate_flags_injected_engine_bug(capsys, monkeypatch):
     assert oracle_lines and all("FAIL" in ln for ln in oracle_lines)
 
 
+def test_validate_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    code, out, _ = run_cli(["validate", "--seed", "20260815"], capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "validate_seed20260815.txt").read_text()
+
+
 def test_exact_draws_are_pinned(capsys):
     # CSV body of a fixed-seed exact-sampler run, recorded before the transfer
     # scan was rewritten; the draws must stay byte-identical
@@ -320,6 +327,17 @@ def test_fluctuations_needs_a_j(capsys):
 
 def test_influence_needs_a_side(capsys):
     assert_count_error(["influence", "--sides", ",", "--replicas", "2"], capsys)
+
+
+@pytest.mark.parametrize("box, message", [
+    ("70x2", "box sides are capped at 64"),
+    ("0x3", "box sides must be >= 1"),
+    ("4x", "expected WxH"),
+])
+def test_bad_box_names_its_fault(capsys, box, message):
+    code, out, err = run_cli(["logz", "--box", box], capsys)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_sample_needs_a_draw(capsys):

@@ -14,6 +14,7 @@ from hardcore2d.disorder import (
     field_to_json,
     philox_uniforms,
     sample_field,
+    sample_fields,
     save_field,
 )
 from hardcore2d.lattice import LatticeBox, box_lambda, centered_box, phi_j, reflect_theta
@@ -223,6 +224,21 @@ def test_sample_field_matches_per_site_generators(text):
                          (LatticeBox(-(2**31) + 1, -(2**31) + 3, 5, 5), ReplicaSeed(2**63 + 9, 7))]:
         field = sample_field(spec, region, 1.5, seed)
         assert field.values.tolist() == _reference_field(spec, region, seed).tolist()
+
+
+@pytest.mark.parametrize("text", ["constant:2", "bernoulli:0.7", "pareto:2.5,0.5"])
+def test_sample_fields_are_keyed_replicas_and_blocks_tile(text):
+    spec, region, master = DisorderSpec.parse(text), LatticeBox(-3, 2, -1, 4), -(2**40) + 5
+    block = sample_fields(spec, region, 1.5, master, 3, 8)
+    assert len(block) == 5
+    for i, field in enumerate(block):
+        alone = sample_field(spec, region, 1.5, ReplicaSeed(master, 3 + i))
+        assert (field.region, field.scale) == (alone.region, alone.scale)
+        assert field.values.tobytes() == alone.values.tobytes()
+    tiled = sample_fields(spec, region, 1.5, master, 0, 5) + sample_fields(spec, region, 1.5, master, 5, 9)
+    whole = sample_fields(spec, region, 1.5, master, 0, 9)
+    assert [f.values.tobytes() for f in tiled] == [f.values.tobytes() for f in whole]
+    assert sample_fields(spec, region, 1.5, master, 4, 4) == []
 
 
 def test_gamma_and_lognormal_are_inverse_cdf_draws():

@@ -12,13 +12,11 @@ from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample
 from hardcore2d.engine import log_partition, occupation_probability
 from hardcore2d.lattice import EVEN_BC, ODD_BC, LatticeBox, box_lambda, centered_box, phi_j, reflect_theta
 from hardcore2d.observables import (
-    ScalingRow,
     annulus_bound_check,
     annulus_log_sum,
     boundary_influence,
     derivative_identity_check,
     estimate_response_gap,
-    fluctuation_scaling,
     free_energy_response,
     influence_table,
     log_gain_mean,
@@ -265,20 +263,9 @@ def test_estimate_requires_two_replicas():
         estimate_response_gap(2, 1, inside, spec, replicas=1, seed=SEED)
 
 
-def test_fluctuation_scaling_rows():
-    spec = DisorderSpec.bernoulli(0.5)
-    rows = fluctuation_scaling((1, 2), 4.0, spec, replicas=40, seed=SEED)
-    assert [r.j for r in rows] == [1, 2]
-    assert rows[0].volume == 4 and rows[1].volume == 16
-    for r in rows:
-        assert r.replicas == 40
-        assert r.variance >= 0
-        assert r.variance_per_site == pytest.approx(r.variance / r.volume)
-
-
-def test_fluctuation_scaling_constant_disorder_is_degenerate():
-    rows = fluctuation_scaling((1,), 2.0, DisorderSpec.constant(1.5), replicas=30, seed=SEED)
-    assert rows[0].variance == pytest.approx(0.0, abs=1e-24)
+def test_sampled_gaps_under_constant_disorder_do_not_vary():
+    gaps = sampled_response_gaps(2, 1, DisorderSpec.constant(1.5), 2.0, SEED, 30)
+    assert gaps.var(ddof=1) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
@@ -317,12 +304,11 @@ def test_variance_band_fails_on_zero_gap():
     ],
 )
 def test_variance_band_asks_decay_at_every_step(monkeypatch, ratios, passed):
-    def fake_scaling(js, lam, spec, replicas, seed):
-        return [
-            ScalingRow(j, 4 * j * j, 0.0, 4 * j * j * q, q, replicas) for j, q in zip(js, ratios)
-        ]
+    def fake_gaps(L, j, spec, scale, seed, replicas):
+        d = j * math.sqrt(2 * ratios[j - 1])  # var(ddof=1) of (-d, d) is 2 d^2 = 4 j^2 * ratio
+        return np.array([-d, d])
 
-    monkeypatch.setattr(validation, "fluctuation_scaling", fake_scaling)
+    monkeypatch.setattr(validation, "sampled_response_gaps", fake_gaps)
     res = validation.check_variance_band(seed=SEED)
     assert res.passed == passed
     assert res.detail.startswith("var/site j=1:")
