@@ -14,7 +14,8 @@ next.  Marginals meet forward and transposed-step vectors at column edges,
 and a fold takes rows r = H-1..0: the masks with top bit r are the tail after
 the first F(r+2), whose sum is row r's mass and which adds onto the masks
 without bit r.  Exact draws share one backward pass: every draw picks its
-columns left to right from the same suffix vectors, with its own uniforms.
+columns left to right from the same suffix vectors, with its own uniforms,
+and draws that picked the same previous column share one CDF row.
 
 Each column ends divided by its maximum.  Within a column the maximum never
 decreases and grows by at most 2(1 + a) per site, and the float-type rule
@@ -287,8 +288,9 @@ def sample_exact(
     One backward pass serves every draw.  Draw i picks its column x by inverse
     CDF, as ``Generator.choice`` does, with the uniform
     ``rng.random((draws, W))[i, x]``, so the draws do not depend on how many
-    are asked for at once.  Chunks of draws keep each (draws x masks)
-    temporary within _DRAW_ENTRIES entries.
+    are asked for at once.  Draws whose previous columns agree share one CDF
+    row, built as for a single draw.  Chunks of draws keep each (draws x
+    masks) temporary within _DRAW_ENTRIES entries.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -302,12 +304,13 @@ def sample_exact(
         u = gen.random((min(chunk, draws - start), box.width))
         picked = np.zeros((len(u), box.width + 1), dtype=np.int64)  # column 0: left of the box
         for x, beta in enumerate(betas):
-            weights = np.where(masks & picked[:, x, None], 0.0, scan.column(x))
+            prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
+            weights = np.where(masks & prev[:, None], 0.0, scan.column(x))
             weights /= weights.max(axis=1, keepdims=True)  # per row: a draw ignores its chunk
             weights *= beta
             cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            picked[:, x + 1] = masks[(cdf <= u[:, x, None]).sum(axis=1)]  # searchsorted(side="right")
+            picked[:, x + 1] = masks[(cdf[row] <= u[:, x, None]).sum(axis=1)]  # searchsorted(side="right")
         for grid in picked[:, 1:, None] >> np.arange(box.height) & 1:
             xs, ys = np.nonzero(grid)
             out.append(frozenset(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist())))

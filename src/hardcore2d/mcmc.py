@@ -24,6 +24,13 @@ bits 0..H-1, a zero guard bit at H that keeps the halves' runs apart, upper in
 bits H+1..2H.  A single chain is a pair with equal halves, which the sweep
 keeps equal because both halves see the same uniforms.  So the monotone check
 (``validation.check_monotone_order``) sweeps exactly the pair CFTP sweeps.
+
+CFTP drives past time -t of a draw keyed ReplicaSeed(master, replica) with
+``Generator(Philox(key=[master, replica ^ 0x9E3779B97F4A7C15], counter=[0, 0,
+t, 1])).random(site_count)`` of numpy, keys wrapped to uint64: uniform k goes
+to the k-th site of the sweep (column by column, bottom to top), and every
+epoch replays the same uniforms.  One Philox stream per draw reads them: the
+raw words of time t, then an advance to counter [0, 0, t + 1, 1].
 """
 from __future__ import annotations
 
@@ -92,6 +99,8 @@ class GlauberChain:
         self, sweeps: int, burn_in: int, rng: np.random.Generator
     ) -> dict[Site, float]:
         """Per-site occupation frequency of a single long run from the even set."""
+        if sweeps < 1 or burn_in < 0:
+            raise ValueError("run_occupation needs sweeps >= 1 and burn_in >= 0")
         pair = [up | up << self._shift for up in (c >> self._shift for c in self.extremes())]
         counts = dict.fromkeys(self.box.sites(), 0)
         for t in range(burn_in + sweeps):
@@ -125,13 +134,6 @@ def _sweep(cols: list[int], rises: list[int]) -> list[int]:
     return new
 
 
-def _time_uniforms(seed: ReplicaSeed, times: range, n: int) -> np.ndarray:
-    # one fixed uniform array per past time t >= 1, independent of the epoch
-    key = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], dtype=np.uint64)
-    counters = (np.array([0, 0, t & _M64, 1], dtype=np.uint64) for t in times)
-    return np.stack([np.random.Generator(np.random.Philox(key=key, counter=c)).random(n) for c in counters])
-
-
 def cftp_sample(
     box: LatticeBox,
     field: ActivityField,
@@ -147,16 +149,26 @@ def cftp_sample(
     up to 2 * max_sweeps - 1 pair sweeps run in all.  Exceeding it raises
     CoalescenceTimeout -- there is no approximate fallback.
     """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     if not isinstance(seed, ReplicaSeed):
         seed = ReplicaSeed(int(seed))
     chain = GlauberChain(box, field, bc)
     start = chain.extremes()
+    key = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=[0, 0, 1, 1])  # at time 1
+    n = box.site_count
+    skip = (1 << 128) - -(-n // 4)  # from time t's last block to counter [0, 0, t + 1, 1]
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
     total = epochs = 0
     horizon = 1
     while horizon <= max_sweeps:
         epochs += 1
-        rises += chain.rises(_time_uniforms(seed, range(len(rises) + 1, horizon + 1), box.site_count))
+        raw = []
+        for _ in range(len(rises), horizon):
+            raw.append(bits.random_raw(n))
+            bits.advance(skip)  # which also drops the block's unread lanes
+        rises += chain.rises((np.array(raw) >> 11) * 2.0**-53)  # the doubles Generator.random makes
         state = start
         for t in range(horizon, 0, -1):
             state = _sweep(state, rises[t - 1])

@@ -1,5 +1,4 @@
-"""Demo scripts run to the end without raising (04 is left out for time; its
-functions are covered by acceptance criterion 07)."""
+"""Demo scripts run to the end without raising."""
 import contextlib
 import io
 import runpy
@@ -14,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "01_exact_partition.py",
     "02_boundary_influence.py",
     "03_annulus_bound.py",
+    "04_fluctuations.py",
     "05_perfect_sampling.py",
 ])
 def test_demo_runs(name):

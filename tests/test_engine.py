@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from hardcore2d import engine
-from hardcore2d.disorder import ActivityField
+from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import (
     log_partition,
     occupation_probabilities,
@@ -236,6 +236,43 @@ def test_sampling_is_reproducible():
 WIDE = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
 
 
+def draws_reference(box, field, bc, gen, draws):
+    """sample_exact with one CDF row per draw, built from that draw's previous column."""
+    ((_, scan),) = engine._scans(box, [field], bc)
+    masks = scan.plan.masks
+    betas = list(scan.backward())[::-1]
+    u = gen.random((draws, box.width))
+    picked = np.zeros((draws, box.width + 1), dtype=np.int64)
+    for x, beta in enumerate(betas):
+        weights = np.where(masks & picked[:, x, None], 0.0, scan.column(x))
+        weights /= weights.max(axis=1, keepdims=True)
+        weights *= beta
+        cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        picked[:, x + 1] = masks[(cdf <= u[:, x, None]).sum(axis=1)]
+    return [frozenset((box.x_min + x, box.y_min + y) for x in range(box.width) for y in range(box.height)
+                      if row[x + 1] >> y & 1) for row in picked]
+
+
+def wide_columns(exponent):
+    """A 3 x 20 box and a field whose activities reach 2^exponent and 2^-exponent."""
+    box = centered_box(3, 20)
+    exps = np.random.default_rng(8).choice([-exponent, 0, 0, 0, exponent], size=(5, 22))
+    return box, ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
+
+
+def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw():
+    box = centered_box(12, 12)
+    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 5.0, ReplicaSeed(11, 0))
+    got = sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400)  # chunks of 173 draws
+    assert got == draws_reference(box, f, EVEN_BC, np.random.default_rng(3), 400)
+    assert len({frozenset(v for v in s if v[0] == box.x_min) for s in got}) < 100  # first columns repeat
+    for exponent in (1, 600) if WIDE else (1,):
+        box, f = wide_columns(exponent)  # one chunk holds 3 draws
+        got = sample_exact(box, f, EVEN_BC, np.random.default_rng(5), draws=10)
+        assert got == draws_reference(box, f, EVEN_BC, np.random.default_rng(5), 10)
+
+
 @pytest.mark.parametrize("exponent, dtype", [
     (1, np.float64),
     pytest.param(600, np.longdouble, marks=pytest.mark.skipif(
@@ -243,9 +280,7 @@ WIDE = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
 ])
 def test_draws_do_not_depend_on_the_batch_size(exponent, dtype):
     # 20 rows have 17711 masks, so one chunk of the batch holds 3 draws
-    box = centered_box(3, 20)
-    exps = np.random.default_rng(8).choice([-exponent, 0, 0, 0, exponent], size=(5, 22))
-    f = ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
+    box, f = wide_columns(exponent)
     ((_, scan),) = engine._scans(box, [f], EVEN_BC)
     assert scan.dtype == dtype
     gen = np.random.default_rng(5)

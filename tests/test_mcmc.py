@@ -189,6 +189,46 @@ def test_cftp_timeout_raises():
         cftp_sample(box, f, "empty", ReplicaSeed(1, 0), max_sweeps=2)
 
 
+def reference_time_uniforms(seed, t, n):
+    """The uniforms of past time t by definition: one fresh Philox generator."""
+    m64 = (1 << 64) - 1
+    key = np.array([seed.master_seed & m64, (seed.replica_index ^ mcmc._TIME_SALT) & m64], dtype=np.uint64)
+    counter = np.array([0, 0, t, 1], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random(n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 9, 63, 65, 144])
+def test_cftp_reads_one_philox_generator_per_past_time(monkeypatch, n):
+    # site counts that are not a multiple of 4 leave lanes of a block unread
+    w = next(w for w in range(13, 0, -1) if n % w == 0 and n // w <= 12)
+    box = centered_box(w, n // w)
+    seed = ReplicaSeed(-20260815, 2**62 + 3)
+    read = []
+    rises = GlauberChain.rises
+    monkeypatch.setattr(GlauberChain, "rises", lambda self, u: read.append(u) or rises(self, u))
+    monkeypatch.setattr(mcmc, "_sweep", lambda cols, rises: cols)  # the halves never merge
+    with pytest.raises(CoalescenceTimeout, match="in 7 epochs"):
+        cftp_sample(box, uniform_field(box, 2.0), FREE_BC, seed, max_sweeps=64)
+    assert [len(u) for u in read] == [1, 1, 2, 4, 8, 16, 32]  # the new times of each epoch
+    want = np.stack([reference_time_uniforms(seed, t, n) for t in range(1, 65)])
+    assert np.concatenate(read).tobytes() == want.tobytes()
+
+
+def test_cftp_needs_a_sweep():
+    box = centered_box(2, 2)
+    for max_sweeps in (0, -1):
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            cftp_sample(box, uniform_field(box), FREE_BC, 0, max_sweeps=max_sweeps)
+
+
+def test_run_occupation_needs_a_sweep_and_a_burn_in_of_at_least_zero():
+    box = centered_box(2, 2)
+    chain = GlauberChain(box, uniform_field(box), FREE_BC)
+    for sweeps, burn_in in ((0, 10), (-1, 10), (10, -1)):
+        with pytest.raises(ValueError, match="sweeps >= 1 and burn_in >= 0"):
+            chain.run_occupation(sweeps, burn_in, np.random.default_rng(0))
+
+
 def test_cftp_serves_boxes_taller_than_the_scan():
     box = centered_box(2, MAX_HEIGHT + 6)
     f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 1.0, ReplicaSeed(7, 0))
