@@ -6,7 +6,7 @@ validate.  Sweeps write RFC-4180 CSV with the fixed column set
 carry 17 significant digits so re-runs with the same seeds are byte-identical
 regardless of the worker count.  A JSON manifest with the full configuration
 is written next to any CSV file.  The environment variable HARDCORE_SEED,
-when set, overrides --seed everywhere.
+when set, overrides --seed everywhere: main resolves it once into args.seed.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def _records_to_csv(records: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _emit(records: list[tuple], args, config: dict) -> None:
+def _emit(records: list[tuple], args) -> None:
     body = _records_to_csv(records)
     if args.out == "-":
         sys.stdout.write(body)
@@ -79,8 +79,8 @@ def _emit(records: list[tuple], args, config: dict) -> None:
     manifest = {
         "tool": "hardcore2d",
         "version": __version__,
-        "command": config.pop("_command"),
-        "config": config,
+        "command": args.command,
+        "config": _config_dict(args),
         "written": datetime.now(timezone.utc).isoformat(),
     }
     path.with_suffix(path.suffix + ".manifest.json").write_text(
@@ -111,7 +111,7 @@ def _parse_box(args) -> tuple[LatticeBox, int | None]:
     raise ValueError("give either --box WxH or --j J")
 
 
-def _field_for(args, box: LatticeBox, seed: int) -> tuple[ActivityField, str]:
+def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
     """Build the activity field from --field (spec string or JSON path)."""
     text = args.field
     if text.endswith(".json") or os.path.sep in text:
@@ -123,8 +123,14 @@ def _field_for(args, box: LatticeBox, seed: int) -> tuple[ActivityField, str]:
         return field, text
     spec = DisorderSpec.parse(text)
     # sample one ring beyond the box so the frame is diluted consistently
-    field = sample_field(spec, box.expand(1), args.lam, ReplicaSeed(seed, args.replica_index))
+    field = sample_field(spec, box.expand(1), args.lam, ReplicaSeed(args.seed, args.replica_index))
     return field, spec.label()
+
+
+def _row_maker(args, j: int | None, L: int | None, label: str):
+    """The CSV row maker of one (j, L) group: (replica, observable, value, stderr)."""
+    return lambda r, observable, value, stderr=None: (
+        r, args.seed, j, L, args.lam, label, observable, value, stderr)
 
 
 def _at_least(value: int, least: int, flag: str) -> int:
@@ -164,15 +170,15 @@ def _run_blocks(fn, head: tuple, replicas: int, workers: int) -> list:
 
 
 def _influence_task(arg: tuple) -> list[float]:
-    side, lam, spec_text, master, start, stop = arg
+    side, lam, spec, master, start, stop = arg
     box = box_lambda(side // 2)
-    fields = sample_fields(DisorderSpec.parse(spec_text), box.expand(1), lam, master, start, stop)
+    fields = sample_fields(spec, box.expand(1), lam, master, start, stop)
     return boundary_influence(box, fields, (0, 0)).tolist()
 
 
 def _free_energy_task(arg: tuple) -> list[tuple]:
-    j, L, lam, spec_text, master, start, stop = arg
-    fields = sample_fields(DisorderSpec.parse(spec_text), box_lambda(L).expand(1), lam, master, start, stop)
+    j, L, lam, spec, master, start, stop = arg
+    fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
     gap = response_gap(L, box_lambda(j), fields)
     cap = pathwise_gap_bound(fields, j)
     lhs, rhs = annulus_bound_check(L, j, fields)
@@ -182,8 +188,8 @@ def _free_energy_task(arg: tuple) -> list[tuple]:
 
 
 def _fluctuation_task(arg: tuple) -> list[float]:
-    j, L, lam, spec_text, master, start, stop = arg
-    fields = sample_fields(DisorderSpec.parse(spec_text), box_lambda(L).expand(1), lam, master, start, stop)
+    j, L, lam, spec, master, start, stop = arg
+    fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
     return response_gap(L, box_lambda(j), fields).tolist()
 
 
@@ -191,21 +197,18 @@ def _fluctuation_task(arg: tuple) -> list[float]:
 
 
 def cmd_logz(args) -> int:
-    seed = _resolve_seed(args)
     box, j = _parse_box(args)
-    field, label = _field_for(args, box, seed)
+    field, label = _field_for(args, box)
     value = log_partition(box, field, as_boundary_condition(args.bc))
     print(_fmt(value))
     if args.out:
-        rec = (0, seed, j, None, args.lam, label, "log_z", value, None)
-        _emit([rec], args, {"_command": "logz", **_config_dict(args, seed)})
+        _emit([_row_maker(args, j, None, label)(0, "log_z", value)], args)
     return 0
 
 
 def cmd_occupation(args) -> int:
-    seed = _resolve_seed(args)
     box, j = _parse_box(args)
-    field, label = _field_for(args, box, seed)
+    field, label = _field_for(args, box)
     try:
         x, _, y = args.site.partition(",")
         site = (int(x), int(y))
@@ -214,13 +217,11 @@ def cmd_occupation(args) -> int:
     value = occupation_probability(box, field, site, as_boundary_condition(args.bc))
     print(_fmt(value))
     if args.out:
-        rec = (0, seed, j, None, args.lam, label, f"occupation[{site[0]},{site[1]}]", value, None)
-        _emit([rec], args, {"_command": "occupation", **_config_dict(args, seed)})
+        _emit([_row_maker(args, j, None, label)(0, f"occupation[{site[0]},{site[1]}]", value)], args)
     return 0
 
 
 def cmd_influence(args) -> int:
-    seed = _resolve_seed(args)
     sides = _int_list(args.sides)
     replicas = _at_least(args.replicas, 1, "--replicas")
     workers = _workers(args)
@@ -228,118 +229,95 @@ def cmd_influence(args) -> int:
         if s < 2 or s % 2:
             raise ValueError("sides must be even and >= 2 (centered boxes)")
     spec = DisorderSpec.parse(args.disorder)
-    label = spec.label()
     records: list[tuple] = []
     summaries: list[tuple] = []
     for side in sides:
-        gaps = _run_blocks(_influence_task, (side, args.lam, label, seed), replicas, workers)
-        j = side // 2
-        for r, g in enumerate(gaps):
-            records.append((r, seed, j, None, args.lam, label, "origin_gap", g, None))
-        arr = np.asarray(gaps)
+        row = _row_maker(args, side // 2, None, spec.label())
+        gaps = _run_blocks(_influence_task, (side, args.lam, spec, args.seed), replicas, workers)
+        records += [row(r, "origin_gap", g) for r, g in enumerate(gaps)]
         for name, q in (("origin_gap_q1", 25), ("origin_gap_median", 50), ("origin_gap_q3", 75)):
-            summaries.append(
-                (SUMMARY_REPLICA, seed, j, None, args.lam, label, name, float(np.percentile(arr, q)), None)
-            )
-    _emit(records + summaries, args, {"_command": "influence", **_config_dict(args, seed)})
+            summaries.append(row(SUMMARY_REPLICA, name, float(np.percentile(gaps, q))))
+    _emit(records + summaries, args)
     return 0
 
 
 def cmd_free_energy(args) -> int:
-    seed = _resolve_seed(args)
     j, L = args.j, args.L
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
     replicas = _at_least(args.replicas, 2, "--replicas")
     workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
-    label = spec.label()
-    rows = _run_blocks(_free_energy_task, (j, L, args.lam, label, seed), replicas, workers)
-    records: list[tuple] = []
-    for r, (gap, cap, pw_ok, ann_ok) in enumerate(rows):
-        records.append((r, seed, j, L, args.lam, label, "response_gap", gap, None))
-        records.append((r, seed, j, L, args.lam, label, "pathwise_bound", cap, None))
-        records.append((r, seed, j, L, args.lam, label, "pathwise_holds", pw_ok, None))
-        records.append((r, seed, j, L, args.lam, label, "annulus_holds", ann_ok, None))
-    mean, stderr = _mean_stderr(np.asarray([row[0] for row in rows]))
-    ratio = max(abs(row[0]) / row[1] if row[1] > 0 else 0.0 for row in rows)
+    row = _row_maker(args, j, L, spec.label())
+    results = _run_blocks(_free_energy_task, (j, L, args.lam, spec, args.seed), replicas, workers)
+    names = ("response_gap", "pathwise_bound", "pathwise_holds", "annulus_holds")
+    records = [row(r, name, value) for r, values in enumerate(results) for name, value in zip(names, values)]
+    mean, stderr = _mean_stderr(np.asarray([gap for gap, *_ in results]))
+    ratio = max(abs(gap) / cap if cap > 0 else 0.0 for gap, cap, *_ in results)
     annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
-    expected_cap = per_site_gap_bound(args.lam, spec) * annulus
     s = SUMMARY_REPLICA
     records += [
-        (s, seed, j, L, args.lam, label, "response_gap_mean", mean, stderr),
-        (s, seed, j, L, args.lam, label, "max_gap_bound_ratio", ratio, None),
-        (s, seed, j, L, args.lam, label, "expected_gap_bound", expected_cap, None),
-        (s, seed, j, L, args.lam, label, "all_bounds_hold", all(r[2] and r[3] for r in rows), None),
+        row(s, "response_gap_mean", mean, stderr),
+        row(s, "max_gap_bound_ratio", ratio),
+        row(s, "expected_gap_bound", per_site_gap_bound(args.lam, spec) * annulus),
+        row(s, "all_bounds_hold", all(pw_ok and ann_ok for *_, pw_ok, ann_ok in results)),
     ]
-    _emit(records, args, {"_command": "free-energy", **_config_dict(args, seed)})
+    _emit(records, args)
     return 0
 
 
 def cmd_fluctuations(args) -> int:
-    seed = _resolve_seed(args)
     js = _int_list(args.j)
     replicas = _at_least(args.replicas, 2, "--replicas")
     workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
-    label = spec.label()
     records: list[tuple] = []
     summaries: list[tuple] = []
     for j in js:
         L = args.L if args.L is not None else 2 * j
         if not 1 <= j < L:
             raise ValueError("need 1 <= j < L")
-        vals = _run_blocks(_fluctuation_task, (j, L, args.lam, label, seed), replicas, workers)
-        for r, v in enumerate(vals):
-            records.append((r, seed, j, L, args.lam, label, "response_gap", v, None))
-        arr = np.asarray(vals)
-        var = float(arr.var(ddof=1))
-        vol = box_lambda(j).site_count
-        s = SUMMARY_REPLICA
+        row = _row_maker(args, j, L, spec.label())
+        gaps = np.asarray(_run_blocks(_fluctuation_task, (j, L, args.lam, spec, args.seed), replicas, workers))
+        records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
+        var = float(gaps.var(ddof=1))
         summaries += [
-            (s, seed, j, L, args.lam, label, "gap_mean", float(arr.mean()), None),
-            (s, seed, j, L, args.lam, label, "gap_variance", var, None),
-            (s, seed, j, L, args.lam, label, "variance_per_site", var / vol, None),
+            row(SUMMARY_REPLICA, "gap_mean", float(gaps.mean())),
+            row(SUMMARY_REPLICA, "gap_variance", var),
+            row(SUMMARY_REPLICA, "variance_per_site", var / box_lambda(j).site_count),
         ]
-    _emit(records + summaries, args, {"_command": "fluctuations", **_config_dict(args, seed)})
+    _emit(records + summaries, args)
     return 0
 
 
 def cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
     draws = _at_least(args.draws, 1, "--draws")
     box, j = _parse_box(args)
-    field, label = _field_for(args, box, seed)
+    field, label = _field_for(args, box)
     bc = as_boundary_condition(args.bc)
-    records: list[tuple] = []
+    row = _row_maker(args, j, None, label)
     if args.method == "exact":
-        for i, occ in enumerate(sample_exact(box, field, bc, np.random.default_rng(seed), draws)):
-            value = json.dumps(sorted(occ))
-            records.append((i, seed, j, None, args.lam, label, "sample", value, None))
+        occupied = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
+        records = [row(i, "sample", json.dumps(sorted(occ))) for i, occ in enumerate(occupied)]
     else:
+        records = []
         for i in range(draws):
-            res = cftp_sample(box, field, bc, ReplicaSeed(seed, i))
-            value = json.dumps(sorted(res.occupied))
-            records.append((i, seed, j, None, args.lam, label, "sample", value, None))
-            records.append((i, seed, j, None, args.lam, label, "cftp_epochs", res.epochs, None))
-    _emit(records, args, {"_command": "sample", **_config_dict(args, seed)})
+            res = cftp_sample(box, field, bc, ReplicaSeed(args.seed, i))
+            records += [row(i, "sample", json.dumps(sorted(res.occupied))), row(i, "cftp_epochs", res.epochs)]
+    _emit(records, args)
     return 0
 
 
 def _determinism_check(seed: int) -> CheckResult:
-    cfg = [(4, 1.0, "bernoulli:0.5", seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
-    seq = [g for t in cfg for g in _influence_task(t)]
-    par = [g for block in _pmap(_influence_task, cfg, workers=2) for g in block]
-    same = _records_to_csv([(r, v) for r, v in enumerate(seq)]) == _records_to_csv(
-        [(r, v) for r, v in enumerate(par)]
-    )
-    return CheckResult("determinism", same, "workers 1 vs 2 byte-identical")
+    cfg = [(4, 1.0, DisorderSpec.bernoulli(0.5), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
+    seq = [_fmt(g) for t in cfg for g in _influence_task(t)]
+    par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g in block]
+    return CheckResult("determinism", seq == par, "workers 1 vs 2 byte-identical")
 
 
 def cmd_validate(args) -> int:
-    seed = _resolve_seed(args)
-    results = run_quick_suite(seed)
-    results.append(_determinism_check(seed))
+    results = run_quick_suite(args.seed)
+    results.append(_determinism_check(args.seed))
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
@@ -361,12 +339,10 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _config_dict(args, seed: int) -> dict:
-    skip = {"func", "out"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
+def _config_dict(args) -> dict:
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     if "lam" in cfg:
         cfg["lambda"] = cfg.pop("lam")
-    cfg["seed"] = seed
     return cfg
 
 
@@ -384,6 +360,13 @@ def _add_common(p: argparse.ArgumentParser, box: bool = False) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="activity scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None if box else "-", help="CSV path or '-' for stdout")
+
+
+def _add_sweep(p: argparse.ArgumentParser, disorder: str, replicas: int) -> None:
+    p.add_argument("--disorder", default=disorder)
+    p.add_argument("--replicas", type=int, default=replicas)
+    p.add_argument("--workers", type=int, default=1)
+    _add_common(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,28 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("influence", help="even/odd origin-gap sweep over box sides")
     p.add_argument("--sides", default="4,8,12", help="comma list of even box sides")
-    p.add_argument("--disorder", default="constant:1")
-    p.add_argument("--replicas", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
+    _add_sweep(p, "constant:1", 100)
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("free-energy", help="even-odd response gap with bounds, per replica")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--disorder", default="bernoulli:0.5")
-    p.add_argument("--replicas", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
+    _add_sweep(p, "bernoulli:0.5", 100)
     p.set_defaults(func=cmd_free_energy)
 
     p = sub.add_parser("fluctuations", help="gap variance against inner volume")
     p.add_argument("--j", default="1,2,3", help="comma list of half-sides")
     p.add_argument("--L", type=int, default=None, help="outer half-side (default 2j)")
-    p.add_argument("--disorder", default="bernoulli:0.5")
-    p.add_argument("--replicas", type=int, default=300)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
+    _add_sweep(p, "bernoulli:0.5", 300)
     p.set_defaults(func=cmd_fluctuations)
 
     p = sub.add_parser("sample", help="draw configurations (exact or coupling from the past)")
@@ -448,6 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except (ValueError, CapacityError, CoalescenceTimeout, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,9 @@ class DisorderSpec:
         return cls(family, params)
 
     def label(self) -> str:
-        return self.family + ":" + ",".join(format(p, "g") for p in self.params)
+        """'family:p1[,p2]' with each parameter's shortest round-trip repr, so
+        parse(label()) == self."""
+        return self.family + ":" + ",".join(repr(p).removesuffix(".0") for p in self.params)
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """The family's values at uniforms ``u`` from [0, 1), by inverse CDF."""

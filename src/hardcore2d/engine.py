@@ -298,14 +298,15 @@ def sample_exact(
     ((_, scan),) = _scans(box, [field], bc)
     masks = scan.plan.masks
     betas = list(scan.backward())[::-1]
+    columns = [scan.column(x) for x in range(box.width)]
     chunk = max(1, _DRAW_ENTRIES // len(masks))
     out = []
     for start in range(0, draws, chunk):
         u = gen.random((min(chunk, draws - start), box.width))
         picked = np.zeros((len(u), box.width + 1), dtype=np.int64)  # column 0: left of the box
-        for x, beta in enumerate(betas):
+        for x, (beta, column) in enumerate(zip(betas, columns)):
             prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
-            weights = np.where(masks & prev[:, None], 0.0, scan.column(x))
+            weights = np.where(masks & prev[:, None], 0.0, column)
             weights /= weights.max(axis=1, keepdims=True)  # per row: a draw ignores its chunk
             weights *= beta
             cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)

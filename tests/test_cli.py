@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from hardcore2d import cli
-from hardcore2d.disorder import ActivityField, save_field
+from hardcore2d.disorder import ActivityField, DisorderSpec, sample_fields, save_field
 from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box
+from hardcore2d.observables import response_gap
 from hardcore2d.oracle import oracle_log_partition
 
 needs_long_double = pytest.mark.skipif(
@@ -54,17 +55,28 @@ def test_influence_workers_do_not_change_bytes(tmp_path, capsys):
     assert w3.read_bytes() == w1.read_bytes()
 
 
-def test_manifest_written_next_to_csv(tmp_path, capsys):
+def test_manifest_written_next_to_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     out = tmp_path / "run.csv"
-    code = cli.main(["logz", "--j", "1", "--lambda", "2", "--seed", "5", "--out", str(out)])
+    argv = ["logz", "--j", "1", "--lambda", "2", "--seed", "5", "--out", str(out)]
+    code = cli.main(argv)
     capsys.readouterr()
     assert code == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["tool"] == "hardcore2d"
+    assert manifest["command"] == "logz"
     assert manifest["config"]["seed"] == 5
     assert manifest["config"]["lambda"] == 2.0
     header = out.read_text().splitlines()[0]
     assert header == "replica,seed,j,L,lambda,disorder,observable,value,stderr"
+    # the environment's seed is the one recorded, in the manifest and in the rows
+    monkeypatch.setenv(cli.ENV_SEED, "99")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["command"] == "logz"
+    assert manifest["config"]["seed"] == 99
+    assert out.read_text().splitlines()[1].startswith("0,99,1,")
 
 
 def test_env_seed_overrides_flag(capsys, monkeypatch):
@@ -77,6 +89,37 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
     _, seed7, _ = run_cli(argv, capsys)
     assert with_env == seed99
     assert with_env != seed7
+
+
+def test_replica_index_reproduces_a_sweep_replica(capsys):
+    # replica 3 of a side-4 influence sweep is the field that --replica-index 3
+    # samples on the same box, so its origin gap is the even-minus-odd occupation
+    argv = ["occupation", "--j", "2", "--site", "0,0", "--field", "bernoulli:0.7", "--lambda", "5",
+            "--seed", "11", "--replica-index", "3", "--bc"]
+    _, even, _ = run_cli(argv + ["even"], capsys)
+    _, odd, _ = run_cli(argv + ["odd"], capsys)
+    code, out, _ = run_cli(["influence", "--sides", "4", "--replicas", "4", "--disorder", "bernoulli:0.7",
+                            "--lambda", "5", "--seed", "11", "--out", "-"], capsys)
+    assert code == 0
+    gaps = {row[0]: float(row[7]) for row in csv.reader(io.StringIO(out)) if row[6] == "origin_gap"}
+    assert gaps["3"] == float(even) - float(odd)
+
+
+def test_sweeps_sample_the_law_given(capsys):
+    # parameters past six significant digits reach the sampler and the CSV
+    argv = ["fluctuations", "--j", "1", "--replicas", "3", "--seed", "5", "--out", "-", "--disorder"]
+
+    def rows(text):
+        code, out, _ = run_cli(argv + [text], capsys)
+        assert code == 0
+        return [row for row in csv.reader(io.StringIO(out)) if row[6] == "response_gap"]
+
+    exact = rows("uniform:0,1.23456789")
+    gaps = [float(row[7]) for row in exact]
+    assert gaps != [float(row[7]) for row in rows("uniform:0,1.23457")]
+    fields = sample_fields(DisorderSpec.uniform(0, 1.23456789), box_lambda(2).expand(1), 1.0, 5, 0, 3)
+    assert gaps == response_gap(2, box_lambda(1), fields).tolist()
+    assert {row[5] for row in exact} == {"uniform:0,1.23456789"}
 
 
 def test_field_file_input(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardcore2d.disorder import (
     ActivityField,
@@ -61,10 +63,32 @@ def _random_box(rng, side=6, spread=10):
 
 def test_spec_parse_round_trip():
     for text in ("constant:2", "bernoulli:0.7", "uniform:0,2", "lognormal:0,0.5",
-                 "gamma:2,1.5", "pareto:3,1"):
+                 "gamma:2,1.5", "pareto:3,1", "pareto:2.5,0.5", "bernoulli:0.9999999",
+                 "uniform:0,1.23456789"):
         spec = DisorderSpec.parse(text)
         assert spec.label() == text
         assert DisorderSpec.parse(spec.label()) == spec
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SPECS = st.one_of(
+    st.builds(DisorderSpec.constant, _NONNEGATIVE),
+    st.builds(DisorderSpec.bernoulli, st.floats(0.0, 1.0)),
+    st.tuples(_NONNEGATIVE, _NONNEGATIVE).filter(lambda t: t[0] != t[1])
+    .map(lambda t: DisorderSpec.uniform(*sorted(t))),
+    st.builds(DisorderSpec.lognormal, _FINITE, _POSITIVE),
+    st.builds(DisorderSpec.gamma, _POSITIVE, _POSITIVE),
+    st.builds(DisorderSpec.pareto, _POSITIVE, _POSITIVE),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(SPECS)
+def test_label_names_the_law_exactly(spec):
+    # the label is what sweeps write in the CSV disorder column
+    assert DisorderSpec.parse(spec.label()) == spec
 
 
 def test_spec_validation():
