@@ -296,14 +296,17 @@ def cmd_sample(args) -> int:
     field, label = _field_for(args, box)
     bc = as_boundary_condition(args.bc)
     row = _row_maker(args, j, None, label)
+    rank = {v: i for i, v in enumerate(box.sites())}  # box.sites() is in sorted order
+    text = [f"[{x}, {y}]" for x, y in rank]  # json.dumps of each site, so dumps(occ) is json.dumps(sorted(occ))
+    dumps = lambda occ: "[" + ", ".join(map(text.__getitem__, sorted(map(rank.__getitem__, occ)))) + "]"
     if args.method == "exact":
         occupied = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
-        records = [row(i, "sample", json.dumps(sorted(occ))) for i, occ in enumerate(occupied)]
+        records = [row(i, "sample", dumps(occ)) for i, occ in enumerate(occupied)]
     else:
         records = []
         for i in range(draws):
             res = cftp_sample(box, field, bc, ReplicaSeed(args.seed, i))
-            records += [row(i, "sample", json.dumps(sorted(res.occupied))), row(i, "cftp_epochs", res.epochs)]
+            records += [row(i, "sample", dumps(res.occupied)), row(i, "cftp_epochs", res.epochs)]
     _emit(records, args)
     return 0
 
@@ -340,7 +343,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command")}
     if "lam" in cfg:
         cfg["lambda"] = cfg.pop("lam")
     return cfg

@@ -52,7 +52,7 @@ import numpy as np
 
 from .disorder import ActivityField, stacked_values
 from .errors import CapacityError
-from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition
+from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition, column_sites
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
@@ -300,7 +300,7 @@ def sample_exact(
     betas = list(scan.backward())[::-1]
     columns = [scan.column(x) for x in range(box.width)]
     chunk = max(1, _DRAW_ENTRIES // len(masks))
-    out = []
+    drawn = []  # per draw, the picked mask of each column
     for start in range(0, draws, chunk):
         u = gen.random((min(chunk, draws - start), box.width))
         picked = np.zeros((len(u), box.width + 1), dtype=np.int64)  # column 0: left of the box
@@ -312,7 +312,6 @@ def sample_exact(
             cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
             cdf /= cdf[:, -1:]
             picked[:, x + 1] = masks[(cdf[row] <= u[:, x, None]).sum(axis=1)]  # searchsorted(side="right")
-        for grid in picked[:, 1:, None] >> np.arange(box.height) & 1:
-            xs, ys = np.nonzero(grid)
-            out.append(frozenset(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist())))
-    return out
+        drawn += picked[:, 1:].tolist()
+    sites = [{m: column_sites(x, box.y_min, m) for m in set(col)} for x, col in enumerate(zip(*drawn), box.x_min)]
+    return [frozenset().union(*map(dict.__getitem__, sites, row)) for row in drawn]

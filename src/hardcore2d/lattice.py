@@ -44,6 +44,15 @@ def reflect_theta(v: Site) -> Site:
     return (1 - v[0], v[1])
 
 
+def column_sites(x: int, y_min: int, bits: int) -> tuple[Site, ...]:
+    """The sites (x, y_min + r) of the set bits r of a packed column, bottom up."""
+    out = []
+    while bits:
+        out.append((x, y_min - 1 + (bits & -bits).bit_length()))
+        bits &= bits - 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LatticeBox:
     """Axis-aligned box of lattice sites, inclusive on all four corners."""

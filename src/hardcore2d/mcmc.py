@@ -17,7 +17,7 @@ already updated and its right and upper ones not yet, so new[r] = a[r] &
 ~new[r - 1] with a = (u < odds) & ~(left_new | right_old | old >> 1).  Inside
 each run of set bits of a, new therefore keeps the bits at even offsets from
 the run's start, so a whole column updates at once: adding the starts of the
-runs that begin on an even bit carries through exactly those runs.
+runs that begin on an even bit clears just those runs: new = a & (sum ^ EVEN).
 
 The coupled pair is the only chain state: one integer per column, lower in
 bits 0..H-1, a zero guard bit at H that keeps the halves' runs apart, upper in
@@ -29,8 +29,13 @@ CFTP drives past time -t of a draw keyed ReplicaSeed(master, replica) with
 ``Generator(Philox(key=[master, replica ^ 0x9E3779B97F4A7C15], counter=[0, 0,
 t, 1])).random(site_count)`` of numpy, keys wrapped to uint64: uniform k goes
 to the k-th site of the sweep (column by column, bottom to top), and every
-epoch replays the same uniforms.  One Philox stream per draw reads them: the
-raw words of time t, then an advance to counter [0, 0, t + 1, 1].
+epoch replays the same uniforms.  One Philox per draw reads them: for each new
+time t its state is reset to that of a fresh Philox at counter [0, 0, t, 1].
+
+``cftp_sample`` reuses its last call's chain for the same field object (fields
+are immutable), an equal box and an equal frame: 499 of the 500 calls of
+``sample --method cftp --draws 500``, 1999 of the 2000 of ``validate``'s CFTP
+check.  The memo is one tuple, read once per call and replaced whole.
 """
 from __future__ import annotations
 
@@ -41,11 +46,12 @@ import numpy as np
 from .disorder import ActivityField, ReplicaSeed
 from .engine import box_activities
 from .errors import CoalescenceTimeout
-from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox, Site
+from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox, Site, column_sites
 
 _M64 = (1 << 64) - 1
 _TIME_SALT = 0x9E3779B97F4A7C15
 _EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
+_last: tuple = (None, None, None, None)  # (field, box, bc, chain) of the last cftp_sample call
 
 
 class GlauberChain:
@@ -63,12 +69,12 @@ class GlauberChain:
         acts = box_activities(box, field, bc)
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
         self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
+        self._live = _pack(self.odds > 0.0).tolist()
         self._low, self._shift = (1 << box.height) - 1, box.height + 1
 
     def extremes(self) -> list[int]:
         """The pair of the maximal unblocked live odd (lower) and even (upper) sets."""
-        live = zip(_pack(self.odds > 0.0).tolist(), self._even)
-        return [c & ~e | (c & e) << self._shift for c, e in live]
+        return [c & ~e | (c & e) << self._shift for c, e in zip(self._live, self._even)]
 
     def ordered(self, pair: list[int]) -> bool:
         """lower's even sites inside upper's, upper's odd sites inside lower's."""
@@ -77,16 +83,15 @@ class GlauberChain:
 
     def occupied(self, pair: list[int]) -> frozenset[Site]:
         """The box sites the pair's lower half occupies."""
-        lower = np.array([c & self._low for c in pair], dtype=np.uint64)
-        xs, ys = np.nonzero(lower[:, None] >> np.arange(self.box.height, dtype=np.uint64) & 1)
-        return frozenset(zip((xs + self.box.x_min).tolist(), (ys + self.box.y_min).tolist()))
+        x_min, y_min, low = self.box.x_min, self.box.y_min, self._low
+        return frozenset().union(*(column_sites(x, y_min, c & low) for x, c in enumerate(pair, x_min)))
 
     # -- dynamics ------------------------------------------------------------
 
     def rises(self, uniforms: np.ndarray) -> list[list[int]]:
         """The pair's packed u < odds, one row per time of site_count uniforms."""
-        packed = _pack(uniforms.reshape(-1, *self.odds.shape) < self.odds).tolist()
-        return [[r | r << self._shift for r in row] for row in packed]
+        packed = _pack(uniforms.reshape(-1, *self.odds.shape) < self.odds).astype(object)
+        return (packed * (1 + (1 << self._shift))).tolist()  # r | r << shift, as Python ints
 
     def sweep_pair(self, pair: list[int], rng: np.random.Generator) -> list[int]:
         """The pair after one sweep with one shared uniform per site."""
@@ -120,7 +125,7 @@ class CftpResult:
 
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Columns as integers: bit r of entry [..., x] is bits[..., x, r]."""
-    return (bits << np.arange(bits.shape[-1], dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.uint64))
 
 
 def _sweep(cols: list[int], rises: list[int]) -> list[int]:
@@ -129,7 +134,7 @@ def _sweep(cols: list[int], rises: list[int]) -> list[int]:
     for rise, old, right in zip(rises, cols, cols[1:] + [0]):
         a = rise & ~(left | right | old >> 1)
         c = a + (a & ~(a << 1) & _EVEN)
-        left = a & (~c & _EVEN | c & _EVEN << 1)
+        left = a & (c ^ _EVEN)
         new.append(left)
     return new
 
@@ -153,22 +158,26 @@ def cftp_sample(
         raise ValueError("max_sweeps must be >= 1")
     if not isinstance(seed, ReplicaSeed):
         seed = ReplicaSeed(int(seed))
-    chain = GlauberChain(box, field, bc)
+    global _last
+    last_field, last_box, last_bc, chain = _last  # one read: a concurrent call replaces the whole tuple
+    if last_field is not field or last_box != box or last_bc != bc:
+        chain = GlauberChain(box, field, bc)
+        _last = (field, box, bc, chain)
     start = chain.extremes()
     key = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], dtype=np.uint64)
-    bits = np.random.Philox(key=key, counter=[0, 0, 1, 1])  # at time 1
-    n = box.site_count
-    skip = (1 << 128) - -(-n // 4)  # from time t's last block to counter [0, 0, t + 1, 1]
+    bits = np.random.Philox(key=key, counter=[0, 0, 0, 1])
+    gen, fresh = np.random.Generator(bits), bits.state
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
     total = epochs = 0
     horizon = 1
     while horizon <= max_sweeps:
         epochs += 1
-        raw = []
-        for _ in range(len(rises), horizon):
-            raw.append(bits.random_raw(n))
-            bits.advance(skip)  # which also drops the block's unread lanes
-        rises += chain.rises((np.array(raw) >> 11) * 2.0**-53)  # the doubles Generator.random makes
+        uniforms = np.empty((horizon - len(rises), box.site_count))
+        for t, row in enumerate(uniforms, len(rises) + 1):
+            fresh["state"]["counter"][2] = t
+            bits.state = fresh  # Philox(key, counter=[0, 0, t, 1]) as constructed
+            gen.random(out=row)
+        rises += chain.rises(uniforms)
         state = start
         for t in range(horizon, 0, -1):
             state = _sweep(state, rises[t - 1])

@@ -14,6 +14,7 @@ import pytest
 from hardcore2d import cli
 from hardcore2d.disorder import ActivityField, DisorderSpec, sample_fields, save_field
 from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box
+from hardcore2d.mcmc import CftpResult
 from hardcore2d.observables import response_gap
 from hardcore2d.oracle import oracle_log_partition
 
@@ -65,6 +66,7 @@ def test_manifest_written_next_to_csv(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["tool"] == "hardcore2d"
     assert manifest["command"] == "logz"
+    assert "command" not in manifest["config"]  # named once, at top level
     assert manifest["config"]["seed"] == 5
     assert manifest["config"]["lambda"] == 2.0
     header = out.read_text().splitlines()[0]
@@ -236,6 +238,49 @@ def test_draws_at_benchmark_sizes_are_pinned(capsys, method, box, lam):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / f"sample_{method}_{box}_seed11.csv").read_text()
+
+
+@pytest.mark.parametrize("method", ["exact", "cftp"])
+@pytest.mark.parametrize("box, field, bc", [
+    ("3x3", "constant:0", "even"),  # every draw empty
+    ("1x1", "constant:1", "free"),
+    ("4x5", "bernoulli:0.7", "odd"),  # negative coordinates
+])
+def test_sample_values_are_the_json_of_the_sorted_draw(capsys, method, box, field, bc):
+    argv = ["sample", "--method", method, "--box", box, "--field", field, "--bc", bc,
+            "--draws", "40", "--seed", "3", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    values = [r["value"] for r in csv.DictReader(io.StringIO(out)) if r["observable"] == "sample"]
+    assert len(values) == 40
+    for text in values:
+        assert text == json.dumps(sorted(json.loads(text)))
+    if field == "constant:0":
+        assert set(values) == {"[]"}
+    if box == "1x1":
+        assert set(values) == {"[]", "[[0, 0]]"}
+
+
+def test_sample_makes_the_calls_the_benchmark_times(capsys, monkeypatch):
+    # perfbench times cli.cftp_sample, cli.sample_exact and cli.sample_field
+    # once per call and reads one CftpResult per cftp_sample call
+    calls = {"cftp_sample": [], "sample_exact": [], "sample_field": []}
+
+    def recorded(fn, results):
+        def call(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+        return call
+
+    for name, results in calls.items():
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name), results))
+    base = ["sample", "--box", "3x3", "--field", "bernoulli:0.7", "--bc", "even", "--out", "-"]
+    assert run_cli(base + ["--method", "cftp", "--draws", "5"], capsys)[0] == 0
+    assert len(calls["cftp_sample"]) == 5
+    assert all(isinstance(res, CftpResult) for res in calls["cftp_sample"])
+    assert run_cli(base + ["--method", "exact", "--draws", "5"], capsys)[0] == 0
+    assert len(calls["sample_exact"]) == 1 and len(calls["sample_exact"][0]) == 5
+    assert len(calls["sample_field"]) == 2  # one field per command, through _field_for
 
 
 _SWEEP_PINS = {

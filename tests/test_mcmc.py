@@ -1,4 +1,6 @@
 """Heat-bath dynamics, monotone coupling, and perfect sampling."""
+import random
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +9,8 @@ from hardcore2d import mcmc
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import MAX_HEIGHT, log_partition, occupation_probabilities, sample_exact
 from hardcore2d.errors import CapacityError, CoalescenceTimeout
-from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, is_even, neighbours
+from hardcore2d.lattice import (
+    EVEN_BC, FREE_BC, MAX_SIDE, LatticeBox, box_lambda, centered_box, is_even, neighbours)
 from hardcore2d.mcmc import GlauberChain, cftp_sample
 from hardcore2d.oracle import enumerate_independent_sets
 from hardcore2d.validation import check_monotone_order
@@ -144,6 +147,45 @@ def test_long_run_occupation_matches_exact_marginals():
     exact = occupation_probabilities(box, f)
     for v in box.sites():
         assert freqs[v] == pytest.approx(exact[v], abs=0.02)
+
+
+def reference_occupied(chain, pair):
+    """GlauberChain.occupied by its numpy definition: the set bits of each
+    column's lower half."""
+    box = chain.box
+    lower = np.array([c & (1 << box.height) - 1 for c in pair], dtype=np.uint64)
+    xs, ys = np.nonzero(lower[:, None] >> np.arange(box.height, dtype=np.uint64) & 1)
+    return frozenset(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist()))
+
+
+@pytest.mark.parametrize("h", [1, 2, 31, 32, 63, MAX_SIDE])
+def test_occupied_decodes_the_lower_half(h):
+    rng = random.Random(h)
+    for box in (centered_box(3, h), LatticeBox(-9, -7, -h - 4, -5)):  # negative offsets
+        chain = GlauberChain(box, uniform_field(box))
+        full = (1 << h) - 1
+        for lower, upper in [(0, 0), (full, 0), (0, full), (full, full)] + [
+                (rng.getrandbits(h), rng.getrandbits(h)) for _ in range(30)]:
+            pair = [lower >> x | (upper >> x) << h + 1 for x in range(3)]
+            assert chain.occupied(pair) == reference_occupied(chain, pair)
+
+
+def test_cftp_reuses_a_chain_only_for_the_same_field_box_and_frame(monkeypatch):
+    spec = DisorderSpec.bernoulli(0.7)
+    f = sample_field(spec, box_lambda(3), 2.0, ReplicaSeed(3, 0))
+    twin = ActivityField(f.region, f.values, f.scale)  # equal values, another object
+    other = sample_field(spec, box_lambda(3), 2.0, ReplicaSeed(3, 1))
+    boxes, fields, frames = (centered_box(4, 3), centered_box(3, 4)), (f, twin, other), ("even", "odd")
+    # three orders, in which consecutive calls differ in the field, the frame or the box alone
+    calls = [(b, fld, bc, i) for i in range(2) for b in boxes for bc in frames for fld in fields]
+    calls += [(b, fld, bc, i) for i in range(2) for b in boxes for fld in fields for bc in frames]
+    calls += [(b, fld, bc, i) for i in range(2) for bc in frames for fld in fields for b in boxes]
+    alone = []
+    for b, fld, bc, i in calls:
+        monkeypatch.setattr(mcmc, "_last", (None, None, None, None))  # no chain to reuse
+        alone.append(cftp_sample(b, fld, bc, ReplicaSeed(21, i)))
+    monkeypatch.setattr(mcmc, "_last", (None, None, None, None))
+    assert [cftp_sample(b, fld, bc, ReplicaSeed(21, i)) for b, fld, bc, i in calls] == alone
 
 
 def test_cftp_is_deterministic_in_the_seed():
