@@ -35,7 +35,6 @@ from .lattice import (
     parity,
     phi_j,
     reflect_theta,
-    translate,
 )
 from .mcmc import CftpResult, GlauberChain, cftp_sample
 from .observables import (
@@ -56,7 +55,6 @@ from .oracle import (
     enumerate_independent_sets,
     grid_independent_set_count,
     oracle_log_partition,
-    oracle_occupation,
     oracle_occupations,
 )
 
@@ -68,12 +66,12 @@ __all__ = [
     "CapacityError", "CoalescenceTimeout",
     "EVEN_BC", "FREE_BC", "ODD_BC", "BoundaryCondition", "LatticeBox", "Site",
     "box_lambda", "centered_box", "external_boundary", "is_even", "parity", "phi_j",
-    "reflect_theta", "translate",
+    "reflect_theta",
     "CftpResult", "GlauberChain", "cftp_sample",
     "annulus_bound_check", "annulus_log_sum",
     "boundary_influence", "derivative_identity_check", "estimate_response_gap",
     "free_energy_response", "influence_table", "log_gain_mean",
     "pathwise_gap_bound", "per_site_gap_bound", "response_gap",
     "ExactWeight", "enumerate_independent_sets", "grid_independent_set_count",
-    "oracle_log_partition", "oracle_occupation", "oracle_occupations",
+    "oracle_log_partition", "oracle_occupations",
 ]

@@ -42,6 +42,7 @@ from .observables import (
     pathwise_gap_bound,
     per_site_gap_bound,
     response_gap,
+    sampled_response_gaps,
 )
 from .validation import CheckResult, run_quick_suite
 
@@ -112,19 +113,24 @@ def _parse_box(args) -> tuple[LatticeBox, int | None]:
 
 
 def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
-    """Build the activity field from --field (spec string or JSON path)."""
+    """Build the activity field from --field (spec string or JSON path); a field
+    file keeps its stored scale unless --lambda is given.  args.lam becomes
+    the scale used, for the CSV rows and the manifest."""
     text = args.field
     if text.endswith(".json") or os.path.sep in text:
-        field = field_from_json(text)
-        if field.scale != args.lam:
-            field = field.with_scale(args.lam)
+        field, label = field_from_json(text), text
+        if args.lam is not None:
+            field = ActivityField(field.region, field.values, args.lam)
         if not field.region.contains_box(box):
             raise ValueError("field file region does not cover the box")
-        return field, text
-    spec = DisorderSpec.parse(text)
-    # sample one ring beyond the box so the frame is diluted consistently
-    field = sample_field(spec, box.expand(1), args.lam, ReplicaSeed(args.seed, args.replica_index))
-    return field, spec.label()
+    else:
+        spec = DisorderSpec.parse(text)
+        label = spec.label()
+        scale = 1.0 if args.lam is None else args.lam
+        # sample one ring beyond the box so the frame is diluted consistently
+        field = sample_field(spec, box.expand(1), scale, ReplicaSeed(args.seed, args.replica_index))
+    args.lam = field.scale
+    return field, label
 
 
 def _row_maker(args, j: int | None, L: int | None, label: str):
@@ -189,8 +195,7 @@ def _free_energy_task(arg: tuple) -> list[tuple]:
 
 def _fluctuation_task(arg: tuple) -> list[float]:
     j, L, lam, spec, master, start, stop = arg
-    fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
-    return response_gap(L, box_lambda(j), fields).tolist()
+    return sampled_response_gaps(L, j, spec, lam, master, start, stop).tolist()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -351,16 +356,18 @@ def _config_dict(args) -> dict:
 
 def _add_common(p: argparse.ArgumentParser, box: bool = False) -> None:
     if box:
-        p.add_argument("--box", help="box size WxH, centered on the origin")
-        p.add_argument("--j", type=int, help="half-side of the centered 2j x 2j box")
+        where = p.add_mutually_exclusive_group()
+        where.add_argument("--box", help="box size WxH, centered on the origin")
+        where.add_argument("--j", type=int, help="half-side of the centered 2j x 2j box")
         p.add_argument("--bc", default="free", choices=("even", "odd", "free", "empty"))
         p.add_argument(
             "--field",
             default="constant:1",
-            help="disorder spec 'family:params' or path to a field JSON file",
+            help="disorder spec 'family:params' (scale --lambda or 1) or path to a field JSON file "
+            "(its stored scale unless --lambda is given)",
         )
         p.add_argument("--replica-index", type=int, default=0, help="replica index for --field sampling")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="activity scale")
+    p.add_argument("--lambda", dest="lam", type=float, default=None if box else 1.0, help="activity scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None if box else "-", help="CSV path or '-' for stdout")
 

@@ -310,9 +310,6 @@ class ActivityField:
         values = self.values_at(*site_map(self.region.coords()))
         return ActivityField._derived(self.region, values, self.scale)
 
-    def with_scale(self, scale: float) -> "ActivityField":
-        return ActivityField(self.region, self.values, scale)
-
 
 def sample_field(
     spec: DisorderSpec, region: LatticeBox, scale: float, seed: ReplicaSeed

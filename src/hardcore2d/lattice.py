@@ -35,10 +35,6 @@ def neighbours(v: Site) -> tuple[Site, Site, Site, Site]:
     return ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
 
 
-def translate(v: Site, a: Site) -> Site:
-    return (v[0] + a[0], v[1] + a[1])
-
-
 def reflect_theta(v: Site) -> Site:
     """Reflect across the vertical line x = 1/2.  Swaps site parity."""
     return (1 - v[0], v[1])

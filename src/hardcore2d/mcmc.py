@@ -21,9 +21,9 @@ runs that begin on an even bit clears just those runs: new = a & (sum ^ EVEN).
 
 The coupled pair is the only chain state: one integer per column, lower in
 bits 0..H-1, a zero guard bit at H that keeps the halves' runs apart, upper in
-bits H+1..2H.  A single chain is a pair with equal halves, which the sweep
-keeps equal because both halves see the same uniforms.  So the monotone check
-(``validation.check_monotone_order``) sweeps exactly the pair CFTP sweeps.
+bits H+1..2H.  The monotone check (``validation.check_monotone_order``)
+sweeps it with the kernel CFTP runs, ``_sweep`` of ``rises``, and tests
+``ordered`` after every sweep.
 
 CFTP drives past time -t of a draw keyed ReplicaSeed(master, replica) with
 ``Generator(Philox(key=[master, replica ^ 0x9E3779B97F4A7C15], counter=[0, 0,
@@ -51,13 +51,13 @@ from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox, Site, col
 _M64 = (1 << 64) - 1
 _TIME_SALT = 0x9E3779B97F4A7C15
 _EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
+_MAX_SWEEPS = 1 << 16  # the farthest back a CFTP epoch starts
 _last: tuple = (None, None, None, None)  # (field, box, bc, chain) of the last cftp_sample call
 
 
 class GlauberChain:
     """Reusable heat-bath kernel for one (box, field, bc) triple.  Its one state
-    is the packed pair of the module docstring; a single chain is a pair with
-    equal halves."""
+    is the packed pair of the module docstring."""
 
     def __init__(
         self,
@@ -93,28 +93,6 @@ class GlauberChain:
         packed = _pack(uniforms.reshape(-1, *self.odds.shape) < self.odds).astype(object)
         return (packed * (1 + (1 << self._shift))).tolist()  # r | r << shift, as Python ints
 
-    def sweep_pair(self, pair: list[int], rng: np.random.Generator) -> list[int]:
-        """The pair after one sweep with one shared uniform per site."""
-        pair = _sweep(pair, self.rises(rng.random(self.box.site_count))[0])
-        if not self.ordered(pair):
-            raise RuntimeError("monotone coupling lost its order; kernel bug")
-        return pair
-
-    def run_occupation(
-        self, sweeps: int, burn_in: int, rng: np.random.Generator
-    ) -> dict[Site, float]:
-        """Per-site occupation frequency of a single long run from the even set."""
-        if sweeps < 1 or burn_in < 0:
-            raise ValueError("run_occupation needs sweeps >= 1 and burn_in >= 0")
-        pair = [up | up << self._shift for up in (c >> self._shift for c in self.extremes())]
-        counts = dict.fromkeys(self.box.sites(), 0)
-        for t in range(burn_in + sweeps):
-            pair = self.sweep_pair(pair, rng)
-            if t >= burn_in:
-                for v in self.occupied(pair):
-                    counts[v] += 1
-        return {v: c / sweeps for v, c in counts.items()}
-
 
 @dataclass(frozen=True)
 class CftpResult:
@@ -144,18 +122,15 @@ def cftp_sample(
     field: ActivityField,
     bc: "BoundaryCondition | str" = FREE_BC,
     seed: "ReplicaSeed | int" = 0,
-    max_sweeps: int = 1 << 16,
 ) -> CftpResult:
     """Exact sample by coupling from the past with epoch doubling.
 
     Epoch k restarts the extreme pair at time -2^(k-1) and replays the same
     per-time uniforms; on coalescence at time 0 the common state is an exact
-    draw.  ``max_sweeps`` caps the horizon (how far back an epoch starts), so
-    up to 2 * max_sweeps - 1 pair sweeps run in all.  Exceeding it raises
+    draw.  _MAX_SWEEPS caps the horizon (how far back an epoch starts), so
+    up to 2 * _MAX_SWEEPS - 1 pair sweeps run in all.  Exceeding it raises
     CoalescenceTimeout -- there is no approximate fallback.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     if not isinstance(seed, ReplicaSeed):
         seed = ReplicaSeed(int(seed))
     global _last
@@ -170,7 +145,7 @@ def cftp_sample(
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
     total = epochs = 0
     horizon = 1
-    while horizon <= max_sweeps:
+    while horizon <= _MAX_SWEEPS:
         epochs += 1
         uniforms = np.empty((horizon - len(rises), box.site_count))
         for t, row in enumerate(uniforms, len(rises) + 1):
@@ -186,4 +161,4 @@ def cftp_sample(
             return CftpResult(chain.occupied(state), epochs, total)
         horizon *= 2
     raise CoalescenceTimeout(f"{box.width}x{box.height} box: no coalescence in {epochs} epochs, the last from "
-                             f"{horizon // 2} sweeps back, {total} pair sweeps in all (max_sweeps={max_sweeps})")
+                             f"{horizon // 2} sweeps back, {total} pair sweeps in all")

@@ -131,10 +131,7 @@ def annulus_bound_check(L: int, j: int, field: Fields) -> "tuple[np.ndarray, flo
 def boundary_influence(box: LatticeBox, field: Fields, v: Site) -> "float | np.ndarray":
     """Even-minus-odd occupation gap of one site: a float for one field, an
     array over the fields for a sequence."""
-    if not box.contains(v):
-        raise ValueError("site lies outside the box")
-    table = influence_table(box, field)
-    return table[v] if isinstance(table, dict) else table[:, v[0] - box.x_min, v[1] - box.y_min]
+    return occupation_probability(box, field, v, "even") - occupation_probability(box, field, v, "odd")
 
 
 def influence_table(box: LatticeBox, field: Fields) -> "dict[Site, float] | np.ndarray":
@@ -152,15 +149,13 @@ def derivative_identity_check(
     field: ActivityField,
     bc: "BoundaryCondition | str",
     v: Site,
-    h: float = 1e-5,
 ) -> tuple[float, float]:
     """d log Z / d log x_v equals the occupation probability of v.
 
-    Checked by a central difference in log x_v of half-width h; returns
-    (finite difference, marginal).
+    Checked by a central difference in log x_v of half-width h = 1e-5;
+    returns (finite difference, marginal).
     """
-    if not 0.0 < h < 0.1:
-        raise ValueError("step h must lie in (0, 0.1)")
+    h = 1e-5
     x = field.value_at(v)
     if x <= 0.0 or not box.contains(v):
         raise ValueError("site must be live and inside the box")
@@ -220,12 +215,12 @@ def per_site_gap_bound(scale: float, spec: DisorderSpec) -> float:
 
 
 def sampled_response_gaps(
-    L: int, j: int, spec: DisorderSpec, scale: float, seed: int, replicas: int
+    L: int, j: int, spec: DisorderSpec, scale: float, seed: int, start: int, stop: int
 ) -> np.ndarray:
     """Response gaps of fully resampled fields (inner sites included), for
-    replicas 0 .. replicas - 1 under one master seed, as one stacked solve."""
+    replicas start .. stop - 1 under one master seed, as one stacked solve."""
     # one extra ring so the boundary frame is diluted like everything else
-    fields = sample_fields(spec, box_lambda(L).expand(1), scale, seed, 0, replicas)
+    fields = sample_fields(spec, box_lambda(L).expand(1), scale, seed, start, stop)
     return response_gap(L, box_lambda(j), fields)
 
 

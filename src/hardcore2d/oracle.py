@@ -102,14 +102,6 @@ def oracle_occupations(
     return {v: m / z for v, m in mass.items()}
 
 
-def oracle_occupation(
-    box: LatticeBox, field: ActivityField, v: Site, bc: BoundaryCondition = FREE_BC
-) -> Fraction:
-    if not box.contains(v):
-        raise ValueError("site lies outside the box")
-    return oracle_occupations(box, field, bc)[v]
-
-
 def grid_independent_set_count(width: int, height: int) -> int:
     """Independent-set count of the free grid, by a row recursion.
 

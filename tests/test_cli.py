@@ -135,6 +135,32 @@ def test_field_file_input(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(math.log(17.0), abs=1e-12)
 
 
+def test_field_file_keeps_its_scale_unless_lambda_is_given(tmp_path, capsys):
+    box = centered_box(2, 2)
+    path = tmp_path / "f.json"
+    save_field(ActivityField(box, np.ones((2, 2)), 2.0), path)
+    out = tmp_path / "run.csv"
+    for extra, lam, z in (([], 2.0, 17.0), (["--lambda", "1"], 1.0, 7.0)):
+        code, printed, _ = run_cli(["logz", "--box", "2x2", "--field", str(path), "--out", str(out)] + extra, capsys)
+        assert code == 0
+        assert float(printed.strip()) == pytest.approx(math.log(z), abs=1e-12)
+        # the scale used is the one recorded, in the rows and in the manifest
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["lambda"] == cli._fmt(lam)
+        assert json.loads((tmp_path / "run.csv.manifest.json").read_text())["config"]["lambda"] == lam
+    # a spec field still defaults to scale 1
+    code, printed, _ = run_cli(["logz", "--box", "2x2", "--field", "constant:1"], capsys)
+    assert float(printed.strip()) == pytest.approx(math.log(7.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("command", [["logz"], ["occupation", "--site", "0,0"], ["sample"]])
+def test_box_and_j_together_exit_two(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        cli.main(command + ["--j", "1", "--box", "5x5"])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_field_file_must_cover_box(tmp_path, capsys):
     box = centered_box(2, 2)
     save_field(ActivityField(box, np.ones((2, 2)), 1.0), tmp_path / "f.json")

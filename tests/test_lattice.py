@@ -16,7 +16,6 @@ from hardcore2d.lattice import (
     parity,
     phi_j,
     reflect_theta,
-    translate,
 )
 
 
@@ -93,10 +92,6 @@ def test_phi_is_identity_inside_enlarged_box():
     assert phi_j((inside.x_max, 0), j) == (inside.x_max, 0)
     outside = (inside.x_max + 1, 0)
     assert phi_j(outside, j) == reflect_theta(outside)
-
-
-def test_translate_composes():
-    assert translate((1, 2), (3, -1)) == (4, 1)
 
 
 def test_frame_occupation_parity():

@@ -7,7 +7,7 @@ import scipy.stats
 
 from hardcore2d import mcmc
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
-from hardcore2d.engine import MAX_HEIGHT, log_partition, occupation_probabilities, sample_exact
+from hardcore2d.engine import MAX_HEIGHT, log_partition, sample_exact
 from hardcore2d.errors import CapacityError, CoalescenceTimeout
 from hardcore2d.lattice import (
     EVEN_BC, FREE_BC, MAX_SIDE, LatticeBox, box_lambda, centered_box, is_even, neighbours)
@@ -88,7 +88,7 @@ def test_sweep_preserves_independence_and_constraints():
     pair = [0] * box.width  # a single chain: both halves empty
     rng = np.random.default_rng(1)
     for _ in range(50):
-        pair = chain.sweep_pair(pair, rng)
+        pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
         lower, upper = halves(chain, pair)
         assert lower == upper
         assert_admissible(lower, box, f, EVEN_BC)
@@ -121,7 +121,7 @@ def test_extremes_are_ordered_and_stay_ordered():
         swapped = [c >> h + 1 | (c & (1 << h) - 1) << h + 1 for c in pair]
         assert chain.ordered(swapped) == (lower == upper)
         for _ in range(60):
-            pair = chain.sweep_pair(pair, rng)
+            pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
             assert sandwiched(*halves(chain, pair))
 
 
@@ -137,16 +137,6 @@ def test_monotone_check_sees_the_pair_packing(monkeypatch):
     for seed in (20260815 + 9, 20260816 + 9):
         res = check_monotone_order(2000, seed)
         assert not res.passed and "lost its order" in res.detail
-
-
-def test_long_run_occupation_matches_exact_marginals():
-    box = centered_box(3, 2)
-    f = uniform_field(box, value=1.0)
-    chain = GlauberChain(box, f, "free")
-    freqs = chain.run_occupation(sweeps=6000, burn_in=300, rng=np.random.default_rng(3))
-    exact = occupation_probabilities(box, f)
-    for v in box.sites():
-        assert freqs[v] == pytest.approx(exact[v], abs=0.02)
 
 
 def reference_occupied(chain, pair):
@@ -222,13 +212,14 @@ def test_cftp_respects_even_frame():
         assert not ({(1, 0), (0, 1)} & occ)
 
 
-def test_cftp_timeout_raises():
+def test_cftp_timeout_raises(monkeypatch):
     box = centered_box(4, 4)
     f = uniform_field(box, value=30.0)
-    # max_sweeps caps the horizon: epochs from 1 and 2 sweeps back, 3 pair sweeps
-    msg = r"^4x4 box: no coalescence in 2 epochs, the last from 2 sweeps back, 3 pair sweeps in all"
+    # _MAX_SWEEPS caps the horizon: epochs from 1 and 2 sweeps back, 3 pair sweeps
+    monkeypatch.setattr(mcmc, "_MAX_SWEEPS", 2)
+    msg = r"^4x4 box: no coalescence in 2 epochs, the last from 2 sweeps back, 3 pair sweeps in all$"
     with pytest.raises(CoalescenceTimeout, match=msg):
-        cftp_sample(box, f, "empty", ReplicaSeed(1, 0), max_sweeps=2)
+        cftp_sample(box, f, "empty", ReplicaSeed(1, 0))
 
 
 def reference_time_uniforms(seed, t, n):
@@ -249,26 +240,12 @@ def test_cftp_reads_one_philox_generator_per_past_time(monkeypatch, n):
     rises = GlauberChain.rises
     monkeypatch.setattr(GlauberChain, "rises", lambda self, u: read.append(u) or rises(self, u))
     monkeypatch.setattr(mcmc, "_sweep", lambda cols, rises: cols)  # the halves never merge
+    monkeypatch.setattr(mcmc, "_MAX_SWEEPS", 64)
     with pytest.raises(CoalescenceTimeout, match="in 7 epochs"):
-        cftp_sample(box, uniform_field(box, 2.0), FREE_BC, seed, max_sweeps=64)
+        cftp_sample(box, uniform_field(box, 2.0), FREE_BC, seed)
     assert [len(u) for u in read] == [1, 1, 2, 4, 8, 16, 32]  # the new times of each epoch
     want = np.stack([reference_time_uniforms(seed, t, n) for t in range(1, 65)])
     assert np.concatenate(read).tobytes() == want.tobytes()
-
-
-def test_cftp_needs_a_sweep():
-    box = centered_box(2, 2)
-    for max_sweeps in (0, -1):
-        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
-            cftp_sample(box, uniform_field(box), FREE_BC, 0, max_sweeps=max_sweeps)
-
-
-def test_run_occupation_needs_a_sweep_and_a_burn_in_of_at_least_zero():
-    box = centered_box(2, 2)
-    chain = GlauberChain(box, uniform_field(box), FREE_BC)
-    for sweeps, burn_in in ((0, 10), (-1, 10), (10, -1)):
-        with pytest.raises(ValueError, match="sweeps >= 1 and burn_in >= 0"):
-            chain.run_occupation(sweeps, burn_in, np.random.default_rng(0))
 
 
 def test_cftp_serves_boxes_taller_than_the_scan():

@@ -1,4 +1,6 @@
 """The package's public surface, and what importing and running it loads."""
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,8 +23,33 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in hardcore2d.__all__:
         assert not isinstance(getattr(hardcore2d, name), types.ModuleType), name
     for gone in ("Configuration", "MonotonePair", "sandwich_ordered", "ResponseGapEstimate", "ScalingRow",
-                 "fluctuation_scaling", "engine", "mcmc"):
+                 "fluctuation_scaling", "engine", "mcmc", "oracle_occupation", "translate"):
         assert gone not in hardcore2d.__all__
+
+
+def test_the_heat_bath_chain_has_only_the_methods_cftp_runs():
+    public = {name for name, value in vars(hardcore2d.GlauberChain).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == {"extremes", "ordered", "occupied", "rises"}
+
+
+def test_benchmark_span_names_resolve(monkeypatch):
+    # perfbench wraps these names when it traces; spans.py imports only the standard library
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    assert spans.PACKAGE == hardcore2d.__name__
+    for name in spans.SPANS:
+        mod_name, *attrs = name.split(".")
+        owner = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        for attr in attrs:
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+    for workload, names in spans.REQUIRED.items():
+        assert set(names) <= set(spans.SPANS), workload
 
 
 def run_fresh(code: str) -> list:
