@@ -28,7 +28,7 @@ for side in (4, 8, 12):
 
 print()
 print("bernoulli(0.7) dilution, scale 5: median origin gap over 60 replicas")
-spec = DisorderSpec.bernoulli(0.7)
+spec = DisorderSpec("bernoulli", (0.7,))
 for side in (4, 8, 12):
     box = centered_box(side, side)
     fields = [sample_field(spec, box.expand(1), LAM, ReplicaSeed(2026, rep)) for rep in range(60)]

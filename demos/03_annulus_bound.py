@@ -19,7 +19,7 @@ from hardcore2d import (
 )
 
 L, J, LAM = 3, 1, 4.0
-spec = DisorderSpec.uniform(0.0, 2.0)
+spec = DisorderSpec("uniform", (0.0, 2.0))
 region = box_lambda(L).expand(1)
 
 print(f"outer half-side {L}, inner half-side {J}, scale {LAM}, disorder {spec.label()}")

@@ -22,7 +22,7 @@ from hardcore2d import ActivityField, DisorderSpec, box_lambda, response_gap, sa
 
 LAM = 4.0
 REPS = 200
-spec = DisorderSpec.bernoulli(0.5)
+spec = DisorderSpec("bernoulli", (0.5,))
 
 print(f"disorder everywhere ({spec.label()}, scale {LAM}), outer half-side 2j:")
 for j in (1, 2, 3):

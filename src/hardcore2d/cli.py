@@ -6,7 +6,9 @@ validate.  Sweeps write RFC-4180 CSV with the fixed column set
 carry 17 significant digits so re-runs with the same seeds are byte-identical
 regardless of the worker count.  A JSON manifest with the full configuration
 is written next to any CSV file.  The environment variable HARDCORE_SEED,
-when set, overrides --seed everywhere: main resolves it once into args.seed.
+when set, overrides --seed everywhere: main resolves it once into args.seed,
+taken modulo 2^64, so a negative seed names the same fields and draws as
+its wrap does.
 """
 from __future__ import annotations
 
@@ -317,7 +319,7 @@ def cmd_sample(args) -> int:
 
 
 def _determinism_check(seed: int) -> CheckResult:
-    cfg = [(4, 1.0, DisorderSpec.bernoulli(0.5), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
+    cfg = [(4, 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
     seq = [_fmt(g) for t in cfg for g in _influence_task(t)]
     par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g in block]
     return CheckResult("determinism", seq == par, "workers 1 vs 2 byte-identical")
@@ -432,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve_seed(args)
+        args.seed = _resolve_seed(args) % (1 << 64)  # numpy refuses seeds < 0; Philox keys wrap
         return args.func(args)
     except (ValueError, CapacityError, CoalescenceTimeout, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Random site activities and the field surgeries used by the observables.
 
 A field assigns every site ``v`` of a region the activity ``scale * x_v``
-where the ``x_v`` are i.i.d. draws from a one-parameter-or-two family.
-``x_v = 0`` is read as deletion of the vertex: the site can never be
-occupied, and even/odd boundary frames skip deleted frame sites.
+where the ``x_v`` are i.i.d. draws from a law ``DisorderSpec(family,
+params)`` or ``DisorderSpec.parse("family:p1[,p2]")``.  ``x_v = 0`` is read
+as deletion of the vertex: the site can never be occupied, and even/odd
+boundary frames skip deleted frame sites.
 
 Every site reads one uniform from a counter-based generator (Philox4x64-10;
 Salmon et al., SC'11) keyed by ``(master_seed, replica_index)`` at the
@@ -69,30 +70,6 @@ class DisorderSpec:
             raise ValueError("pareto alpha and x_min must be > 0")
 
     @classmethod
-    def constant(cls, value: float) -> "DisorderSpec":
-        return cls("constant", (value,))
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "DisorderSpec":
-        return cls("bernoulli", (p,))
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "DisorderSpec":
-        return cls("uniform", (low, high))
-
-    @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "DisorderSpec":
-        return cls("lognormal", (mu, sigma))
-
-    @classmethod
-    def gamma(cls, shape: float, scale: float) -> "DisorderSpec":
-        return cls("gamma", (shape, scale))
-
-    @classmethod
-    def pareto(cls, alpha: float, x_min: float) -> "DisorderSpec":
-        return cls("pareto", (alpha, x_min))
-
-    @classmethod
     def parse(cls, text: str) -> "DisorderSpec":
         """Parse 'family:p1[,p2]', e.g. 'bernoulli:0.7' or 'uniform:0,2'."""
         family, _, rest = text.partition(":")
@@ -112,8 +89,7 @@ class DisorderSpec:
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """The family's values at uniforms ``u`` from [0, 1), by inverse CDF."""
-        p = self.params
-        fam = self.family
+        p, fam = self.params, self.family
         u = np.asarray(u, dtype=np.float64)
         if fam == "constant":
             return np.full(u.shape, p[0])
@@ -131,21 +107,6 @@ class DisorderSpec:
         # from numpy's vector power in the last bit
         e = -1.0 / p[0]
         return p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
-
-    def mean(self) -> float:
-        p = self.params
-        fam = self.family
-        if fam == "constant":
-            return p[0]
-        if fam == "bernoulli":
-            return p[0]
-        if fam == "uniform":
-            return 0.5 * (p[0] + p[1])
-        if fam == "lognormal":
-            return math.exp(p[0] + 0.5 * p[1] ** 2)
-        if fam == "gamma":
-            return p[0] * p[1]
-        return math.inf if p[0] <= 1 else p[0] * p[1] / (p[0] - 1)
 
 
 @dataclass(frozen=True)
@@ -211,6 +172,10 @@ class ActivityField:
     ``values`` is indexed ``[x - x_min, y - y_min]``.  Outside the region the
     field defaults to the neutral value 1, so frames of boxes sampled without
     a surrounding margin are treated as undeleted.
+
+    Every field, a surgery's too, is built by the constructor: it keeps a
+    read-only float64 copy of ``values`` and refuses a wrong shape, a NaN,
+    negative or infinite value or scale, and a ``scale * value`` that overflows.
     """
 
     region: LatticeBox
@@ -218,32 +183,18 @@ class ActivityField:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)  # a private copy
         if arr.shape != (self.region.width, self.region.height):
             raise ValueError("values array must match the region shape")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        top = float(arr.max())
+        if not (arr.min() >= 0 and math.isfinite(top)):  # NaN fails both
             raise ValueError("field values must be finite and >= 0")
         if not (math.isfinite(self.scale) and self.scale >= 0):
             raise ValueError("scale must be finite and >= 0")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.scale * arr)):
-                raise ValueError("activities scale * value must be finite")
-        arr = arr.copy()
+        if not math.isfinite(self.scale * top):  # scale * value rises with the value
+            raise ValueError("activities scale * value must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def _derived(cls, region: LatticeBox, values: np.ndarray, scale: float) -> "ActivityField":
-        """A field built from checked fields' values and scale: the finiteness,
-        sign and ``scale * values`` checks are skipped, and ``values`` (a fresh
-        float64 array) is kept without a copy."""
-        if values.shape != (region.width, region.height):
-            raise ValueError("values array must match the region shape")
-        values.setflags(write=False)
-        field = object.__new__(cls)
-        for name, value in (("region", region), ("values", values), ("scale", scale)):
-            object.__setattr__(field, name, value)
-        return field
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActivityField):
@@ -276,8 +227,6 @@ class ActivityField:
         """Copy of the field with the value at one site replaced."""
         if not self.region.contains(v):
             raise ValueError("site lies outside the field region")
-        if not (math.isfinite(x) and x >= 0):
-            raise ValueError("replacement value must be finite and >= 0")
         arr = self.values.copy()
         arr[self._index(v)] = x
         return ActivityField(self.region, arr, self.scale)
@@ -289,34 +238,28 @@ class ActivityField:
         arr = self.values.copy()
         ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
         arr[ax : ax + inner.width, ay : ay + inner.height] = 1.0
-        return ActivityField._derived(self.region, arr, self.scale)
+        return ActivityField(self.region, arr, self.scale)
 
     def patched(self, inner_field: "ActivityField", inner: LatticeBox) -> "ActivityField":
         """Copy taking its values inside ``inner`` from ``inner_field``."""
         if not self.region.contains_box(inner):
             raise ValueError("inner box must lie inside the field region")
-        patch = inner_field.values_at(*inner.coords())
-        if not math.isfinite(self.scale * float(patch.max())):  # inner_field may have a smaller scale
-            raise ValueError("activities scale * value must be finite")
         arr = self.values.copy()
         ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
-        arr[ax : ax + inner.width, ay : ay + inner.height] = patch
-        return ActivityField._derived(self.region, arr, self.scale)
+        arr[ax : ax + inner.width, ay : ay + inner.height] = inner_field.values_at(*inner.coords())
+        return ActivityField(self.region, arr, self.scale)
 
     def compose(self, site_map: Callable[[Site], Site]) -> "ActivityField":
         """Field with values ``x[site_map(v)]``; sites mapped outside the
         region pick up the neutral default 1.  ``site_map`` is called once,
         on the region's coordinate arrays ``region.coords()``."""
-        values = self.values_at(*site_map(self.region.coords()))
-        return ActivityField._derived(self.region, values, self.scale)
+        return ActivityField(self.region, self.values_at(*site_map(self.region.coords())), self.scale)
 
 
 def sample_field(
     spec: DisorderSpec, region: LatticeBox, scale: float, seed: ReplicaSeed
 ) -> ActivityField:
     """Draw the i.i.d. field on a region.  Deterministic in (spec, seed, site)."""
-    if spec.family == "constant":
-        return ActivityField(region, np.full((region.width, region.height), spec.params[0]), scale)
     u = philox_uniforms(seed.master_seed, seed.replica_index, *region.coords())
     return ActivityField(region, spec.from_uniform(u), scale)
 

@@ -171,7 +171,7 @@ def check_reflection_symmetry(instances: int, seed: int) -> CheckResult:
 
 
 def check_influence_sign(sides, lams, n_disorder: int, seed: int) -> CheckResult:
-    spec = DisorderSpec.bernoulli(0.7)
+    spec = DisorderSpec("bernoulli", (0.7,))
     worst = math.inf
     count = 0
     for side in sides:
@@ -196,7 +196,7 @@ def check_influence_contrast(replicas: int, seed: int) -> CheckResult:
         box = centered_box(side, side)
         field = ActivityField(box.expand(1), np.ones((side + 2, side + 2)), lam)
         pure_gap[side] = boundary_influence(box, field, (0, 0))
-    spec = DisorderSpec.bernoulli(0.7)
+    spec = DisorderSpec("bernoulli", (0.7,))
     medians = []
     for side in sides:
         box = centered_box(side, side)
@@ -217,7 +217,7 @@ def check_influence_contrast(replicas: int, seed: int) -> CheckResult:
 def check_annulus_and_pathwise(instances: int, seed: int) -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(seed)
     js, Ls, lams, tol = (1, 2), (3, 4), (1.0, 4.0), 1e-9
-    specs = (DisorderSpec.bernoulli(0.7), DisorderSpec.uniform(0.0, 2.0))
+    specs = (DisorderSpec("bernoulli", (0.7,)), DisorderSpec("uniform", (0.0, 2.0)))
     groups: dict[tuple[int, int], list[ActivityField]] = {}  # one stacked solve per (j, L)
     for k in range(instances):
         j, L = int(js[rng.integers(len(js))]), int(Ls[rng.integers(len(Ls))])
@@ -245,7 +245,7 @@ def check_estimate_bound(seed: int, combos=((1, 3), (2, 4)), replicas: int = 60)
     worst_ratio = 0.0
     for j, L in combos:
         for lam in (1.0, 4.0):
-            for spec in (DisorderSpec.bernoulli(0.5), DisorderSpec.uniform(0.0, 2.0)):
+            for spec in (DisorderSpec("bernoulli", (0.5,)), DisorderSpec("uniform", (0.0, 2.0))):
                 inside = sample_field(spec, box_lambda(j), lam, ReplicaSeed(seed, 10**6))
                 mean, err = estimate_response_gap(L, j, inside, spec, replicas, seed)
                 annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
@@ -259,7 +259,7 @@ def check_step1_mean(
     seed: int, lams=(1.0, 4.0), j: int = 2, L: int = 4, replicas: int = 400
 ) -> CheckResult:
     worst_z = 0.0
-    for spec in (DisorderSpec.bernoulli(0.5), DisorderSpec.uniform(0.0, 2.0)):
+    for spec in (DisorderSpec("bernoulli", (0.5,)), DisorderSpec("uniform", (0.0, 2.0))):
         for lam in lams:
             mean, stderr = _mean_stderr(sampled_response_gaps(L, j, spec, lam, seed, 0, replicas))
             worst_z = max(worst_z, abs(mean) / stderr)
@@ -290,7 +290,7 @@ def check_variance_band(
     a constant times the crossing probability and goes to zero as j grows.
     The cap alone does not force that in two dimensions.
     """
-    spec = spec or DisorderSpec.bernoulli(0.5)
+    spec = spec or DisorderSpec("bernoulli", (0.5,))
     gaps = [sampled_response_gaps(2 * j, j, spec, 4.0, seed, 0, replicas) for j in js]
     ratios = [float(g.var(ddof=1)) / (2 * j) ** 2 for j, g in zip(js, gaps)]
     ok = ratios[0] > 1e-4 and all(b < a / 2.0 for a, b in zip(ratios, ratios[1:]))

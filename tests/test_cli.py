@@ -119,7 +119,7 @@ def test_sweeps_sample_the_law_given(capsys):
     exact = rows("uniform:0,1.23456789")
     gaps = [float(row[7]) for row in exact]
     assert gaps != [float(row[7]) for row in rows("uniform:0,1.23457")]
-    fields = sample_fields(DisorderSpec.uniform(0, 1.23456789), box_lambda(2).expand(1), 1.0, 5, 0, 3)
+    fields = sample_fields(DisorderSpec("uniform", (0, 1.23456789)), box_lambda(2).expand(1), 1.0, 5, 0, 3)
     assert gaps == response_gap(2, box_lambda(1), fields).tolist()
     assert {row[5] for row in exact} == {"uniform:0,1.23456789"}
 
@@ -201,6 +201,18 @@ def test_sample_rows_are_reproducible(capsys):
     assert a == b
     rows = [ln for ln in a.strip().splitlines()[1:] if ",sample," in ln]
     assert len(rows) == 4
+
+
+def test_negative_seeds_wrap_to_uint64(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    argv = ["sample", "--box", "3x2", "--method", "exact", "--draws", "4", "--out", "-", "--seed"]
+    code, out, err = run_cli(argv + ["-1"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(argv + [str(2**64 - 1)], capsys)[1]
+    assert ",18446744073709551615," in out  # the seed column records the wrapped seed
+    code, out, _ = run_cli(["validate", "--seed", "-1"], capsys)
+    assert code == 0, out
+    assert "overall: PASS" in out
 
 
 def test_validate_flags_injected_engine_bug(capsys, monkeypatch):

@@ -263,7 +263,7 @@ def wide_columns(exponent):
 
 def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw():
     box = centered_box(12, 12)
-    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 5.0, ReplicaSeed(11, 0))
+    f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
     got = sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400)  # chunks of 173 draws
     assert got == draws_reference(box, f, EVEN_BC, np.random.default_rng(3), 400)
     assert len({frozenset(v for v in s if v[0] == box.x_min) for s in got}) < 100  # first columns repeat

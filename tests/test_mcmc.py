@@ -96,7 +96,7 @@ def test_sweep_preserves_independence_and_constraints():
 
 def test_extremes_are_the_unblocked_live_sublattices():
     box = centered_box(5, 4)
-    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 2.0, ReplicaSeed(5, 0))
+    f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 2.0, ReplicaSeed(5, 0))
     frame = EVEN_BC.frame_occupied(box, f.is_live)
     free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
     chain = GlauberChain(box, f, EVEN_BC)
@@ -107,7 +107,7 @@ def test_extremes_are_the_unblocked_live_sublattices():
 
 def test_extremes_are_ordered_and_stay_ordered():
     rng = np.random.default_rng(11)
-    spec = DisorderSpec.bernoulli(0.7)
+    spec = DisorderSpec("bernoulli", (0.7,))
     for rep in range(5):
         box = centered_box(4, 3)
         f = sample_field(spec, box.expand(1), 6.0, ReplicaSeed(17, rep))
@@ -161,7 +161,7 @@ def test_occupied_decodes_the_lower_half(h):
 
 
 def test_cftp_reuses_a_chain_only_for_the_same_field_box_and_frame(monkeypatch):
-    spec = DisorderSpec.bernoulli(0.7)
+    spec = DisorderSpec("bernoulli", (0.7,))
     f = sample_field(spec, box_lambda(3), 2.0, ReplicaSeed(3, 0))
     twin = ActivityField(f.region, f.values, f.scale)  # equal values, another object
     other = sample_field(spec, box_lambda(3), 2.0, ReplicaSeed(3, 1))
@@ -250,7 +250,7 @@ def test_cftp_reads_one_philox_generator_per_past_time(monkeypatch, n):
 
 def test_cftp_serves_boxes_taller_than_the_scan():
     box = centered_box(2, MAX_HEIGHT + 6)
-    f = sample_field(DisorderSpec.bernoulli(0.7), box.expand(1), 1.0, ReplicaSeed(7, 0))
+    f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 1.0, ReplicaSeed(7, 0))
     with pytest.raises(CapacityError):
         log_partition(box, f, EVEN_BC)
     for bc in (FREE_BC, EVEN_BC):

@@ -46,7 +46,7 @@ def test_response_is_zero_when_field_is_one_inside():
 
 def test_response_two_point_identity():
     # switching a single site on and off compares two explicit partitions
-    spec = DisorderSpec.uniform(0.5, 2.0)
+    spec = DisorderSpec("uniform", (0.5, 2.0))
     f = random_field(2, spec, 3.0, 0)
     inner = centered_box(1, 1)
     r = free_energy_response(2, inner, f, "odd")
@@ -81,7 +81,7 @@ def test_gap_is_zero_without_a_live_crossing():
 
 
 def test_gap_flips_sign_under_reflection():
-    spec = DisorderSpec.bernoulli(0.6)
+    spec = DisorderSpec("bernoulli", (0.6,))
     f = random_field(2, spec, 2.0, 3)
     mirrored = f.compose(reflect_theta)
     a = response_gap(2, box_lambda(1), f)
@@ -139,7 +139,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_response_gap_switches_each_field_off_once_and_solves_once_per_frame(monkeypatch):
-    fields = [random_field(3, DisorderSpec.uniform(0.0, 2.0), 4.0, rep) for rep in range(5)]
+    fields = [random_field(3, DisorderSpec("uniform", (0.0, 2.0)), 4.0, rep) for rep in range(5)]
     want = [response_gap(3, box_lambda(1), f) for f in fields]
     offs = _count_calls(monkeypatch, ActivityField, "switched_off")
     solves = _count_calls(monkeypatch, observables, "log_partition")
@@ -148,14 +148,14 @@ def test_response_gap_switches_each_field_off_once_and_solves_once_per_frame(mon
 
 
 def test_annulus_bound_check_solves_once_per_frame(monkeypatch):
-    fields = [random_field(3, DisorderSpec.bernoulli(0.7), 1.0, rep) for rep in range(5)]
+    fields = [random_field(3, DisorderSpec("bernoulli", (0.7,)), 1.0, rep) for rep in range(5)]
     solves = _count_calls(monkeypatch, observables, "log_partition")
     annulus_bound_check(3, 1, fields)
     assert len(solves) == 2
 
 
 def test_pathwise_bound_dominates_gap():
-    spec = DisorderSpec.uniform(0.0, 2.0)
+    spec = DisorderSpec("uniform", (0.0, 2.0))
     for rep in range(25):
         f = random_field(3, spec, 4.0, rep)
         gap = response_gap(3, box_lambda(1), f)
@@ -163,7 +163,7 @@ def test_pathwise_bound_dominates_gap():
 
 
 def test_annulus_bound_check_both_orders():
-    spec = DisorderSpec.bernoulli(0.7)
+    spec = DisorderSpec("bernoulli", (0.7,))
     box = box_lambda(3)
     fields = [random_field(3, spec, 1.0, 100 + rep) for rep in range(10)]
     for f in fields:
@@ -197,7 +197,7 @@ def test_boundary_influence_matches_table():
     p_even, p_odd = (occupation_probability(box, f, (0, 0), bc) for bc in ("even", "odd"))
     assert g == p_even - p_odd
     assert p_even > p_odd
-    spec = DisorderSpec.uniform(0.0, 2.0)
+    spec = DisorderSpec("uniform", (0.0, 2.0))
     stack = [sample_field(spec, box.expand(1), 2.0, ReplicaSeed(SEED, r)) for r in range(20)]
     table = influence_table(box, stack)
     for x, y in ((0, 0), (box.x_min, box.y_max)):
@@ -206,7 +206,7 @@ def test_boundary_influence_matches_table():
 
 
 def test_derivative_identity_on_random_instance():
-    spec = DisorderSpec.uniform(0.5, 1.5)
+    spec = DisorderSpec("uniform", (0.5, 1.5))
     f = random_field(2, spec, 1.0, 7)
     fd, marginal = derivative_identity_check(box_lambda(2), f, "even", (0, 1))
     assert marginal == occupation_probability(box_lambda(2), f, (0, 1), "even")
@@ -216,9 +216,9 @@ def test_derivative_identity_on_random_instance():
 def test_log_gain_mean_closed_forms_match_quadrature():
     # small scales are where an elementary antiderivative cancels to nothing
     cases = [
-        DisorderSpec.constant(2.0),
-        DisorderSpec.bernoulli(0.4),
-        DisorderSpec.uniform(0.0, 2.0),
+        DisorderSpec("constant", (2.0,)),
+        DisorderSpec("bernoulli", (0.4,)),
+        DisorderSpec("uniform", (0.0, 2.0)),
     ]
     for lam, spec in itertools.product((1e-12, 1e-8, 1e-5, 1.0, 3.0, 100.0), cases):
         got = log_gain_mean(spec, lam)
@@ -234,13 +234,13 @@ def test_log_gain_mean_closed_forms_match_quadrature():
 
 def test_per_site_gap_bound_scales():
     lam = 2.0
-    spec = DisorderSpec.gamma(2.0, 0.5)
+    spec = DisorderSpec("gamma", (2.0, 0.5))
     assert per_site_gap_bound(lam, spec) == pytest.approx(2.0 / lam * log_gain_mean(spec, lam))
-    assert per_site_gap_bound(lam, DisorderSpec.constant(0.0)) == 0.0
+    assert per_site_gap_bound(lam, DisorderSpec("constant", (0.0,))) == 0.0
 
 
 def test_sampled_gap_reproducible():
-    spec = DisorderSpec.bernoulli(0.5)
+    spec = DisorderSpec("bernoulli", (0.5,))
     a = sampled_response_gaps(2, 1, spec, 4.0, SEED, 0, 7)
     b = sampled_response_gaps(2, 1, spec, 4.0, SEED, 0, 7)
     assert np.array_equal(a, b)
@@ -251,7 +251,7 @@ def test_sampled_gap_reproducible():
 
 
 def test_estimate_response_gap_statistics():
-    spec = DisorderSpec.uniform(0.0, 2.0)
+    spec = DisorderSpec("uniform", (0.0, 2.0))
     inside = sample_field(spec, box_lambda(1), 2.0, ReplicaSeed(SEED, 999))
     mean, err = estimate_response_gap(3, 1, inside, spec, replicas=50, seed=SEED)
     assert err > 0
@@ -262,20 +262,20 @@ def test_estimate_response_gap_statistics():
 
 
 def test_estimate_requires_two_replicas():
-    spec = DisorderSpec.bernoulli(0.5)
+    spec = DisorderSpec("bernoulli", (0.5,))
     inside = sample_field(spec, box_lambda(1), 1.0, ReplicaSeed(SEED, 0))
     with pytest.raises(ValueError):
         estimate_response_gap(2, 1, inside, spec, replicas=1, seed=SEED)
 
 
 def test_sampled_gaps_under_constant_disorder_do_not_vary():
-    gaps = sampled_response_gaps(2, 1, DisorderSpec.constant(1.5), 2.0, SEED, 0, 30)
+    gaps = sampled_response_gaps(2, 1, DisorderSpec("constant", (1.5,)), 2.0, SEED, 0, 30)
     assert gaps.var(ddof=1) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
     # criterion 07's j = 1 battery: 16-site boxes, inside the oracle's cap
-    spec, lam, L, j = DisorderSpec.bernoulli(0.5), 4.0, 2, 1
+    spec, lam, L, j = DisorderSpec("bernoulli", (0.5,)), 4.0, 2, 1
     box = box_lambda(L)
     gaps = sampled_response_gaps(L, j, spec, lam, SEED + 8, 0, 50)
     for r in range(50):
@@ -293,7 +293,7 @@ def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
 
 def test_variance_band_fails_on_zero_gap():
     res = validation.check_variance_band(
-        seed=SEED, js=(1, 2), spec=DisorderSpec.constant(1.5), replicas=30
+        seed=SEED, js=(1, 2), spec=DisorderSpec("constant", (1.5,)), replicas=30
     )
     assert not res.passed
 
