@@ -65,10 +65,7 @@ def _fmt(x) -> str:
 
 def _records_to_csv(records: list[tuple]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([_fmt(x) for x in rec])
+    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *records])
     return buf.getvalue()
 
 
@@ -136,9 +133,9 @@ def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
 
 
 def _row_maker(args, j: int | None, L: int | None, label: str):
-    """The CSV row maker of one (j, L) group: (replica, observable, value, stderr)."""
-    return lambda r, observable, value, stderr=None: (
-        r, args.seed, j, L, args.lam, label, observable, value, stderr)
+    """The CSV row maker of one (j, L) group, its fields formatted once: (replica, observable, value, stderr)."""
+    group = (_fmt(args.seed), _fmt(j), _fmt(L), _fmt(args.lam), label)
+    return lambda r, observable, value, stderr=None: (str(r), *group, observable, _fmt(value), _fmt(stderr))
 
 
 def _at_least(value: int, least: int, flag: str) -> int:

@@ -104,9 +104,12 @@ class DisorderSpec:
         if fam == "gamma":
             return p[1] * scipy.special.gammaincinv(p[0], u)
         # pareto on 1 - u from (0, 1]; Python's scalar ** (libm pow) can differ
-        # from numpy's vector power in the last bit
+        # from numpy's vector power in the last bit, and raises past the largest float
         e = -1.0 / p[0]
-        return p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
+        try:
+            return p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
+        except OverflowError:
+            raise ValueError(f"a {self.label()} draw exceeds the largest float") from None
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,8 @@ def sample_field(
     spec: DisorderSpec, region: LatticeBox, scale: float, seed: ReplicaSeed
 ) -> ActivityField:
     """Draw the i.i.d. field on a region.  Deterministic in (spec, seed, site)."""
+    if spec.family == "constant":  # every site takes the one value: no uniforms to draw
+        return ActivityField(region, np.full((region.width, region.height), spec.params[0]), scale)
     u = philox_uniforms(seed.master_seed, seed.replica_index, *region.coords())
     return ActivityField(region, spec.from_uniform(u), scale)
 

@@ -167,44 +167,40 @@ def derivative_identity_check(
 def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
     """E[log(1 + scale*X)] under the disorder family.
 
-    Closed form for the constant and bernoulli families, adaptive quadrature
-    otherwise (relative tolerance 1e-10).  The uniform family's elementary
-    antiderivative is not used: it cancels to nothing at small scales.
+    Closed form for the constant and bernoulli families, otherwise adaptive
+    quadrature (relative tolerance 1e-10) against the density written out; a
+    quadrature that does not converge raises ValueError, as its value is no
+    bound.  The uniform family's elementary antiderivative is not used: it
+    cancels to nothing at small scales.
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    p = spec.params
-    fam = spec.family
+    p, fam = spec.params, spec.family
     if fam == "constant":
         return math.log1p(scale * p[0])
     if fam == "bernoulli":
         return p[0] * math.log1p(scale)
     import scipy.integrate  # here, not at module level: most runs never need scipy
 
+    lo, hi = 0.0, np.inf
     if fam == "uniform":
         lo, hi = p
-
-        def pdf(x: float) -> float:
-            return 1.0 / (hi - lo)
-
+        pdf = lambda x: 1.0 / (hi - lo)
     elif fam == "pareto":
-        alpha, x_min = p
-
-        def pdf(x: float) -> float:
-            return alpha * x_min**alpha * x ** (-alpha - 1.0)
-
-        lo, hi = x_min, np.inf
-    else:  # lognormal or gamma, the only families whose pdf needs scipy.stats
-        import scipy.stats
-
-        if fam == "lognormal":
-            pdf = scipy.stats.lognorm(s=p[1], scale=math.exp(p[0])).pdf
-        else:
-            pdf = scipy.stats.gamma(a=p[0], scale=p[1]).pdf
-        lo, hi = 0.0, np.inf
-    val, _ = scipy.integrate.quad(
-        lambda x: math.log1p(scale * x) * pdf(x), lo, hi, epsabs=0.0, epsrel=1e-10, limit=200
+        alpha, lo = p
+        pdf = lambda x: alpha * lo**alpha * x ** (-alpha - 1.0)
+    elif fam == "lognormal":
+        m, s = p
+        pdf = lambda x: math.exp(-((math.log(x) - m) ** 2) / (2.0 * s * s)) / (x * s * math.sqrt(2.0 * math.pi))
+    else:  # gamma
+        k, theta = p
+        pdf = lambda x: math.exp((k - 1.0) * math.log(x / theta) - x / theta - math.lgamma(k)) / theta
+    val, _, _, *msg = scipy.integrate.quad(
+        lambda x: math.log1p(scale * x) * pdf(x), lo, hi, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1
     )
+    if msg:
+        raise ValueError(f"E[log(1 + lambda*X)] under {spec.label()} at lambda={scale!r}: "
+                         f"quadrature did not converge ({msg[0].splitlines()[0].strip()})")
     return val
 
 

@@ -432,6 +432,19 @@ def test_fluctuations_refuse_a_subnormal_lambda_as_free_energy_does(capsys):
     assert len(rows) == 6 and all(math.isfinite(float(row[7])) for row in rows)
 
 
+def test_pareto_draws_past_the_largest_float_exit_one(capsys):
+    # (1 - u)**-100 passes 1.8e308 at some site of this 22x22 region
+    code, out, err = run_cli(["logz", "--j", "10", "--field", "pareto:0.01,1", "--seed", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "pareto:0.01,1" in err
+
+
+def test_a_gap_bound_whose_quadrature_does_not_converge_exits_one(capsys):
+    # quad stops at -24 for this cap on |gap|; the gain by mpmath makes it 7.54e5
+    assert_count_error(["free-energy", "--j", "1", "--L", "2", "--replicas", "4", "--disorder", "pareto:0.5,1",
+                        "--lambda", "1e-8", "--seed", "1", "--out", "-"], capsys)
+
+
 def test_free_energy_needs_two_replicas(capsys):
     # one replica has no standard error, none has no ratio
     for n in ("1", "0"):

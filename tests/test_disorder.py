@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardcore2d import disorder
 from hardcore2d.disorder import (
     ActivityField,
     DisorderSpec,
@@ -308,6 +309,18 @@ def test_sample_fields_are_keyed_replicas_and_blocks_tile(text):
     whole = sample_fields(spec, region, 1.5, master, 0, 9)
     assert [f.values.tobytes() for f in tiled] == [f.values.tobytes() for f in whole]
     assert sample_fields(spec, region, 1.5, master, 4, 4) == []
+
+
+def test_a_constant_law_draws_no_uniforms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a constant law drew uniforms")
+
+    monkeypatch.setattr(disorder, "philox_uniforms", refuse)
+    region = LatticeBox(-7, 6, -3, 10)
+    field = sample_field(DisorderSpec("constant", (2.5,)), region, 1.5, ReplicaSeed(11, 3))
+    assert field == ActivityField(region, np.full((14, 14), 2.5), 1.5)
+    block = sample_fields(DisorderSpec("constant", (0.0,)), region, 2.0, 5, 0, 3)
+    assert block == [ActivityField(region, np.zeros((14, 14)), 2.0)] * 3
 
 
 def test_gamma_and_lognormal_are_inverse_cdf_draws():

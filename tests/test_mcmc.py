@@ -13,7 +13,7 @@ from hardcore2d.lattice import (
     EVEN_BC, FREE_BC, MAX_SIDE, LatticeBox, box_lambda, centered_box, is_even, neighbours)
 from hardcore2d.mcmc import GlauberChain, cftp_sample
 from hardcore2d.oracle import enumerate_independent_sets
-from hardcore2d.validation import check_monotone_order
+from hardcore2d.validation import _chi2_p, check_cftp_exactness, check_monotone_order
 
 
 def uniform_field(box, value=1.0, scale=1.0):
@@ -202,6 +202,21 @@ def test_cftp_agrees_with_exact_sampler():
         counts[1, states[s]] += 1
     _, p, _, _ = scipy.stats.chi2_contingency(counts)
     assert p > 1e-3
+
+
+def test_chi_square_p_is_chi2_contingencys():
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        k = int(rng.integers(3, 21))
+        counts = rng.integers(0, int(rng.integers(2, 5000)), size=(2, k))
+        counts[:, counts.sum(axis=0) == 0] = 1  # every state drawn by some sampler
+        assert _chi2_p(counts) == scipy.stats.chi2_contingency(counts)[1]
+
+
+def test_cftp_check_refuses_a_state_neither_sampler_drew():
+    # 3 + 3 draws cannot cover the 7 states of the 2x2 box; a NaN p would pass min
+    with pytest.raises(ValueError):
+        check_cftp_exactness(draws=3, seed=1)
 
 
 def test_cftp_respects_even_frame():

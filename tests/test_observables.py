@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.stats
 
 from hardcore2d import disorder, observables, validation
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
@@ -230,6 +229,24 @@ def test_log_gain_mean_closed_forms_match_quadrature():
             a, b = spec.params
             want, _ = scipy.integrate.quad(lambda x: math.log1p(lam * x) / (b - a), a, b)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_lognormal_and_gamma_gains_match_scipy_densities():
+    import scipy.stats  # the reference densities; the package writes its own
+
+    laws = [(DisorderSpec("lognormal", (0.3, s)), scipy.stats.lognorm(s=s, scale=math.exp(0.3)))
+            for s in (0.5, 1.0, 3.0)]
+    laws += [(DisorderSpec("gamma", (k, 1.5)), scipy.stats.gamma(a=k, scale=1.5)) for k in (0.05, 0.5, 2.0)]
+    for lam, (spec, law) in itertools.product((1e-8, 1e-3, 1.0, 100.0), laws):
+        want, _ = scipy.integrate.quad(lambda x: math.log1p(lam * x) * law.pdf(x), 0.0, np.inf,
+                                       epsabs=0.0, epsrel=1e-10, limit=200)
+        assert log_gain_mean(spec, lam) == pytest.approx(want, rel=1e-10), (spec, lam)
+
+
+def test_a_gain_whose_quadrature_does_not_converge_is_refused():
+    # the gain is 3.1415e-4 here; quad stops at a value of the wrong sign and says so
+    with pytest.raises(ValueError, match=r"pareto:0\.5,1 at lambda=1e-08: quadrature did not converge"):
+        log_gain_mean(DisorderSpec("pareto", (0.5, 1.0)), 1e-8)
 
 
 def test_per_site_gap_bound_scales():

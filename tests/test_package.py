@@ -85,7 +85,7 @@ def test_bernoulli_sweeps_and_cftp_sampling_load_no_scipy():
 
 
 def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
-    # uniform's pdf is a constant, so only the lognormal and gamma gains need scipy.stats
+    # every gain writes its density out, so none needs scipy.stats
     u = [0.1, 0.5, 0.9]
     out = run_fresh(f"""
         from hardcore2d.disorder import DisorderSpec
@@ -103,4 +103,18 @@ def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
     assert {"scipy.special", "scipy.integrate"} <= set(out[3])
     assert "scipy.stats" not in out[3]
     assert out[4] == log_gain_mean(DisorderSpec.parse("lognormal:0,1"), 3.0)
-    assert "scipy.stats" in out[5]
+    assert "scipy.stats" not in out[5]
+
+
+def test_gains_and_the_cftp_check_load_no_scipy_stats():
+    out = run_fresh(f"""
+        from hardcore2d.disorder import DisorderSpec
+        from hardcore2d.observables import log_gain_mean
+        from hardcore2d.validation import check_cftp_exactness
+        print(json.dumps([log_gain_mean(DisorderSpec.parse(t), 3.0) > 0 for t in ("lognormal:0,1", "gamma:0.5,2")]))
+        print(json.dumps(check_cftp_exactness(draws=200, seed=1).passed))
+        {SCIPY_LOADED}
+    """)
+    assert out[:2] == [[True, True], True]
+    assert {"scipy.special", "scipy.integrate"} <= set(out[2])
+    assert not [m for m in out[2] if m.startswith("scipy.stats")]
