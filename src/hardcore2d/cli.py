@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,7 +45,6 @@ from .observables import (
     response_gap,
     sampled_response_gaps,
 )
-from .validation import CheckResult, run_quick_suite
 
 ENV_SEED = "HARDCORE_SEED"
 CSV_COLUMNS = ("replica", "seed", "j", "L", "lambda", "disorder", "observable", "value", "stderr")
@@ -152,6 +150,8 @@ def _workers(args) -> int:
 def _pmap(fn, items, workers: int):
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # here, not at module level: most runs never start a pool
+
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=chunk))
@@ -315,7 +315,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _determinism_check(seed: int) -> CheckResult:
+def _determinism_check(seed: int):
+    from .validation import CheckResult  # here, not at module level: only validate runs the checks
+
     cfg = [(4, 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
     seq = [_fmt(g) for t in cfg for g in _influence_task(t)]
     par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g in block]
@@ -323,6 +325,8 @@ def _determinism_check(seed: int) -> CheckResult:
 
 
 def cmd_validate(args) -> int:
+    from .validation import run_quick_suite  # here, not at module level: only validate runs the checks
+
     results = run_quick_suite(args.seed)
     results.append(_determinism_check(args.seed))
     width = max(len(r.name) for r in results)

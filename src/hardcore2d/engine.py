@@ -14,8 +14,8 @@ next.  Marginals meet forward and transposed-step vectors at column edges,
 and a fold takes rows r = H-1..0: the masks with top bit r are the tail after
 the first F(r+2), whose sum is row r's mass and which adds onto the masks
 without bit r.  Exact draws share one backward pass: every draw picks its
-columns left to right from the same suffix vectors, with its own uniforms,
-and draws that picked the same previous column share one CDF row.
+columns left to right from the same suffix vectors by a bisection on its own
+uniform, and draws that picked the same previous column share one CDF row.
 
 Each column ends divided by its maximum.  Within a column the maximum never
 decreases and grows by at most 2(1 + a) per site, and the float-type rule
@@ -56,7 +56,7 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_c
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
-_DRAW_ENTRIES = 1 << 16  # cap on a (draws x masks) temporary of sample_exact
+_DRAW_ENTRIES = 1 << 16  # cap on the (CDF rows x masks) tables sample_exact builds at once
 _SCAN_ENTRIES = 1 << 16  # cap on the table and stored-vector entries of one chunk of a stack
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
 _FLOAT_BITS = np.array([bits for _, bits in _FLOATS])
@@ -279,6 +279,19 @@ def occupation_probability(
     return probs[v] if isinstance(probs, dict) else probs[:, v[0] - box.x_min, v[1] - box.y_min]
 
 
+def _bisect(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, the number of entries of its non-decreasing row ``cdf[row]``
+    that are <= u, as searchsorted(side="right"): one bisection for all draws,
+    keeping every entry before ``base`` <= u and every one from base + size > u."""
+    size, flat = cdf.shape[1], cdf.ravel()
+    first = base = row * size
+    while size > 1:
+        probe = base + size // 2
+        base = np.where(flat[probe] <= u, probe, base)
+        size -= size // 2
+    return base - first + (flat[base] <= u)
+
+
 def sample_exact(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC,
     rng: np.random.Generator | int | None = None, draws: int = 1,
@@ -289,8 +302,8 @@ def sample_exact(
     CDF, as ``Generator.choice`` does, with the uniform
     ``rng.random((draws, W))[i, x]``, so the draws do not depend on how many
     are asked for at once.  Draws whose previous columns agree share one CDF
-    row, built as for a single draw.  Chunks of draws keep each (draws x
-    masks) temporary within _DRAW_ENTRIES entries.
+    row, built as for a single draw, and bisect it.  Chunks of at most
+    _DRAW_ENTRIES entries (rows x masks) serve slices of the draws by row.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -298,20 +311,22 @@ def sample_exact(
     ((_, scan),) = _scans(box, [field], bc)
     masks = scan.plan.masks
     betas = list(scan.backward())[::-1]
-    columns = [scan.column(x) for x in range(box.width)]
     chunk = max(1, _DRAW_ENTRIES // len(masks))
-    drawn = []  # per draw, the picked mask of each column
-    for start in range(0, draws, chunk):
-        u = gen.random((min(chunk, draws - start), box.width))
-        picked = np.zeros((len(u), box.width + 1), dtype=np.int64)  # column 0: left of the box
-        for x, (beta, column) in enumerate(zip(betas, columns)):
-            prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
-            weights = np.where(masks & prev[:, None], 0.0, column)
-            weights /= weights.max(axis=1, keepdims=True)  # per row: a draw ignores its chunk
+    u = gen.random((draws, box.width))
+    picked = np.zeros((draws, box.width + 1), dtype=np.int64)  # column 0: left of the box
+    for x, beta in enumerate(betas):
+        column = scan.column(x)
+        prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
+        order = np.argsort(row, kind="stable") if len(prev) > chunk else slice(None)  # the draws by row
+        for start in range(0, len(prev), chunk):
+            weights = np.where(masks & prev[start : start + chunk, None], 0.0, column)
+            weights /= weights.max(axis=1, keepdims=True)  # per row: a row ignores its chunk
             weights *= beta
             cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            picked[:, x + 1] = masks[(cdf[row] <= u[:, x, None]).sum(axis=1)]  # searchsorted(side="right")
-        drawn += picked[:, 1:].tolist()
+            d = order if len(prev) <= chunk else order[
+                slice(*np.searchsorted(row, (start, start + chunk), sorter=order))]
+            picked[d, x + 1] = masks[_bisect(cdf, row[d] - start, u[d, x])]
+    drawn = picked[:, 1:].tolist()
     sites = [{m: column_sites(x, box.y_min, m) for m in set(col)} for x, col in enumerate(zip(*drawn), box.x_min)]
     return [frozenset().union(*map(dict.__getitem__, sites, row)) for row in drawn]

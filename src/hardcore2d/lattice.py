@@ -101,6 +101,10 @@ class LatticeBox:
         return np.arange(self.x_min, self.x_max + 1)[:, None], np.arange(self.y_min, self.y_max + 1)[None, :]
 
     def expand(self, k: int = 1) -> "LatticeBox":
+        """The box and its k-site ring: the region of a field that dilutes the frame too."""
+        if max(self.width, self.height) + 2 * k > MAX_SIDE:
+            raise ValueError(f"box sides are capped at {MAX_SIDE - 2 * k}: the field also covers a {k}-site ring "
+                             f"around the box, and field sides are capped at {MAX_SIDE}")
         return LatticeBox(self.x_min - k, self.x_max + k, self.y_min - k, self.y_max + k)
 
     def translated(self, a: Site) -> "LatticeBox":

@@ -164,14 +164,38 @@ def derivative_identity_check(
     return float((up - dn) / (2.0 * h)), occupation_probability(box, field, v, bc)
 
 
+def _pareto_log_gain(alpha: float, c: float) -> float:
+    """E log(1 + cT), T Pareto with index alpha and minimum 1, in closed form.
+
+    By parts, then s = 1/t: log1p(c) + J(c), J(c) = int_0^1 c s^(alpha-1) /
+    (c + s) ds = 2F1(1, alpha; alpha + 1; -1/c) / alpha (Euler's integral).
+    scipy's hyp2f1 holds to a few ulps for c >= 1/2; below, it meets Gamma
+    poles at integer alpha (inf at alpha = 1).  There J splits at s = 2c into
+    (2c)^alpha J(1/2) and the sum over k of (-1)^k c^(k+1) int_2c^1
+    s^(alpha-2-k) ds = L c^(k+1) exprel(x), L = -log(2c), x = (k+1-alpha) L,
+    ratio <= 1/2; for x > 0 that term is L 2^-(k+1) (2c)^alpha exprel(-x).
+    """
+    import scipy.special  # here, not at module level: most runs never need scipy
+
+    j = lambda b: scipy.special.hyp2f1(1.0, alpha, alpha + 1.0, -1.0 / b) / alpha  # J(b)
+    if c >= 0.5:
+        return math.log1p(c) + j(c)
+    if c == 0.0:
+        raise ValueError("lambda * x_min underflows to 0 for a pareto gap bound")
+    k1, log_inv = np.arange(1, 61), -math.log(2.0 * c)  # k + 1; the 61st term is < 2^-60 of the first
+    x = (k1 - alpha) * log_inv
+    terms = np.where(x <= 0.0, c**k1, 0.5**k1 * (2.0 * c) ** alpha) * scipy.special.exprel(-np.abs(x))
+    return math.log1p(c) + (2.0 * c) ** alpha * j(0.5) + log_inv * float(terms[::2].sum() - terms[1::2].sum())
+
+
 def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
     """E[log(1 + scale*X)] under the disorder family.
 
-    Closed form for the constant and bernoulli families, otherwise adaptive
-    quadrature (relative tolerance 1e-10) against the density written out; a
-    quadrature that does not converge raises ValueError, as its value is no
-    bound.  The uniform family's elementary antiderivative is not used: it
-    cancels to nothing at small scales.
+    Closed form for the constant, bernoulli and pareto families, otherwise
+    adaptive quadrature (relative tolerance 1e-10) against the density written
+    out; a quadrature that does not converge raises ValueError, as its value
+    is no bound.  The uniform family's elementary antiderivative is not used:
+    it cancels to nothing at small scales.
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
@@ -180,15 +204,14 @@ def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
         return math.log1p(scale * p[0])
     if fam == "bernoulli":
         return p[0] * math.log1p(scale)
+    if fam == "pareto":
+        return _pareto_log_gain(p[0], scale * p[1])
     import scipy.integrate  # here, not at module level: most runs never need scipy
 
     lo, hi = 0.0, np.inf
     if fam == "uniform":
         lo, hi = p
         pdf = lambda x: 1.0 / (hi - lo)
-    elif fam == "pareto":
-        alpha, lo = p
-        pdf = lambda x: alpha * lo**alpha * x ** (-alpha - 1.0)
     elif fam == "lognormal":
         m, s = p
         pdf = lambda x: math.exp(-((math.log(x) - m) ** 2) / (2.0 * s * s)) / (x * s * math.sqrt(2.0 * math.pi))

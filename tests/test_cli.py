@@ -1,4 +1,5 @@
 """Command-line front end: outputs, determinism, error handling."""
+import concurrent.futures
 import csv
 import io
 import json
@@ -440,9 +441,18 @@ def test_pareto_draws_past_the_largest_float_exit_one(capsys):
 
 
 def test_a_gap_bound_whose_quadrature_does_not_converge_exits_one(capsys):
-    # quad stops at -24 for this cap on |gap|; the gain by mpmath makes it 7.54e5
-    assert_count_error(["free-energy", "--j", "1", "--L", "2", "--replicas", "4", "--disorder", "pareto:0.5,1",
+    # quad detects roundoff for this cap on |gap|; the gain by mpmath makes it 9.72e5
+    assert_count_error(["free-energy", "--j", "1", "--L", "2", "--replicas", "4", "--disorder", "lognormal:0,5",
                         "--lambda", "1e-8", "--seed", "1", "--out", "-"], capsys)
+
+
+def test_a_pareto_gap_bound_is_the_closed_form(capsys):
+    # quad printed 12 * 2/lambda * 6.0000000075e-08 with no message; mpmath gives 5.8657447853911...e-08
+    code, out, _ = run_cli(["free-energy", "--j", "1", "--L", "2", "--replicas", "4", "--disorder", "pareto:1.2,1",
+                            "--lambda", "1e-8", "--seed", "1", "--out", "-"], capsys)
+    assert code == 0
+    summary = {row[6]: float(row[7]) for row in csv.reader(io.StringIO(out)) if row[0] == "-1"}
+    assert summary["expected_gap_bound"] == pytest.approx(12 * 2 / 1e-8 * 5.8657447853911e-08, rel=1e-12)
 
 
 def test_free_energy_needs_two_replicas(capsys):
@@ -479,6 +489,17 @@ def test_bad_box_names_its_fault(capsys, box, message):
     assert message in err
 
 
+def test_sides_past_62_are_refused_for_the_field_ring(capsys):
+    # each command samples its field on the box and its one-site ring, whose sides are capped at 64
+    for argv in (["sample", "--box", "2x63", "--method", "cftp"], ["logz", "--box", "63x2"],
+                 ["influence", "--sides", "64", "--replicas", "1"], ["free-energy", "--j", "1", "--L", "32"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "box sides are capped at 62: the field also covers a 1-site ring" in err
+    for argv in (["sample", "--box", "2x62", "--method", "cftp"], ["logz", "--box", "62x2"]):
+        assert run_cli(argv, capsys)[0] == 0
+
+
 def test_sample_needs_a_draw(capsys):
     for n in ("0", "-1"):
         assert_count_error(["sample", "--box", "2x2", "--draws", n], capsys)
@@ -505,7 +526,7 @@ def test_workers_capped_at_cpu_count(argv, capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)  # _pmap imports it on use
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, many, _ = run_cli(argv + ["--workers", "64"], capsys)
     assert code == 0 and seen == [2]

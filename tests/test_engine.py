@@ -261,14 +261,32 @@ def wide_columns(exponent):
     return box, ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
 
 
-def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw():
+def test_bisection_counts_the_entries_at_most_u_as_searchsorted():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 8, 55, 377):
+        mass = rng.random((5, n)) * (rng.random((5, n)) < 0.6)  # zero-mass masks repeat a CDF value
+        mass[:, rng.integers(0, n)] += 1.0
+        cdf = mass.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        row = rng.integers(0, 5, 300)
+        u = rng.random(300)
+        u[:100] = cdf[row[:100], rng.integers(0, n, 100)]  # exactly at an entry
+        u[100:120] = 0.0
+        got = engine._bisect(cdf, row, u)
+        assert got.tolist() == [np.searchsorted(cdf[r], x, side="right") for r, x in zip(row, u)]
+
+
+def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw(monkeypatch):
     box = centered_box(12, 12)
     f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
-    got = sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400)  # chunks of 173 draws
+    got = sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400)  # 377 masks: 173 CDF rows a chunk
     assert got == draws_reference(box, f, EVEN_BC, np.random.default_rng(3), 400)
     assert len({frozenset(v for v in s if v[0] == box.x_min) for s in got}) < 100  # first columns repeat
+    monkeypatch.setattr(engine, "_DRAW_ENTRIES", 64)  # one CDF row a chunk, each for a slice of the draws
+    assert sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400) == got
+    monkeypatch.undo()
     for exponent in (1, 600) if WIDE else (1,):
-        box, f = wide_columns(exponent)  # one chunk holds 3 draws
+        box, f = wide_columns(exponent)  # 17711 masks: 3 CDF rows a chunk
         got = sample_exact(box, f, EVEN_BC, np.random.default_rng(5), draws=10)
         assert got == draws_reference(box, f, EVEN_BC, np.random.default_rng(5), 10)
 
@@ -279,7 +297,7 @@ def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw():
         not WIDE, reason="needs an 80- or 128-bit np.longdouble")),
 ])
 def test_draws_do_not_depend_on_the_batch_size(exponent, dtype):
-    # 20 rows have 17711 masks, so one chunk of the batch holds 3 draws
+    # 20 rows have 17711 masks, so a chunk builds 3 CDF rows and the 10 draws need several
     box, f = wide_columns(exponent)
     ((_, scan),) = engine._scans(box, [f], EVEN_BC)
     assert scan.dtype == dtype

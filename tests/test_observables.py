@@ -244,9 +244,40 @@ def test_lognormal_and_gamma_gains_match_scipy_densities():
 
 
 def test_a_gain_whose_quadrature_does_not_converge_is_refused():
-    # the gain is 3.1415e-4 here; quad stops at a value of the wrong sign and says so
-    with pytest.raises(ValueError, match=r"pareto:0\.5,1 at lambda=1e-08: quadrature did not converge"):
-        log_gain_mean(DisorderSpec("pareto", (0.5, 1.0)), 1e-8)
+    # the gain is 4.049e-4 here; quad detects roundoff and says so
+    with pytest.raises(ValueError, match=r"lognormal:0,5 at lambda=1e-08: quadrature did not converge"):
+        log_gain_mean(DisorderSpec("lognormal", (0.0, 5.0)), 1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.9, 1.0, 1.2, 2.0, 2.5, 10.0, 100.0])
+def test_pareto_gain_reaches_both_limits(alpha):
+    # E log(1 + cT) -> pi c^alpha / sin(pi alpha) (alpha < 1), c (1 + log(1/c)) (alpha = 1),
+    # c alpha / (alpha - 1) (alpha > 1) as c -> 0, and log c + 1 / alpha as c -> inf;
+    # x_min = 2 enters through c = lambda x_min
+    small, large = 1e-300, 1e300
+    if alpha < 1:
+        want = math.pi * small**alpha / math.sin(math.pi * alpha)
+    else:
+        want = small * (1.0 - math.log(small)) if alpha == 1 else small * alpha / (alpha - 1)
+    assert log_gain_mean(DisorderSpec("pareto", (alpha, 2.0)), small / 2) == pytest.approx(want, rel=1e-15)
+    want = math.log(large) + 1.0 / alpha
+    assert log_gain_mean(DisorderSpec("pareto", (alpha, 2.0)), large / 2) == pytest.approx(want, rel=1e-15)
+
+
+def test_pareto_gain_matches_quadrature_wherever_it_converges():
+    # split at 1/lambda, where the integrand changes regime, so that quad resolves it
+    checked = 0
+    for alpha, lam in itertools.product((0.02, 0.1, 0.5, 0.9, 1.0, 1.2, 2.0, 3.0, 5.5, 10.0),
+                                        (1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.7, 1.0, 3.0, 100.0, 1e6)):
+        f = lambda x: math.log1p(lam * x) * alpha * x ** (-alpha - 1.0)
+        want, converged = 0.0, True
+        for lo, hi in ((1.0, 1.0 + 1.0 / lam), (1.0 + 1.0 / lam, np.inf)):
+            val, _, _, *msg = scipy.integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
+            want, converged = want + val, converged and not msg
+        if converged:
+            checked += 1
+            assert log_gain_mean(DisorderSpec("pareto", (alpha, 1.0)), lam) == pytest.approx(want, rel=1e-10)
+    assert checked > 50
 
 
 def test_per_site_gap_bound_scales():

@@ -67,6 +67,11 @@ def test_importing_the_cli_loads_no_scipy():
     assert run_fresh("import hardcore2d.cli\n" + SCIPY_LOADED) == [[]]
 
 
+def test_importing_the_cli_loads_no_process_pool_and_no_validation_suite():
+    loaded = "print(json.dumps([m in sys.modules for m in ('concurrent.futures.process', 'hardcore2d.validation')]))"
+    assert run_fresh("import hardcore2d.cli\n" + loaded) == [[False, False]]
+
+
 def test_bernoulli_sweeps_and_cftp_sampling_load_no_scipy():
     out = run_fresh(f"""
         import contextlib, io
