@@ -8,26 +8,37 @@ F(r+3) * F(H-r+1) entries (F = Fibonacci) against F(H+2)^2 for a column
 transfer matrix.  Both index sets follow the Fibonacci order that splits on
 the bit added or consumed next, so a site step needs no gathers: T[:, :f1]
 (consumed bit clear) plus T[:, f1:] folded into its first w1 columns, then the
-rows T[:keep] times the activity for the new bit.  At full height lo is
-ascending mask order; a cached permutation per height hands a column to the
-next.  Marginals meet forward and transposed-step vectors at column edges,
-and a fold takes rows r = H-1..0: the masks with top bit r are the tail after
-the first F(r+2), whose sum is row r's mass and which adds onto the masks
-without bit r.  Exact draws share one backward pass: every draw picks its
-columns left to right from the same suffix vectors by a bisection on its own
-uniform, and draws that picked the same previous column share one CDF row.
+rows T[:keep] times the activity for the new bit.  Marginals meet forward and
+transposed-step vectors at column edges, and a fold takes rows r = H-1..0:
+the masks with top bit r are the tail after the first F(r+2), whose sum is
+row r's mass and which adds onto the masks without bit r.  Exact draws share
+one backward pass: every draw picks its columns left to right from the same
+suffix vectors by a bisection on its own uniform, and draws that picked the
+same previous column share one CDF row.
 
-Each column ends divided by its maximum.  Within a column the maximum never
-decreases and grows by at most 2(1 + a) per site, and the float-type rule
-below keeps H + sum log2(1 + a) of every column inside the exponent range, so
-no column overflows between rescales.  Rescaling flushes entries 2^1022 below
-the maximum, which matter only if the sites next to the frontier (in two
-adjacent columns) lift their completion past that factor.  So the scan runs
-in float64 while sum log2(1 + a) over two adjacent columns stays
-_SAFETY_BITS inside its exponent range, else in long double (wider only where
-np.longdouble has 80 or 128 bits), else it raises CapacityError, as for a
-zero or non-finite maximum.  Zero activities and frame-blocked sites forbid
-bits; the empty pattern keeps log Z >= 0.
+Only rows where some instance has a nonzero activity carry bits: the tables
+index the masks of the live rows p of column x (lo) and q of column x-1 (hi),
+sized by _sizes(p, q) (with every row live: the per-height plan); lo ends
+ascending and hi starts bit-reversed, the plan's orders restricted to p.  A
+dropped entry is an exact zero of the full tables, a kept one sees the same
+operations, and column vectors go back over all masks, so every output is bit
+for bit that of the full tables.  Below height _LIVE_ROWS_FROM every row counts
+as live: per column, sizes, orders and views cost more there than dead rows
+save (log Z, one new bernoulli:0.7 field, lambda 5, even frame, median of 60:
+1.86 ms against 1.55 all-live at side 16, 2.18 against 2.15 at 17, 2.52 against
+3.46 at 18).
+
+Each column ends divided by its maximum, at least 1 as the empty column carries
+the last.  Within a column the maximum never decreases and grows by at most
+2(1 + a) per site, and the float-type rule below keeps H + sum log2(1 + a) of
+every column inside the exponent range, so no column overflows between rescales.
+Rescaling flushes entries 2^1022 below the maximum, which matter only if the
+sites next to the frontier (in two adjacent columns) lift their completion past
+that factor.  So the scan runs in float64 while sum log2(1 + a) over two
+adjacent columns stays _SAFETY_BITS inside its exponent range, else in long
+double (wider only where np.longdouble has 80 or 128 bits), else it raises
+CapacityError, as for an infinite maximum.  Zero activities and frame-blocked
+sites forbid bits; the empty pattern keeps log Z >= 0.
 
 The scan runs on a stack of instances (one box and frame, many fields): every
 table has a leading instance axis, so one numpy call steps the whole stack,
@@ -35,16 +46,14 @@ and a single field is a stack of one.  log_partition, occupation_probabilities
 and occupation_probability take one ActivityField or a sequence; a sequence
 is grouped by each instance's float type and cut into chunks that hold at most
 _SCAN_ENTRIES entries: instances x (largest table + the column vectors the
-marginals store), about 1 MB of float64 with the two ping-pong buffers.  So
-log Z runs up to 963 side-8 or 140 side-12 boxes at once and side 22 one at
-a time, and a stacked sweep needs little more memory than a loop over its
-boxes.  Site steps and the marginal fold are elementwise across instances,
-and log scales and sums run along each instance's masks as for one field,
-with no BLAS call, so every instance's result is bit for bit what it is alone.
+marginals store), about 1 MB of float64.  So log Z runs up to 963 side-8 or
+140 side-12 boxes at once and side 22 one at a time.  Site steps and the
+marginal fold are elementwise across instances, and log scales and sums run
+along each instance's masks as for one field, with no BLAS call, so every
+instance's result is bit for bit what it is alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -52,52 +61,55 @@ import numpy as np
 
 from .disorder import ActivityField, stacked_values
 from .errors import CapacityError
-from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition, column_sites
+from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition, column_sites, frame_cells
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
 _DRAW_ENTRIES = 1 << 16  # cap on the (CDF rows x masks) tables sample_exact builds at once
 _SCAN_ENTRIES = 1 << 16  # cap on the table and stored-vector entries of one chunk of a stack
+_LIVE_ROWS_FROM = 17  # below this box height every row counts as live
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
-_FLOAT_BITS = np.array([bits for _, bits in _FLOATS])
+_FLOAT_BITS = np.array([bits - _SAFETY_BITS for _, bits in _FLOATS])
 
 Fields = Union[ActivityField, Sequence[ActivityField]]
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """Slice sizes and orders of the scan for one column height."""
+@lru_cache(maxsize=128)  # a call needs one entry per column pair; an entry holds ~4 KB at height 22
+def _sizes(p: int, q: int, height: int) -> tuple[tuple, tuple]:
+    """A column with live rows ``p`` (bit r: row r) next to one with live rows
+    ``q``: per row that changes the table, (r, top = N(r), rows T[:keep = K(r)],
+    f1, w1), and the table shapes before each such row and after the last."""
+    k, n, w, m = [0], [1], [0], [1]  # K(r - 1), N(r) and w1(r), M(r) from row H down
+    for r in range(height):  # the masks without the bit next to the new one take it
+        k.append(n[-1] - k[-1] if p >> r & 1 else 0)
+        n.append(n[-1] + k[-1])
+        w.append(m[-1] - w[-1] if q >> (height - 1 - r) & 1 else 0)
+        m.append(m[-1] + w[-1])
+    rows = [r for r in range(height) if k[r + 1] or w[height - r]]
+    return (tuple((r, n[r], slice(0, k[r + 1]), m[height - r - 1], w[height - r]) for r in rows),
+            ((1, m[height]),) + tuple((n[r + 1], m[height - r - 1]) for r in rows))
 
-    steps: tuple[tuple[int, slice, int, int], ...]  # per row r: top = F(r+2), rows T[:keep], f1, w1
-    shapes: tuple[tuple[int, int], ...]  # table shape before each row, then after
-    perm: np.ndarray  # hi position at a column start -> ascending mask position
-    masks: np.ndarray  # valid column masks, ascending
+
+def _walk(steps: tuple, shapes: tuple, inc) -> tuple[np.ndarray, np.ndarray]:
+    """For ``_sizes(p, q, height)``, the masks of the live rows p in lo (ascending)
+    order and those of q in hi order, each as the sum of ``inc[r]`` over its bits r."""
+    lo, hi = np.zeros(shapes[-1][0], np.int64), np.zeros(shapes[0][1], np.int64)
+    for (r, top, *_), (end, _) in zip(steps, shapes[1:]):
+        np.add(lo[: end - top], inc[r], out=lo[top:end])
+    for r, _, _, f1, w1 in reversed(steps):
+        np.add(hi[:w1], inc[r], out=hi[f1 : f1 + w1])
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
-def _plan(height: int) -> _Plan:
-    n = [1, 1]  # n[k + 1] = number of masks on k rows, for k >= -1
-    lo = hi = np.zeros(1, dtype=np.int64)
-    for k in range(height):
-        n.append(n[-1] + n[-2])
-        lo = np.concatenate([lo, lo[: n[k]] | (1 << k)])
-        hi = np.concatenate([hi, hi[: n[k]] | (1 << (height - 1 - k))])
-    perm = np.searchsorted(lo, hi)
-    for arr in (perm, lo):
+def _plan(height: int) -> tuple[tuple, int, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Steps, largest table, mask positions (_walk) and masks of a height, every row live."""
+    sizes = _sizes((1 << height) - 1, (1 << height) - 1, height)
+    orders = _walk(*sizes, [top for _, top, *_ in sizes[0]])
+    masks = _walk(*sizes, [1 << r for r in range(height)])[0]
+    for arr in (*orders, masks):
         arr.setflags(write=False)
-    steps = tuple((n[r + 1], slice(0, n[r]), n[height - r], n[height - r - 1]) for r in range(height))
-    shapes = tuple((n[r + 1], n[height - r + 1]) for r in range(height + 1))
-    return _Plan(steps, shapes, perm, lo)
-
-
-@lru_cache(maxsize=None)
-def _unperm(height: int) -> np.ndarray:
-    """The inverse of ``_plan(height).perm``: the backward pass gathers through
-    it, faster than a scatter through perm.  Cached apart from the plan, so
-    that heights which only ever run log Z do not hold it."""
-    unperm = np.argsort(_plan(height).perm)
-    unperm.setflags(write=False)
-    return unperm
+    return sizes[0], max(n * m for n, m in sizes[1]), orders, masks
 
 
 def _as_stack(fields: Fields) -> tuple[list[ActivityField], bool]:
@@ -121,10 +133,7 @@ def box_activities(
     acts *= np.array([f.scale for f in fields]).reshape(-1, 1, 1)
     frame = as_boundary_condition(bc).frame_occupied(box)
     if frame:
-        fx, fy = np.array(list(frame), dtype=np.int64).T
-        # a frame site touches exactly one box site: its clamp into the box
-        ix = np.minimum(np.maximum(fx - box.x_min, 0), w - 1)
-        iy = np.minimum(np.maximum(fy - box.y_min, 0), h - 1)
+        fx, fy, ix, iy = frame_cells(box, frame)
         k, s = np.nonzero(stacked_values(fields, fx, fy) > 0.0)
         acts[k, ix[s], iy[s]] = 0.0
     return acts[0] if single else acts
@@ -135,10 +144,22 @@ def _rescale(t: np.ndarray) -> np.ndarray:
     maxima, each rounded to float64 (np.log, as a long double maximum may lie
     past the float64 range)."""
     m = t.max(axis=1)
-    if not 0.0 < m.min() <= m.max() < np.inf:
+    if not m.max() < np.inf:
         raise CapacityError("the transfer scan left floating-point range")
     t /= m[:, None]
     return np.log(m).astype(np.float64, copy=False)
+
+
+def _tables(bufs: tuple, count: int, height: int, p: int, q: int) -> tuple[list, list]:
+    """A column of live rows p next to live rows q: its tables before each step and after the last (the
+    first on its own buffer, filled by each hand-over, then on two ping-pong buffers), each step's row and views."""
+    steps, shapes = _sizes(p, q, height)
+    tables = [b[: count * n * m].reshape(count, n, m) for b, (n, m) in zip([bufs[2], *bufs[:2] * len(steps)], shapes)]
+    return tables, [(r, (t[:, :, :w1], t[:, :, f1:], u[:, :top, :w1]) if w1 else None,  # fold the consumed bit
+                     (u[:, :top, w1:], t[:, :, w1:f1]) if w1 < f1 else None,  # the rest
+                     (t[:, keep, :f1], u[:, top:]) if keep.stop else None,  # the new bit
+                     (t[:, :, :f1], u[:, :top]))  # the transposed step's copy
+                    for (r, top, keep, f1, w1), t, u in zip(steps, tables, tables[1:])]
 
 
 class _Scan:
@@ -147,70 +168,79 @@ class _Scan:
 
     def __init__(self, acts: np.ndarray, dtype: type):
         self.dtype, self.count = dtype, len(acts)
-        self.plan = _plan(acts.shape[2])
-        # per column and row, the factor that scales a stack of tables: an
-        # (instances, 1, 1) column, or a scalar for one instance, which numpy
-        # multiplies ~10% faster on the tall tables of one large box
+        height = acts.shape[2]
+        self.steps, largest, orders, self.masks = _plan(height)
+        # per column and row, the factor that scales a stack of tables: an (instances, 1, 1) column,
+        # or a scalar for one instance, which numpy multiplies ~10% faster on the tall tables of one large box
         acts = acts.astype(dtype, copy=False)
         self.acts = acts[0] if self.count == 1 else acts.transpose(1, 2, 0)[..., None, None]
-        self.live = acts.any(axis=0).tolist()
+        full, self.tops = (1 << height) - 1, [top for _, top, *_ in self.steps]
+        self.live = [full] * acts.shape[1] if height < _LIVE_ROWS_FROM else (
+            acts.any(axis=0) @ (1 << np.arange(height))).tolist()  # per column its live rows, as bits
+        bufs = (np.empty(self.count * largest, dtype), np.empty(self.count * largest, dtype),
+                np.empty(self.count * len(self.masks), dtype))
+        self.spread, self.spread_idx = np.zeros((self.count, len(self.masks)), dtype), []
+        # the last 4 column pairs (p, q) of this scan: tables, views, p's mask positions and q's in hi order
+        self.tables = lru_cache(4)(lambda p, q, tops=self.tops: _tables(bufs, len(acts), height, p, q) + (
+            orders if p == q == full else _walk(*_sizes(p, q, height), tops)))
 
-    def _rows(self, views) -> tuple[list[np.ndarray], list[tuple]]:
-        """The tables before each row and after the last, on two ping-pong buffers
-        (the first apart, as each hand-over fills it from the last), and ``views``."""
-        shapes, b = self.plan.shapes, self.count
-        size = b * max(p * q for p, q in shapes[1:])
-        bufs = (np.empty(size, self.dtype), np.empty(size, self.dtype))
-        tables = [np.empty((b, *shapes[0]), self.dtype)]
-        tables += [bufs[k % 2][: b * p * q].reshape(b, p, q) for k, (p, q) in enumerate(shapes[1:])]
-        return tables, [views(*step, t, u) for step, t, u in zip(self.plan.steps, tables, tables[1:])]
+    def _spread(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Vectors over the masks at ascending positions idx as vectors over every
+        mask: ``v`` itself or the scan's spread buffer, valid until the next call."""
+        if len(idx) == len(self.masks):
+            return v
+        self.spread[:, self.spread_idx] = 0  # only the entries the last call set
+        self.spread[:, idx], self.spread_idx = v, idx
+        return self.spread
 
     def column(self, x: int) -> np.ndarray:
         """Column x's unscaled weights (instances x ascending masks) next to an
         empty column x - 1: forward steps whose tables keep one hi column."""
-        w = np.ones((self.count, 1, len(self.plan.masks)), self.dtype)
-        for (top, keep, _, _), (end, _), a in zip(self.plan.steps, self.plan.shapes[1:], self.acts[x]):
-            np.multiply(w[..., keep], a, w[..., top:end])
-        return w[:, 0]
+        steps, shapes = _sizes(self.live[x], 0, len(self.steps))
+        w = np.ones((self.count, 1, shapes[-1][0]), self.dtype)
+        for (r, top, keep, _, _), (end, _) in zip(steps, shapes[1:]):
+            np.multiply(w[..., keep], self.acts[x, r], w[..., top:end])
+        v = w[:, 0]
+        return v if v.shape[1] == len(self.masks) else self._spread(v, _walk(steps, shapes, self.tops)[0])
 
     def forward(self):
         """Yield per column its prefix vectors (instances x ascending masks, max 1
         per instance) and their float64 log scales."""
-        tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
-            u[:, :top], t[:, :, :f1], u[:, :top, :w1], t[:, :, f1:], u[:, top:], t[:, keep, :f1]))
         v = self.column(0)  # the column left of the box is empty
         log_scale = _rescale(v)
         yield v, log_scale
-        for acts in self.acts[1:]:
-            np.take(v, self.plan.perm, axis=1, out=tables[0][:, 0], mode="clip")
-            for (u0, t0, u_sum, t1, u1, keep), a in zip(rows, acts):
-                np.copyto(u0, t0)
-                np.add(u_sum, t1, u_sum)
-                np.multiply(keep, a, u1)
-            v = tables[-1][:, :, 0]
-            log_scale = log_scale + _rescale(v)
+        for x in range(1, len(self.live)):
+            tables, rows, idx, hand = self.tables(self.live[x], self.live[x - 1])
+            np.take(v, hand, axis=1, out=tables[0][:, 0], mode="clip")
+            for r, fold, rest, new, _ in rows:
+                if fold:
+                    np.add(*fold)
+                if rest:
+                    np.copyto(*rest)
+                if new:
+                    np.multiply(new[0], self.acts[x, r], new[1])
+            log_scale = log_scale + _rescale(tables[-1][:, :, 0])
+            v = self._spread(tables[-1][:, :, 0], idx)
             yield v, log_scale
 
     def backward(self):
         """Yield the suffix vectors (instances x ascending masks, max 1 per
         instance), last column first."""
-        tables, rows = self._rows(lambda top, keep, f1, w1, t, u: (
-            t[:, :, :f1], u[:, :top], t[:, :, f1:], u[:, :top, :w1], u[:, top:], t[:, keep, :f1]))
-        beta = np.ones((self.count, len(self.plan.masks)), self.dtype)
-        unperm = _unperm(len(self.plan.steps))
-        for x in reversed(range(1, len(self.acts))):
+        beta = np.ones((self.count, len(self.masks)), self.dtype)
+        for x in reversed(range(1, len(self.live))):
             yield beta
-            np.copyto(tables[-1][:, :, 0], beta)
-            for (t0, u0, t1, u1, bottom, keep), a, live in zip(
-                reversed(rows), self.acts[x, ::-1], self.live[x][::-1]
-            ):
-                np.copyto(t0, u0)
-                np.copyto(t1, u1)
-                if live:  # a site dead in every instance adds nothing
-                    np.multiply(bottom, a, bottom)
-                    np.add(keep, bottom, keep)
-            beta = np.take(tables[0][:, 0], unperm, axis=1)
-            _rescale(beta)
+            tables, rows, idx, hand = self.tables(self.live[x], self.live[x - 1])
+            np.take(beta, idx, axis=1, out=tables[-1][:, :, 0], mode="clip")
+            for r, fold, _, new, copy in reversed(rows):
+                np.copyto(*copy)
+                if fold:
+                    np.copyto(fold[1], fold[2])
+                if new:
+                    np.multiply(new[1], self.acts[x, r], new[1])
+                    np.add(new[0], new[1], new[0])
+            _rescale(tables[0][:, 0])
+            beta = np.zeros_like(beta)
+            beta[:, hand] = tables[0][:, 0]
         yield beta
 
 
@@ -224,11 +254,11 @@ def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition |
     col_bits = np.log2(1.0 + acts).sum(axis=2)
     span = col_bits.copy()  # over two adjacent columns; the last has an empty right neighbour
     span[:, :-1] += col_bits[:, 1:]
-    kinds = (span.max(axis=1)[:, None] + _SAFETY_BITS >= _FLOAT_BITS).sum(axis=1).tolist()
+    kinds = np.searchsorted(_FLOAT_BITS, span.max(axis=1), side="right").tolist()
     if len(_FLOATS) in kinds:
         raise CapacityError("activities span too wide a range for an exact scan")
-    plan = _plan(box.height)
-    chunk = max(1, _SCAN_ENTRIES // (max(p * q for p, q in plan.shapes) + kept * len(plan.masks)))
+    _, largest, _, masks = _plan(box.height)
+    chunk = max(1, _SCAN_ENTRIES // (largest + kept * len(masks)))
     for k in sorted(set(kinds)):
         group = [i for i, kind in enumerate(kinds) if kind == k]
         for start in range(0, len(group), chunk):
@@ -257,13 +287,13 @@ def occupation_probabilities(
     fields, single = _as_stack(field)
     probs = np.empty((len(fields), box.width, box.height))
     for idx, scan in _scans(box, fields, bc, kept=box.width):
-        mass = np.empty((len(idx), box.width, len(scan.plan.masks)), scan.dtype)
+        mass = np.empty((len(idx), box.width, len(scan.masks)), scan.dtype)
         for ix, (alpha, _) in enumerate(scan.forward()):
             mass[:, ix] = alpha
         for ix, beta in zip(reversed(range(box.width)), scan.backward()):
             mass[:, ix] *= beta
         total = mass.sum(axis=2)  # taken before the fold sums the tails into the front
-        for r, (top, keep, _, _) in reversed(list(enumerate(scan.plan.steps))):
+        for r, top, keep, _, _ in reversed(scan.steps):
             probs[idx, :, r] = mass[..., top:].sum(axis=2) / total
             mass[..., keep] += mass[..., top:]
             mass = mass[..., :top]
@@ -309,7 +339,7 @@ def sample_exact(
         raise ValueError("draws must be at least 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     ((_, scan),) = _scans(box, [field], bc)
-    masks = scan.plan.masks
+    masks = scan.masks
     betas = list(scan.backward())[::-1]
     chunk = max(1, _DRAW_ENTRIES // len(masks))
     u = gen.random((draws, box.width))

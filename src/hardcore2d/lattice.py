@@ -199,6 +199,17 @@ def _parity_frame(box: LatticeBox, kind: str) -> frozenset[Site]:
     return frozenset(u for u in external_boundary(box) if parity(u) == kind)
 
 
+@lru_cache(maxsize=64)
+def frame_cells(box: LatticeBox, frame: frozenset[Site]) -> tuple[np.ndarray, ...]:
+    """Coordinate arrays of the given frame sites of ``box``, and of the box
+    site each touches (exactly one: its clamp into the box)."""
+    fx, fy = np.array(sorted(frame), dtype=np.int64).T
+    cells = fx, fy, np.clip(fx - box.x_min, 0, box.width - 1), np.clip(fy - box.y_min, 0, box.height - 1)
+    for arr in cells:  # shared by every caller of the cache
+        arr.setflags(write=False)
+    return cells
+
+
 EVEN_BC = BoundaryCondition("even")
 ODD_BC = BoundaryCondition("odd")
 FREE_BC = BoundaryCondition("empty")

@@ -217,28 +217,29 @@ def test_negative_seeds_wrap_to_uint64(capsys, monkeypatch):
 
 
 def test_validate_flags_injected_engine_bug(capsys, monkeypatch):
-    import dataclasses
-
     import hardcore2d.engine as engine
 
-    real = engine._plan
+    real = engine._sizes
 
-    def off_by_one(height):
-        plan = real(height)
+    def off_by_one(p, q, height):
+        steps, shapes = real(p, q, height)
         # read the rows that may take a new occupied bit one row too far down
         # the table: vertically adjacent occupied sites become admissible
-        steps = tuple(
-            (top, slice(k.start + 1, k.stop + 1) if k.stop < top else k, f1, w1)
-            for top, k, f1, w1 in plan.steps
-        )
-        return dataclasses.replace(plan, steps=steps)
+        steps = tuple((r, top, slice(k.start + 1, k.stop + 1) if 0 < k.stop < top else k, f1, w1)
+                      for r, top, k, f1, w1 in steps)
+        return steps, shapes
 
-    monkeypatch.setattr(engine, "_plan", off_by_one)
-    code, out, _ = run_cli(["validate"], capsys)
-    assert code == 1
-    assert "overall: FAIL" in out
-    oracle_lines = [ln for ln in out.splitlines() if ln.startswith("oracle-")]
-    assert oracle_lines and all("FAIL" in ln for ln in oracle_lines)
+    monkeypatch.setattr(engine, "_sizes", off_by_one)
+    try:
+        for live_rows_from in (engine._LIVE_ROWS_FROM, 0):  # then every box on the live-row sizes
+            monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", live_rows_from)
+            code, out, _ = run_cli(["validate"], capsys)
+            assert code == 1
+            assert "overall: FAIL" in out
+            oracle_lines = [ln for ln in out.splitlines() if ln.startswith("oracle-")]
+            assert oracle_lines and all("FAIL" in ln for ln in oracle_lines)
+    finally:
+        engine._plan.cache_clear()  # a plan built under the bug must not outlive the test
 
 
 def test_validate_output_is_pinned(capsys, monkeypatch):

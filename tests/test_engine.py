@@ -239,7 +239,7 @@ WIDE = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
 def draws_reference(box, field, bc, gen, draws):
     """sample_exact with one CDF row per draw, built from that draw's previous column."""
     ((_, scan),) = engine._scans(box, [field], bc)
-    masks = scan.plan.masks
+    masks = scan.masks
     betas = list(scan.backward())[::-1]
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)
@@ -365,7 +365,7 @@ def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
     for w, h in ((1, 1), (3, 4), (5, 6), (4, 9)):
         box = LatticeBox(-1, w - 2, 0, h - 1)
         if per_chunk:
-            largest = max(p * q for p, q in engine._plan(h).shapes)
+            largest = engine._plan(h)[1]
             monkeypatch.setattr(engine, "_SCAN_ENTRIES", per_chunk * largest)
         fields = random_stack(rng, box, 10)
         for bc in random_frames(rng, box):
@@ -391,3 +391,77 @@ def test_one_instance_out_of_range_fails_the_stack():
         with pytest.raises(CapacityError):
             occupation_probabilities(box, [bad, fine])
     assert log_partition(box, []).shape == (0,)
+
+
+DILUTIONS = {  # which sites of the box and its frame are dead, by coordinates relative to the frame's corner
+    "dead columns": lambda x, y, w, h: x % 3 == 2,
+    "dead bottom row": lambda x, y, w, h: y == 1,
+    "dead top row": lambda x, y, w, h: y == h - 2,
+    "alternating dead rows": lambda x, y, w, h: y % 2 == 0,
+    "scattered": lambda x, y, w, h: (x * 7 + y * 13) % 10 < 3,
+}
+
+
+def diluted_pair(box, rng, dead, exponent):
+    """A field on the box and its frame with the sites ``dead`` picks set to 0,
+    and an all-live companion; on a wide np.longdouble both span 2^-exponent
+    .. 2^exponent, so they share a float type."""
+    region = box.expand(1)
+    fields = []
+    for kill in (dead, lambda *_: False):
+        vals = rng.integers(1, 33, size=(region.width, region.height)) / 16.0
+        vals *= np.ldexp(1.0, rng.choice([-exponent, 0, exponent], size=vals.shape))
+        x, y = np.meshgrid(range(region.width), range(region.height), indexing="ij")
+        vals[kill(x, y, region.width, region.height)] = 0.0
+        fields.append(ActivityField(region, vals, 1.0))
+    return fields
+
+
+@pytest.mark.parametrize("exponent, dtype", [
+    (0, np.float64),
+    pytest.param(600, np.longdouble, marks=pytest.mark.skipif(
+        not WIDE, reason="needs an 80- or 128-bit np.longdouble")),
+])
+def test_dead_rows_change_no_bit(monkeypatch, exponent, dtype):
+    # beside an all-live companion of its float type the stack's scan keeps
+    # every row; alone, the diluted field's scan drops its dead rows
+    monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", 0)  # on every height
+    monkeypatch.setattr(engine, "_SCAN_ENTRIES", 1 << 20)  # both instances in one chunk
+    rng = np.random.default_rng(22)
+    checked = []
+    for w, h in ((5, 1), (1, 6), (6, 7), (3, 20), (2, 24)):
+        box = centered_box(w, h)
+        for name, dead in DILUTIONS.items():
+            field, companion = diluted_pair(box, rng, dead, exponent)
+            for bc in (FREE_BC, EVEN_BC):
+                types = [[scan.dtype for _, scan in engine._scans(box, [f], bc)] for f in (field, companion)]
+                if types[0] != types[1]:  # the companion would run in a scan of its own
+                    continue
+                checked += types[0]
+                assert [scan.dtype for _, scan in engine._scans(box, [field, companion], bc)] == types[0]
+                logz = log_partition(box, [field, companion], bc)
+                assert logz[0] == log_partition(box, field, bc), (name, w, h, bc.kind)
+                if w * h <= 50:
+                    probs = occupation_probabilities(box, [field, companion], bc)[0]
+                    single = occupation_probabilities(box, field, bc)
+                    assert probs.ravel().tolist() == [single[v] for v in box.sites()], (name, w, h, bc.kind)
+    assert checked.count(dtype) >= 20
+
+
+def test_a_box_with_every_site_dead():
+    for box in (centered_box(4, 17), centered_box(3, 3)):
+        field = ActivityField(box.expand(1), np.zeros((box.width + 2, box.height + 2)), 1.0)
+        for bc in (FREE_BC, EVEN_BC):
+            logz = log_partition(box, field, bc)
+            assert logz == 0.0 and type(logz) is float
+            assert set(occupation_probabilities(box, field, bc).values()) == {0.0}
+            assert sample_exact(box, field, bc, 1, draws=5) == [frozenset()] * 5
+
+
+def test_diluted_exact_draws_match_the_reference(monkeypatch):
+    box = centered_box(12, 12)
+    f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
+    every_row = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=200)
+    monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", 0)
+    live_rows = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=200)
+    assert live_rows == every_row == draws_reference(box, f, EVEN_BC, np.random.default_rng(4), 200)
