@@ -23,7 +23,7 @@ for side in (4, 8, 12):
     box = centered_box(side, side)
     f = ActivityField(box.expand(1), np.ones((side + 2, side + 2)), LAM)
     p_even, p_odd = (occupation_probability(box, f, (0, 0), bc) for bc in ("even", "odd"))
-    gap = boundary_influence(box, f, (0, 0))
+    gap = boundary_influence(box, [f], (0, 0))[0]
     print(f"  side {side:2d}: p_even={p_even:.4f}  p_odd={p_odd:.4f}  gap={gap:.4f}")
 
 print()

@@ -210,14 +210,10 @@ class ActivityField:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _index(self, v: Site) -> tuple[int, int]:
-        return v[0] - self.region.x_min, v[1] - self.region.y_min
-
     def value_at(self, v: Site) -> float:
         if not self.region.contains(v):
             return 1.0
-        ix, iy = self._index(v)
-        return float(self.values[ix, iy])
+        return float(self.values[v[0] - self.region.x_min, v[1] - self.region.y_min])
 
     def values_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``value_at`` over coordinate arrays that broadcast together."""
@@ -226,31 +222,26 @@ class ActivityField:
     def is_live(self, v: Site) -> bool:
         return self.value_at(v) > 0.0
 
-    def with_value(self, v: Site, x: float) -> "ActivityField":
-        """Copy of the field with the value at one site replaced."""
-        if not self.region.contains(v):
-            raise ValueError("site lies outside the field region")
+    def _overwritten(self, box: LatticeBox, values: "float | np.ndarray") -> "ActivityField":
+        """Copy with ``values`` (broadcast to the box) written over ``box``."""
+        if not self.region.contains_box(box):
+            raise ValueError("site or box lies outside the field region")
         arr = self.values.copy()
-        arr[self._index(v)] = x
+        ax, ay = box.x_min - self.region.x_min, box.y_min - self.region.y_min
+        arr[ax : ax + box.width, ay : ay + box.height] = values
         return ActivityField(self.region, arr, self.scale)
+
+    def with_value(self, v: Site, x: float) -> "ActivityField":
+        """Copy of the field with the value at one site, a 1x1 box, replaced."""
+        return self._overwritten(LatticeBox(v[0], v[0], v[1], v[1]), x)
 
     def switched_off(self, inner: LatticeBox) -> "ActivityField":
         """Copy with every value inside ``inner`` set to the neutral 1."""
-        if not self.region.contains_box(inner):
-            raise ValueError("inner box must lie inside the field region")
-        arr = self.values.copy()
-        ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
-        arr[ax : ax + inner.width, ay : ay + inner.height] = 1.0
-        return ActivityField(self.region, arr, self.scale)
+        return self._overwritten(inner, 1.0)
 
     def patched(self, inner_field: "ActivityField", inner: LatticeBox) -> "ActivityField":
         """Copy taking its values inside ``inner`` from ``inner_field``."""
-        if not self.region.contains_box(inner):
-            raise ValueError("inner box must lie inside the field region")
-        arr = self.values.copy()
-        ax, ay = inner.x_min - self.region.x_min, inner.y_min - self.region.y_min
-        arr[ax : ax + inner.width, ay : ay + inner.height] = inner_field.values_at(*inner.coords())
-        return ActivityField(self.region, arr, self.scale)
+        return self._overwritten(inner, inner_field.values_at(*inner.coords()))
 
     def compose(self, site_map: Callable[[Site], Site]) -> "ActivityField":
         """Field with values ``x[site_map(v)]``; sites mapped outside the

@@ -31,6 +31,7 @@ t, 1])).random(site_count)`` of numpy, keys wrapped to uint64: uniform k goes
 to the k-th site of the sweep (column by column, bottom to top), and every
 epoch replays the same uniforms.  One Philox per draw reads them: for each new
 time t its state is reset to that of a fresh Philox at counter [0, 0, t, 1].
+An epoch reads its new times in blocks of at most 2^18 uniforms.
 
 ``cftp_sample`` reuses its last call's chain for the same field object (fields
 are immutable), an equal box and an equal frame: 499 of the 500 calls of
@@ -143,16 +144,18 @@ def cftp_sample(
     bits = np.random.Philox(key=key, counter=[0, 0, 0, 1])
     gen, fresh = np.random.Generator(bits), bits.state
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
+    block = max(1, (1 << 18) // box.site_count)  # new times read at once: at most 2 MiB of uniforms
     total = epochs = 0
     horizon = 1
     while horizon <= _MAX_SWEEPS:
         epochs += 1
-        uniforms = np.empty((horizon - len(rises), box.site_count))
-        for t, row in enumerate(uniforms, len(rises) + 1):
-            fresh["state"]["counter"][2] = t
-            bits.state = fresh  # Philox(key, counter=[0, 0, t, 1]) as constructed
-            gen.random(out=row)
-        rises += chain.rises(uniforms)
+        for first in range(len(rises) + 1, horizon + 1, block):
+            uniforms = np.empty((min(block, horizon + 1 - first), box.site_count))
+            for t, row in enumerate(uniforms, first):
+                fresh["state"]["counter"][2] = t
+                bits.state = fresh  # Philox(key, counter=[0, 0, t, 1]) as constructed
+                gen.random(out=row)
+            rises += chain.rises(uniforms)
         state = start
         for t in range(horizon, 0, -1):
             state = _sweep(state, rises[t - 1])

@@ -6,10 +6,9 @@ the mean inner-pattern weight under the measure whose field is switched off
 even-minus-odd boundary gap, averaged over the field outside the sub-box, is
 the order parameter all the desk-scale experiments look at.
 
-Every observable takes one field or a sequence of fields on one box and
-returns plain values: a float for one field, an array with one entry per
-field for a sequence (``annulus_bound_check`` adds a leading axis for its two
-orders).  Each field variant a quantity needs (switched off inside the inner
+Every observable takes a sequence of fields on one box and returns an array
+with one entry per field (``annulus_bound_check`` adds a leading axis for its
+two orders).  Each field variant a quantity needs (switched off inside the inner
 box, pulled back through phi_j) is built once per call, and each frame solves
 the fields and their variants as one stack.
 """
@@ -17,11 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
 from .disorder import ActivityField, DisorderSpec, sample_fields, stacked_values
-from .engine import Fields, _as_stack, log_partition, occupation_probabilities, occupation_probability
+from .engine import log_partition, occupation_probabilities, occupation_probability
 from .lattice import (
     BoundaryCondition,
     LatticeBox,
@@ -30,14 +30,6 @@ from .lattice import (
     box_lambda,
     phi_j,
 )
-
-
-def _unstack(values: np.ndarray, single: bool):
-    """``values`` for a sequence of fields; for one bare field, the entries of
-    its last (field) axis, as a float if no other axis is left."""
-    if not single:
-        return values
-    return values[..., 0].item() if values.ndim == 1 else values[..., 0]
 
 
 def _bound_scales(scales) -> np.ndarray:
@@ -49,43 +41,40 @@ def _bound_scales(scales) -> np.ndarray:
     return scales
 
 
-def _responses(L: "int | LatticeBox", inner: LatticeBox, fields: list[ActivityField], bcs) -> np.ndarray:
+def _responses(outer: LatticeBox, inner: LatticeBox, fields: Sequence[ActivityField], bcs) -> np.ndarray:
     """Free-energy responses of the fields, one row per frame in ``bcs``: each
     field is switched off once, and each frame solves fields and copies as
     one stack."""
-    outer = L if isinstance(L, LatticeBox) else box_lambda(L)
     scales = _bound_scales([f.scale for f in fields])
     if not outer.contains_box(inner):
         raise ValueError("inner box must lie inside the outer box")
-    stack = fields + [f.switched_off(inner) for f in fields]
+    stack = [*fields, *(f.switched_off(inner) for f in fields)]
     n = len(fields)
     logz = [log_partition(outer, stack, bc) for bc in bcs]
     return np.array([(z[:n] - z[n:]) / scales for z in logz])
 
 
 def free_energy_response(
-    L: "int | LatticeBox",
+    outer: LatticeBox,
     inner: LatticeBox,
-    field: Fields,
+    fields: Sequence[ActivityField],
     bc: "BoundaryCondition | str",
-) -> "float | np.ndarray":
-    """(log Z(field) - log Z(field switched off inside)) / scale, per field."""
-    fields, single = _as_stack(field)
-    return _unstack(_responses(L, inner, fields, [bc])[0], single)
+) -> np.ndarray:
+    """(log Z(field) - log Z(field switched off inside)) / scale on the outer
+    box, per field."""
+    return _responses(outer, inner, fields, [bc])[0]
 
 
-def response_gap(L: "int | LatticeBox", inner: LatticeBox, field: Fields) -> "float | np.ndarray":
-    """Even-minus-odd boundary gap of the free-energy response: a float for
-    one field, an array for a sequence."""
-    fields, single = _as_stack(field)
-    even, odd = _responses(L, inner, fields, ["even", "odd"])
-    return _unstack(even - odd, single)
+def response_gap(L: int, inner: LatticeBox, fields: Sequence[ActivityField]) -> np.ndarray:
+    """Even-minus-odd boundary gap of the free-energy response on the box of
+    half-side L, per field."""
+    even, odd = _responses(box_lambda(L), inner, fields, ["even", "odd"])
+    return even - odd
 
 
-def annulus_log_sum(field: Fields, j: int) -> "float | np.ndarray":
+def annulus_log_sum(fields: Sequence[ActivityField], j: int) -> np.ndarray:
     """Sum of log(1 + scale*x_v) over the one-ring annulus around the inner box,
     per field, added up in lexicographic site order."""
-    fields, single = _as_stack(field)
     box = box_lambda(j + 1)
     acts = stacked_values(fields, *box.coords()) * np.array([f.scale for f in fields])[:, None, None]
     ring = np.ones(acts.shape[1:], dtype=bool)
@@ -93,28 +82,26 @@ def annulus_log_sum(field: Fields, j: int) -> "float | np.ndarray":
     ring_acts = acts[:, ring]
     logs = np.fromiter(map(math.log1p, ring_acts.ravel().tolist()), float, ring_acts.size)
     # a running sum adds left to right, as a scalar loop would; np.sum pairs terms up
-    return _unstack(np.cumsum(logs.reshape(ring_acts.shape), axis=1)[:, -1], single)
+    return np.cumsum(logs.reshape(ring_acts.shape), axis=1)[:, -1]
 
 
-def pathwise_gap_bound(field: Fields, j: int) -> "float | np.ndarray":
+def pathwise_gap_bound(fields: Sequence[ActivityField], j: int) -> np.ndarray:
     """(2 / scale) * annulus log sum: a deterministic cap on |response gap|,
     per field."""
-    fields, single = _as_stack(field)
-    return _unstack(2.0 / _bound_scales([f.scale for f in fields]) * annulus_log_sum(fields, j), single)
+    return 2.0 / _bound_scales([f.scale for f in fields]) * annulus_log_sum(fields, j)
 
 
-def annulus_bound_check(L: int, j: int, field: Fields) -> "tuple[np.ndarray, float | np.ndarray]":
+def annulus_bound_check(L: int, j: int, fields: Sequence[ActivityField]) -> tuple[np.ndarray, np.ndarray]:
     """Swapping the boundary parity costs at most the annulus log sum.
 
     For both orders (tau, tau'): log Z^tau(y) - log Z^tau'(y o phi) <= rhs,
     where phi reflects everything outside the (j+1)-box and y o phi is the
     pulled-back field.  Returns (lhs, rhs): lhs[0] is the even->odd order and
-    lhs[1] the odd->even one, each a float for one field and an array over
-    the fields for a sequence, as is rhs, the annulus log sum.
+    lhs[1] the odd->even one, each an array over the fields, as is rhs, the
+    annulus log sum.
     """
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
-    fields, single = _as_stack(field)
     outer = box_lambda(L)
     for f in fields:
         if f.region.x_min + f.region.x_max != 1:
@@ -122,26 +109,21 @@ def annulus_bound_check(L: int, j: int, field: Fields) -> "tuple[np.ndarray, flo
         if not f.region.contains_box(outer):
             raise ValueError("field region must contain the outer box")
     n = len(fields)
-    stack = fields + [f.compose(lambda v: phi_j(v, j)) for f in fields]
+    stack = [*fields, *(f.compose(lambda v: phi_j(v, j)) for f in fields)]
     even, odd = (log_partition(outer, stack, bc) for bc in ("even", "odd"))
     lhs = np.array([even[:n] - odd[n:], odd[:n] - even[n:]])
-    return _unstack(lhs, single), annulus_log_sum(field, j)
+    return lhs, annulus_log_sum(fields, j)
 
 
-def boundary_influence(box: LatticeBox, field: Fields, v: Site) -> "float | np.ndarray":
-    """Even-minus-odd occupation gap of one site: a float for one field, an
-    array over the fields for a sequence."""
-    return occupation_probability(box, field, v, "even") - occupation_probability(box, field, v, "odd")
+def boundary_influence(box: LatticeBox, fields: Sequence[ActivityField], v: Site) -> np.ndarray:
+    """Even-minus-odd occupation gap of one site, per field."""
+    return occupation_probability(box, fields, v, "even") - occupation_probability(box, fields, v, "odd")
 
 
-def influence_table(box: LatticeBox, field: Fields) -> "dict[Site, float] | np.ndarray":
-    """Even-minus-odd occupation gap for every site of the box: a dict for one
-    field, an (n, W, H) array for a sequence of n."""
-    even = occupation_probabilities(box, field, "even")
-    odd = occupation_probabilities(box, field, "odd")
-    if isinstance(even, dict):
-        return {v: even[v] - odd[v] for v in box.sites()}
-    return even - odd
+def influence_table(box: LatticeBox, fields: Sequence[ActivityField]) -> np.ndarray:
+    """Even-minus-odd occupation gap for every site of the box: an (n, W, H)
+    array for n fields."""
+    return occupation_probabilities(box, fields, "even") - occupation_probabilities(box, fields, "odd")
 
 
 def derivative_identity_check(

@@ -189,7 +189,7 @@ def check_influence_contrast(replicas: int, seed: int) -> CheckResult:
     for side in sides:
         box = centered_box(side, side)
         field = ActivityField(box.expand(1), np.ones((side + 2, side + 2)), lam)
-        pure_gap[side] = boundary_influence(box, field, (0, 0))
+        pure_gap[side] = float(boundary_influence(box, [field], (0, 0))[0])
     spec = DisorderSpec("bernoulli", (0.7,))
     medians = []
     for side in sides:

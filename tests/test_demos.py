@@ -1,4 +1,4 @@
-"""Demo scripts run to the end without raising."""
+"""Demo scripts run to the end and print their recorded output, byte for byte."""
 import contextlib
 import io
 import runpy
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("name", [
@@ -20,4 +21,4 @@ def test_demo_runs(name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / name), run_name="__main__")
-    assert out.getvalue()
+    assert out.getvalue() == (DATA / f"demo_{Path(name).stem}.txt").read_text()

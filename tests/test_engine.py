@@ -199,7 +199,7 @@ def test_free_energy_response_single_site():
     # mean inner weight under the switched-off measure: Z(6) / Z(3) = 7 / 4
     box = centered_box(1, 1)
     f = uniform_field(box, value=2.0, scale=3.0)  # activity 6, switched activity 3
-    got = free_energy_response(box, box, f, FREE_BC)
+    got = free_energy_response(box, box, [f], FREE_BC)[0]
     assert math.exp(f.scale * got) == pytest.approx(7.0 / 4.0, abs=1e-12)
 
 

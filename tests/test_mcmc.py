@@ -1,5 +1,6 @@
 """Heat-bath dynamics, monotone coupling, and perfect sampling."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ def test_cftp_reads_one_philox_generator_per_past_time(monkeypatch, n):
     assert [len(u) for u in read] == [1, 1, 2, 4, 8, 16, 32]  # the new times of each epoch
     want = np.stack([reference_time_uniforms(seed, t, n) for t in range(1, 65)])
     assert np.concatenate(read).tobytes() == want.tobytes()
+
+
+def test_cftp_reads_the_uniforms_of_an_epoch_in_bounded_blocks(monkeypatch):
+    # the last epoch's 128 new times on 64x64 are 4 MiB of uniforms read at once
+    # without blocks; a block holds at most 2^18 of them
+    box = centered_box(64, 64)
+    monkeypatch.setattr(mcmc, "_MAX_SWEEPS", 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoalescenceTimeout, match="in 9 epochs"):
+            cftp_sample(box, uniform_field(box, 1.0, 30.0), FREE_BC, ReplicaSeed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 def test_cftp_serves_boxes_taller_than_the_scan():

@@ -39,7 +39,7 @@ def random_field(L, spec, scale, replica):
 
 def test_response_is_zero_when_field_is_one_inside():
     f = unit_field(box_lambda(2).expand(1), 2.0)
-    r = free_energy_response(2, box_lambda(1), f, "even")
+    r = free_energy_response(box_lambda(2), box_lambda(1), [f], "even")[0]
     assert r == 0.0
 
 
@@ -48,7 +48,7 @@ def test_response_two_point_identity():
     spec = DisorderSpec("uniform", (0.5, 2.0))
     f = random_field(2, spec, 3.0, 0)
     inner = centered_box(1, 1)
-    r = free_energy_response(2, inner, f, "odd")
+    r = free_energy_response(box_lambda(2), inner, [f], "odd")[0]
     x = f.value_at((0, 0))
     z_on = log_partition(box_lambda(2), f, "odd")
     z_off = log_partition(box_lambda(2), f.switched_off(inner), "odd")
@@ -60,7 +60,7 @@ def test_gap_vanishes_for_constant_field():
     # reflection swaps the two frames and fixes a constant field
     for lam in (0.5, 4.0):
         f = unit_field(box_lambda(3).expand(1), lam)
-        assert response_gap(3, box_lambda(1), f) == pytest.approx(0.0, abs=1e-12)
+        assert response_gap(3, box_lambda(1), [f])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_is_zero_without_a_live_crossing():
@@ -75,24 +75,24 @@ def test_gap_is_zero_without_a_live_crossing():
         if not box_lambda(j).contains(v):
             moat[v[0] - region.x_min, v[1] - region.y_min] = 0.0
     cut = ActivityField(region, moat, 4.0)
-    assert abs(response_gap(L, box_lambda(j), cut)) <= 1e-12
-    assert abs(response_gap(L, box_lambda(j), alive)) > 1e-6
+    assert abs(response_gap(L, box_lambda(j), [cut])[0]) <= 1e-12
+    assert abs(response_gap(L, box_lambda(j), [alive])[0]) > 1e-6
 
 
 def test_gap_flips_sign_under_reflection():
     spec = DisorderSpec("bernoulli", (0.6,))
     f = random_field(2, spec, 2.0, 3)
     mirrored = f.compose(reflect_theta)
-    a = response_gap(2, box_lambda(1), f)
-    b = response_gap(2, box_lambda(1), mirrored)
+    a = response_gap(2, box_lambda(1), [f])[0]
+    b = response_gap(2, box_lambda(1), [mirrored])[0]
     assert a == pytest.approx(-b, abs=1e-12)
 
 
 def test_annulus_log_sum_counts_the_ring():
     f = unit_field(box_lambda(3), 1.0)
     ring = box_lambda(3).site_count - box_lambda(2).site_count
-    assert annulus_log_sum(f, 2) == pytest.approx(ring * math.log(2.0))
-    assert pathwise_gap_bound(f, 2) == pytest.approx(2.0 * ring * math.log(2.0))
+    assert annulus_log_sum([f], 2)[0] == pytest.approx(ring * math.log(2.0))
+    assert pathwise_gap_bound([f], 2)[0] == pytest.approx(2.0 * ring * math.log(2.0))
 
 
 def _scalar_annulus_log_sum(field, j):
@@ -122,7 +122,7 @@ def test_annulus_log_sum_of_a_stack_equals_the_scalar_loop(monkeypatch):
         lookups.clear()
         assert annulus_log_sum(fields, j).tolist() == want
         assert len(lookups) == len(regions)  # one lookup per region, not per field
-        assert [annulus_log_sum(f, j) for f in fields] == want
+        assert [annulus_log_sum([f], j)[0] for f in fields] == want
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -139,11 +139,28 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_response_gap_switches_each_field_off_once_and_solves_once_per_frame(monkeypatch):
     fields = [random_field(3, DisorderSpec("uniform", (0.0, 2.0)), 4.0, rep) for rep in range(5)]
-    want = [response_gap(3, box_lambda(1), f) for f in fields]
+    want = [response_gap(3, box_lambda(1), [f])[0] for f in fields]
     offs = _count_calls(monkeypatch, ActivityField, "switched_off")
     solves = _count_calls(monkeypatch, observables, "log_partition")
     assert response_gap(3, box_lambda(1), fields).tolist() == want
     assert (len(offs), len(solves)) == (5, 2)
+
+
+def test_a_tuple_of_fields_gives_what_a_list_gives():
+    fields = [random_field(3, DisorderSpec("uniform", (0.0, 2.0)), 4.0, rep) for rep in range(3)]
+    box, inner = box_lambda(3), box_lambda(1)
+    calls = [
+        lambda fs: free_energy_response(box, inner, fs, "even"),
+        lambda fs: response_gap(3, inner, fs),
+        lambda fs: annulus_log_sum(fs, 1),
+        lambda fs: pathwise_gap_bound(fs, 1),
+        lambda fs: annulus_bound_check(3, 1, fs)[0],
+        lambda fs: annulus_bound_check(3, 1, fs)[1],
+        lambda fs: boundary_influence(box, fs, (0, 0)),
+        lambda fs: influence_table(box, fs),
+    ]
+    for call in calls:
+        assert call(tuple(fields)).tobytes() == call(fields).tobytes()
 
 
 def test_annulus_bound_check_solves_once_per_frame(monkeypatch):
@@ -157,8 +174,8 @@ def test_pathwise_bound_dominates_gap():
     spec = DisorderSpec("uniform", (0.0, 2.0))
     for rep in range(25):
         f = random_field(3, spec, 4.0, rep)
-        gap = response_gap(3, box_lambda(1), f)
-        assert abs(gap) <= pathwise_gap_bound(f, 1) + 1e-9
+        gap = response_gap(3, box_lambda(1), [f])[0]
+        assert abs(gap) <= pathwise_gap_bound([f], 1)[0] + 1e-9
 
 
 def test_annulus_bound_check_both_orders():
@@ -166,33 +183,35 @@ def test_annulus_bound_check_both_orders():
     box = box_lambda(3)
     fields = [random_field(3, spec, 1.0, 100 + rep) for rep in range(10)]
     for f in fields:
-        lhs, rhs = annulus_bound_check(3, 1, f)
+        lhs, rhs = annulus_bound_check(3, 1, [f])
+        lhs, rhs = lhs[:, 0], rhs[0]
         pulled = f.compose(lambda v: phi_j(v, 1))
         assert lhs.shape == (2,)
         assert lhs[0] == log_partition(box, f, "even") - log_partition(box, pulled, "odd")
         assert lhs[1] == log_partition(box, f, "odd") - log_partition(box, pulled, "even")
-        assert rhs == annulus_log_sum(f, 1)
+        assert rhs == annulus_log_sum([f], 1)[0]
         assert np.all(lhs <= rhs + 1e-9)
     lhs, rhs = annulus_bound_check(3, 1, fields)
     assert lhs.shape == (2, 10) and rhs.shape == (10,)
-    assert np.array_equal(lhs, np.array([annulus_bound_check(3, 1, f)[0] for f in fields]).T)
+    assert np.array_equal(lhs, np.array([annulus_bound_check(3, 1, [f])[0][:, 0] for f in fields]).T)
 
 
 def test_influence_sign_at_small_grid():
     box = centered_box(4, 4)
     f = unit_field(box.expand(1), 5.0)
-    table = influence_table(box, f)
+    table = influence_table(box, [f])[0]
     from hardcore2d.lattice import is_even
 
-    for v, gap in table.items():
+    for v in box.sites():
+        gap = table[v[0] - box.x_min, v[1] - box.y_min]
         assert gap >= -1e-12 if is_even(v) else gap <= 1e-12
 
 
 def test_boundary_influence_matches_table():
     box = centered_box(3, 3)
     f = unit_field(box.expand(1), 2.0)
-    g = boundary_influence(box, f, (0, 0))
-    assert g == influence_table(box, f)[(0, 0)]
+    g = boundary_influence(box, [f], (0, 0))[0]
+    assert g == influence_table(box, [f])[0, -box.x_min, -box.y_min]
     p_even, p_odd = (occupation_probability(box, f, (0, 0), bc) for bc in ("even", "odd"))
     assert g == p_even - p_odd
     assert p_even > p_odd
@@ -295,7 +314,7 @@ def test_sampled_gap_reproducible():
     assert a[5] != a[6]
     assert sampled_response_gaps(2, 1, spec, 4.0, SEED, 5, 7).tobytes() == a[5:].tobytes()
     alone = sample_field(spec, box_lambda(2).expand(1), 4.0, ReplicaSeed(SEED, 5))
-    assert a[5] == response_gap(2, box_lambda(1), alone)
+    assert a[5] == response_gap(2, box_lambda(1), [alone])[0]
 
 
 def test_estimate_response_gap_statistics():
