@@ -4,12 +4,12 @@ The heat-bath move at a site resamples its occupation from the conditional
 law: forced empty when a neighbour is occupied, otherwise occupied with odds
 activity : 1.  The frame enters as zero activity, as in the transfer scan: an
 occupied frame site touches exactly one box site, which it forces empty
-(``engine.box_activities``).  A sweep visits the box in lexicographic order.
-Two chains driven by the same uniforms preserve the two-sided order "more
-even occupation and less odd occupation", whose extremes are the full
-unblocked live even set and odd set; running the coupled pair from the past
-until the extremes merge yields an exact sample (Propp-Wilson, Random Struct.
-Alg. 9, 1996; Haggstrom-Nelander, Stat. Neerl. 53, 1999).
+(``engine.box_activities(box, [field], bc)[0]``).  A sweep visits the box in
+lexicographic order.  Two chains driven by the same uniforms preserve the
+two-sided order "more even occupation and less odd occupation", whose extremes
+are the full unblocked live even set and odd set; running the coupled pair
+from the past until the extremes merge yields an exact sample (Propp-Wilson,
+Random Struct. Alg. 9, 1996; Haggstrom-Nelander, Stat. Neerl. 53, 1999).
 
 The sweep runs on columns packed as integers, bit r for row r.  In
 lexicographic order site r of column x sees its left and lower neighbours
@@ -67,7 +67,7 @@ class GlauberChain:
         bc: "BoundaryCondition | str" = FREE_BC,
     ):
         self.box = box
-        acts = box_activities(box, field, bc)
+        acts = box_activities(box, [field], bc)[0]
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
         self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
         self._live = _pack(self.odds > 0.0).tolist()
@@ -122,7 +122,7 @@ def cftp_sample(
     box: LatticeBox,
     field: ActivityField,
     bc: "BoundaryCondition | str" = FREE_BC,
-    seed: "ReplicaSeed | int" = 0,
+    seed: ReplicaSeed = ReplicaSeed(0),
 ) -> CftpResult:
     """Exact sample by coupling from the past with epoch doubling.
 
@@ -132,8 +132,6 @@ def cftp_sample(
     up to 2 * _MAX_SWEEPS - 1 pair sweeps run in all.  Exceeding it raises
     CoalescenceTimeout -- there is no approximate fallback.
     """
-    if not isinstance(seed, ReplicaSeed):
-        seed = ReplicaSeed(int(seed))
     global _last
     last_field, last_box, last_bc, chain = _last  # one read: a concurrent call replaces the whole tuple
     if last_field is not field or last_box != box or last_bc != bc:

@@ -10,15 +10,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 DATA = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("name", [
-    "01_exact_partition.py",
-    "02_boundary_influence.py",
-    "03_annulus_bound.py",
-    "04_fluctuations.py",
-    "05_perfect_sampling.py",
-])
-def test_demo_runs(name):
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / name), run_name="__main__")
-    assert out.getvalue() == (DATA / f"demo_{Path(name).stem}.txt").read_text()
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue() == (DATA / f"demo_{path.stem}.txt").read_text()

@@ -244,7 +244,7 @@ def draws_reference(box, field, bc, gen, draws):
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)
     for x, beta in enumerate(betas):
-        weights = np.where(masks & picked[:, x, None], 0.0, scan.column(x))
+        weights = np.where(masks & picked[:, x, None], 0.0, scan._spread(*scan.step(x, scan.empty, 0)))
         weights /= weights.max(axis=1, keepdims=True)
         weights *= beta
         cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
@@ -259,6 +259,33 @@ def wide_columns(exponent):
     box = centered_box(3, 20)
     exps = np.random.default_rng(8).choice([-exponent, 0, 0, 0, exponent], size=(5, 22))
     return box, ActivityField(box.expand(1), np.ldexp(1.0, exps) * (np.arange(5 * 22) % 7 > 0).reshape(5, 22), 1.0)
+
+
+def test_column_weights_are_the_products_of_their_rows_activities():
+    # a column's weights next to an empty column, which exact draws use: per mask the
+    # product of its rows' activities in the scan's float type, from 1 and bottom to top;
+    # single diluted fields, every row live below height 17 and live rows from there
+    spec, cases = DisorderSpec("bernoulli", (0.7,)), [wide_columns(600)] if WIDE else []
+    for k, (w, h) in enumerate(((4, 1), (4, 5), (4, 12), (3, 18), (3, 20))):
+        box = centered_box(w, h)
+        cases.append((box, sample_field(spec, box.expand(1), 5.0, ReplicaSeed(31, k))))
+    zeros = dropped = 0
+    for box, field in cases:
+        ((_, scan),) = engine._scans(box, [field], EVEN_BC)
+        blocked = {w for u in EVEN_BC.frame_occupied(box, field.is_live) for w in neighbours(u)}
+        dropped += sum(p != (1 << box.height) - 1 for p in scan.live)
+        for x in range(box.width):
+            sites = [(box.x_min + x, y) for y in range(box.y_min, box.y_max + 1)]
+            acts = [0.0 if v in blocked else field.scale * field.value_at(v) for v in sites]
+            want = np.ones(len(scan.masks), scan.dtype)
+            for r, a in enumerate(acts):
+                want = np.where(scan.masks >> r & 1, want * scan.dtype(a), want)
+            got = scan._spread(*scan.step(x, scan.empty, 0))[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (box.height, x)
+            dead = scan.masks & sum(1 << r for r, a in enumerate(acts) if a == 0.0) > 0
+            assert not got[dead].any(), (box.height, x)
+            zeros += dead.sum()
+    assert zeros > 10000 and dropped >= 4  # dead rows left out of the tables at heights 18 and 20
 
 
 def test_bisection_counts_the_entries_at_most_u_as_searchsorted():
@@ -333,7 +360,7 @@ def test_box_activities_match_their_per_site_definition():
             blocked = {w for u in bc.frame_occupied(box, field.is_live) for w in neighbours(u)}
             want = [[0.0 if (x, y) in blocked else field.scale * field.value_at((x, y))
                      for y in range(box.y_min, box.y_max + 1)] for x in range(box.x_min, box.x_max + 1)]
-            assert engine.box_activities(box, field, bc).tolist() == want
+            assert engine.box_activities(box, [field], bc)[0].tolist() == want
 
 
 def random_stack(rng, box, n):
