@@ -14,6 +14,7 @@ from hardcore2d import (
     ReplicaSeed,
     centered_box,
     cftp_sample,
+    draw_sites,
     enumerate_independent_sets,
     oracle_log_partition,
     sample_exact,
@@ -29,10 +30,11 @@ cftp_counts: Counter = Counter()
 epochs = []
 for i in range(DRAWS):
     res = cftp_sample(box, f, "empty", ReplicaSeed(11, i))
-    cftp_counts[res.occupied] += 1
+    cftp_counts[frozenset(draw_sites(box, res.columns))] += 1
     epochs.append(res.epochs)
 
-exact_counts: Counter = Counter(sample_exact(box, f, "empty", np.random.default_rng(11), DRAWS))
+exact_draws = sample_exact(box, f, "empty", np.random.default_rng(11), DRAWS)
+exact_counts: Counter = Counter(frozenset(draw_sites(box, columns)) for columns in exact_draws)
 
 # exact weights for reference
 z = float(oracle_log_partition(box, f).value)

@@ -30,6 +30,7 @@ from .lattice import (
     Site,
     box_lambda,
     centered_box,
+    draw_sites,
     external_boundary,
     is_even,
     parity,
@@ -65,7 +66,7 @@ __all__ = [
     "sample_exact",
     "CapacityError", "CoalescenceTimeout",
     "EVEN_BC", "FREE_BC", "ODD_BC", "BoundaryCondition", "LatticeBox", "Site",
-    "box_lambda", "centered_box", "external_boundary", "is_even", "parity", "phi_j",
+    "box_lambda", "centered_box", "draw_sites", "external_boundary", "is_even", "parity", "phi_j",
     "reflect_theta",
     "CftpResult", "GlauberChain", "cftp_sample",
     "annulus_bound_check", "annulus_log_sum",

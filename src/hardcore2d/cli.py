@@ -34,7 +34,7 @@ from .disorder import (
 )
 from .engine import log_partition, occupation_probability, sample_exact
 from .errors import CapacityError, CoalescenceTimeout
-from .lattice import LatticeBox, as_boundary_condition, box_lambda, centered_box
+from .lattice import LatticeBox, as_boundary_condition, box_lambda, centered_box, draw_sites
 from .mcmc import cftp_sample
 from .observables import (
     _mean_stderr,
@@ -300,17 +300,19 @@ def cmd_sample(args) -> int:
     field, label = _field_for(args, box)
     bc = as_boundary_condition(args.bc)
     row = _row_maker(args, j, None, label)
-    rank = {v: i for i, v in enumerate(box.sites())}  # box.sites() is in sorted order
-    text = [f"[{x}, {y}]" for x, y in rank]  # json.dumps of each site, so dumps(occ) is json.dumps(sorted(occ))
-    dumps = lambda occ: "[" + ", ".join(map(text.__getitem__, sorted(map(rank.__getitem__, occ)))) + "]"
     if args.method == "exact":
-        occupied = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
-        records = [row(i, "sample", dumps(occ)) for i, occ in enumerate(occupied)]
+        drawn = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws).tolist()
     else:
-        records = []
-        for i in range(draws):
-            res = cftp_sample(box, field, bc, ReplicaSeed(args.seed, i))
-            records += [row(i, "sample", dumps(res.occupied)), row(i, "cftp_epochs", res.epochs)]
+        results = [cftp_sample(box, field, bc, ReplicaSeed(args.seed, i)) for i in range(draws)]
+        drawn = [res.columns for res in results]
+    # per column x, the JSON text of the sites of each distinct mask the draws picked, decoded once
+    cells = [{m: ", ".join(f"[{x}, {y}]" for _, y in draw_sites(box, [m])) for m in set(col) if m}
+             for x, col in enumerate(zip(*drawn), box.x_min)]
+    records = []
+    for i, columns in enumerate(drawn):  # the value is json.dumps(draw_sites(box, columns))
+        records.append(row(i, "sample", "[" + ", ".join([c[m] for c, m in zip(cells, columns) if m]) + "]"))
+        if args.method == "cftp":
+            records.append(row(i, "cftp_epochs", results[i].epochs))
     _emit(records, args)
     return 0
 

@@ -291,7 +291,7 @@ def field_from_json(source: dict | str | Path) -> ActivityField:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed field description: {exc}") from exc
     region = LatticeBox(x_min, x_max, y_min, y_max)
-    arr = np.full((region.width, region.height), np.nan)
+    arr = np.zeros((region.width, region.height))
     seen: set[Site] = set()
     for x, y, val in triples:
         if not region.contains((x, y)):
@@ -300,7 +300,7 @@ def field_from_json(source: dict | str | Path) -> ActivityField:
             raise ValueError(f"field description repeats site {(x, y)}")
         seen.add((x, y))
         arr[x - region.x_min, y - region.y_min] = val
-    if np.any(np.isnan(arr)):
+    if len(seen) < region.site_count:  # counted, as a NaN value is not a missing site
         raise ValueError("field description misses sites of its region")
     return ActivityField(region, arr, scale)
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from .disorder import ActivityField, stacked_values
 from .errors import CapacityError
-from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition, column_sites, frame_cells
+from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_condition, frame_cells
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
@@ -322,8 +322,8 @@ def _bisect(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
 def sample_exact(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition | str = FREE_BC,
     rng: np.random.Generator | int | None = None, draws: int = 1,
-) -> list[frozenset[Site]]:
-    """``draws`` exact draws from the finite-volume measure, column by column.
+) -> np.ndarray:
+    """``draws`` exact draws from the finite-volume measure, a (draws, W) int64 array of packed columns.
 
     One backward pass serves every draw.  Draw i picks its column x by inverse
     CDF, as ``Generator.choice`` does, with the uniform
@@ -354,6 +354,4 @@ def sample_exact(
             d = order if len(prev) <= chunk else order[
                 slice(*np.searchsorted(row, (start, start + chunk), sorter=order))]
             picked[d, x + 1] = masks[_bisect(cdf, row[d] - start, u[d, x])]
-    drawn = picked[:, 1:].tolist()
-    sites = [{m: column_sites(x, box.y_min, m) for m in set(col)} for x, col in enumerate(zip(*drawn), box.x_min)]
-    return [frozenset().union(*map(dict.__getitem__, sites, row)) for row in drawn]
+    return picked[:, 1:]

@@ -40,15 +40,6 @@ def reflect_theta(v: Site) -> Site:
     return (1 - v[0], v[1])
 
 
-def column_sites(x: int, y_min: int, bits: int) -> tuple[Site, ...]:
-    """The sites (x, y_min + r) of the set bits r of a packed column, bottom up."""
-    out = []
-    while bits:
-        out.append((x, y_min - 1 + (bits & -bits).bit_length()))
-        bits &= bits - 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LatticeBox:
     """Axis-aligned box of lattice sites, inclusive on all four corners."""
@@ -109,6 +100,16 @@ class LatticeBox:
 
     def translated(self, a: Site) -> "LatticeBox":
         return LatticeBox(self.x_min + a[0], self.x_max + a[0], self.y_min + a[1], self.y_max + a[1])
+
+
+def draw_sites(box: LatticeBox, columns) -> list[Site]:
+    """A draw's sites in sorted (x, y) order: bit r of packed ``columns[i]`` is site (x_min + i, y_min + r)."""
+    out = []
+    for x, bits in enumerate(map(int, columns), box.x_min):
+        while bits:
+            out.append((x, box.y_min - 1 + (bits & -bits).bit_length()))
+            bits &= bits - 1
+    return out
 
 
 def box_lambda(j: int) -> LatticeBox:

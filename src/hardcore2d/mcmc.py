@@ -21,9 +21,10 @@ runs that begin on an even bit clears just those runs: new = a & (sum ^ EVEN).
 
 The coupled pair is the only chain state: one integer per column, lower in
 bits 0..H-1, a zero guard bit at H that keeps the halves' runs apart, upper in
-bits H+1..2H.  The monotone check (``validation.check_monotone_order``)
-sweeps it with the kernel CFTP runs, ``_sweep`` of ``rises``, and tests
-``ordered`` after every sweep.
+bits H+1..2H.  A draw is the merged pair's lower halves (lattice.draw_sites).
+The monotone check (``validation.check_monotone_order``) sweeps the pair with
+the kernel CFTP runs, ``_sweep`` of ``rises``, and tests ``ordered`` after
+every sweep.
 
 CFTP drives past time -t of a draw keyed ReplicaSeed(master, replica) with
 ``Generator(Philox(key=[master, replica ^ 0x9E3779B97F4A7C15], counter=[0, 0,
@@ -47,7 +48,7 @@ import numpy as np
 from .disorder import ActivityField, ReplicaSeed
 from .engine import box_activities
 from .errors import CoalescenceTimeout
-from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox, Site, column_sites
+from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox
 
 _M64 = (1 << 64) - 1
 _TIME_SALT = 0x9E3779B97F4A7C15
@@ -66,7 +67,6 @@ class GlauberChain:
         field: ActivityField,
         bc: "BoundaryCondition | str" = FREE_BC,
     ):
-        self.box = box
         acts = box_activities(box, [field], bc)[0]
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
         self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
@@ -82,11 +82,6 @@ class GlauberChain:
         low, s = self._low, self._shift
         return not any(c & low & ~(c >> s) & e | c >> s & ~c & ~e for c, e in zip(pair, self._even))
 
-    def occupied(self, pair: list[int]) -> frozenset[Site]:
-        """The box sites the pair's lower half occupies."""
-        x_min, y_min, low = self.box.x_min, self.box.y_min, self._low
-        return frozenset().union(*(column_sites(x, y_min, c & low) for x, c in enumerate(pair, x_min)))
-
     # -- dynamics ------------------------------------------------------------
 
     def rises(self, uniforms: np.ndarray) -> list[list[int]]:
@@ -97,7 +92,7 @@ class GlauberChain:
 
 @dataclass(frozen=True)
 class CftpResult:
-    occupied: frozenset[Site]
+    columns: tuple[int, ...]  # packed, as Python ints: a column of 64 rows does not fit an int64
     epochs: int
     sweeps_used: int
 
@@ -159,7 +154,7 @@ def cftp_sample(
             state = _sweep(state, rises[t - 1])
         total += horizon
         if all(c & chain._low == c >> chain._shift for c in state):  # the halves merged
-            return CftpResult(chain.occupied(state), epochs, total)
+            return CftpResult(tuple(c & chain._low for c in state), epochs, total)
         horizon *= 2
     raise CoalescenceTimeout(f"{box.width}x{box.height} box: no coalescence in {epochs} epochs, the last from "
                              f"{horizon // 2} sweeps back, {total} pair sweeps in all")

@@ -19,6 +19,7 @@ from .lattice import (
     LatticeBox,
     box_lambda,
     centered_box,
+    draw_sites,
     external_boundary,
     neighbours,
     reflect_theta,
@@ -330,10 +331,10 @@ def check_cftp_exactness(draws: int, seed: int, boxes=((2, 2), (3, 2))) -> Check
         field = ActivityField(box, np.ones((w, h)), 1.0)
         states = {s: i for i, s in enumerate(enumerate_independent_sets(box))}
         counts = np.zeros((2, len(states)), dtype=np.int64)
-        for i in range(draws):
-            counts[0, states[cftp_sample(box, field, "empty", ReplicaSeed(seed, i)).occupied]] += 1
-        for occ in sample_exact(box, field, "empty", np.random.default_rng(seed), draws):
-            counts[1, states[occ]] += 1
+        drawn = [cftp_sample(box, field, "empty", ReplicaSeed(seed, i)).columns for i in range(draws)]
+        drawn += sample_exact(box, field, "empty", np.random.default_rng(seed), draws).tolist()
+        for k, columns in enumerate(drawn):  # the CFTP draws, then the exact ones
+            counts[k // draws, states[frozenset(draw_sites(box, columns))]] += 1
         worst_p = min(worst_p, _chi2_p(counts))
     return CheckResult("cftp-vs-exact", worst_p >= 1e-3, f"min chi2 p={worst_p:.3f}")
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from hardcore2d import cli
-from hardcore2d.disorder import ActivityField, DisorderSpec, sample_fields, save_field
-from hardcore2d.lattice import EVEN_BC, box_lambda, centered_box
-from hardcore2d.mcmc import CftpResult
+from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields, save_field
+from hardcore2d.engine import sample_exact
+from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, draw_sites
+from hardcore2d.mcmc import CftpResult, cftp_sample
 from hardcore2d.observables import response_gap
 from hardcore2d.oracle import oracle_log_partition
 
@@ -162,6 +163,14 @@ def test_box_and_j_together_exit_two(capsys, command):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_a_field_file_with_a_nan_value_names_the_value(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"scale": 1.0, "region": [0, 0, 0, 0], "values": [[0, 0, NaN]]}')
+    code, _, err = run_cli(["logz", "--box", "1x1", "--field", str(path)], capsys)
+    assert code == 1
+    assert "field values must be finite and >= 0" in err
+
+
 def test_field_file_must_cover_box(tmp_path, capsys):
     box = centered_box(2, 2)
     save_field(ActivityField(box, np.ones((2, 2)), 1.0), tmp_path / "f.json")
@@ -301,9 +310,29 @@ def test_sample_values_are_the_json_of_the_sorted_draw(capsys, method, box, fiel
         assert set(values) == {"[]", "[[0, 0]]"}
 
 
+@pytest.mark.parametrize("method, w, h, lam, draws", [("cftp", 2, 62, 0.5, 5), ("exact", 3, 24, 1.0, 20)])
+def test_sample_values_are_the_librarys_draws_past_the_pinned_heights(capsys, monkeypatch, method, w, h, lam, draws):
+    # rows past 53 of a CFTP draw would show a float or int64 round trip of its packed columns
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    argv = ["sample", "--method", method, "--box", f"{w}x{h}", "--lambda", str(lam), "--draws", str(draws),
+            "--seed", "9", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    values = [r["value"] for r in csv.DictReader(io.StringIO(out)) if r["observable"] == "sample"]
+    box = centered_box(w, h)
+    field = sample_field(DisorderSpec("constant", (1.0,)), box.expand(1), lam, ReplicaSeed(9, 0))
+    if method == "exact":
+        drawn = sample_exact(box, field, FREE_BC, np.random.default_rng(9), draws)
+    else:
+        drawn = [cftp_sample(box, field, FREE_BC, ReplicaSeed(9, i)).columns for i in range(draws)]
+    sites = [draw_sites(box, columns) for columns in drawn]
+    assert values == [json.dumps(sorted(s)) for s in sites]
+    assert max(y - box.y_min for s in sites for _, y in s) == h - 1  # the top row is drawn
+
+
 def test_sample_makes_the_calls_the_benchmark_times(capsys, monkeypatch):
     # perfbench times cli.cftp_sample, cli.sample_exact and cli.sample_field
-    # once per call and reads one CftpResult per cftp_sample call
+    # once per call and reads the epochs and sweeps of each CftpResult
     calls = {"cftp_sample": [], "sample_exact": [], "sample_field": []}
 
     def recorded(fn, results):
@@ -317,9 +346,12 @@ def test_sample_makes_the_calls_the_benchmark_times(capsys, monkeypatch):
     base = ["sample", "--box", "3x3", "--field", "bernoulli:0.7", "--bc", "even", "--out", "-"]
     assert run_cli(base + ["--method", "cftp", "--draws", "5"], capsys)[0] == 0
     assert len(calls["cftp_sample"]) == 5
-    assert all(isinstance(res, CftpResult) for res in calls["cftp_sample"])
+    for res in calls["cftp_sample"]:
+        assert isinstance(res, CftpResult) and type(res.epochs) is int and type(res.sweeps_used) is int
+        assert isinstance(res.columns, tuple) and len(res.columns) == 3
     assert run_cli(base + ["--method", "exact", "--draws", "5"], capsys)[0] == 0
-    assert len(calls["sample_exact"]) == 1 and len(calls["sample_exact"][0]) == 5
+    (drawn,) = calls["sample_exact"]
+    assert isinstance(drawn, np.ndarray) and drawn.shape == (5, 3) and drawn.dtype == np.int64
     assert len(calls["sample_field"]) == 2  # one field per command, through _field_for
 
 

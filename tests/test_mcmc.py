@@ -11,7 +11,7 @@ from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample
 from hardcore2d.engine import MAX_HEIGHT, log_partition, sample_exact
 from hardcore2d.errors import CapacityError, CoalescenceTimeout
 from hardcore2d.lattice import (
-    EVEN_BC, FREE_BC, MAX_SIDE, LatticeBox, box_lambda, centered_box, is_even, neighbours)
+    EVEN_BC, FREE_BC, MAX_SIDE, LatticeBox, box_lambda, centered_box, draw_sites, is_even, neighbours)
 from hardcore2d.mcmc import GlauberChain, cftp_sample
 from hardcore2d.oracle import enumerate_independent_sets
 from hardcore2d.validation import _chi2_p, check_cftp_exactness, check_monotone_order
@@ -51,9 +51,11 @@ def columns(grid):
     return [sum(int(b) << r for r, b in enumerate(col)) for col in grid[1:-1, 1:-1]]
 
 
-def halves(chain, pair):
+def halves(box, pair):
     """The occupied sets of a pair's lower and upper halves."""
-    return chain.occupied(pair), chain.occupied([c >> chain.box.height + 1 for c in pair])
+    h = box.height
+    lower, upper = [c & (1 << h) - 1 for c in pair], [c >> h + 1 for c in pair]
+    return set(draw_sites(box, lower)), set(draw_sites(box, upper))
 
 
 def test_column_kernel_matches_the_site_loop():
@@ -79,7 +81,7 @@ def test_column_kernel_matches_the_site_loop():
             assert not any(c >> h & 1 for c in pair)  # the guard bit stays clear
             assert single == [c | c << h + 1 for c in columns(upper)]  # equal halves stay equal
             xs, ys = np.nonzero(lower)
-            assert chain.occupied(pair) == set(zip(xs + box.x_min - 1, ys + box.y_min - 1))
+            assert halves(box, pair)[0] == set(zip(xs + box.x_min - 1, ys + box.y_min - 1))
 
 
 def test_sweep_preserves_independence_and_constraints():
@@ -90,7 +92,7 @@ def test_sweep_preserves_independence_and_constraints():
     rng = np.random.default_rng(1)
     for _ in range(50):
         pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
-        lower, upper = halves(chain, pair)
+        lower, upper = halves(box, pair)
         assert lower == upper
         assert_admissible(lower, box, f, EVEN_BC)
 
@@ -101,7 +103,7 @@ def test_extremes_are_the_unblocked_live_sublattices():
     frame = EVEN_BC.frame_occupied(box, f.is_live)
     free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
     chain = GlauberChain(box, f, EVEN_BC)
-    lower, upper = halves(chain, chain.extremes())
+    lower, upper = halves(box, chain.extremes())
     assert upper == {v for v in free if is_even(v)}
     assert lower == {v for v in free if not is_even(v)}
 
@@ -114,7 +116,7 @@ def test_extremes_are_ordered_and_stay_ordered():
         f = sample_field(spec, box.expand(1), 6.0, ReplicaSeed(17, rep))
         chain = GlauberChain(box, f, "even")
         pair = chain.extremes()
-        lower, upper = halves(chain, pair)
+        lower, upper = halves(box, pair)
         assert sandwiched(lower, upper)
         assert chain.ordered(pair)
         # swapped, the extremes are ordered only when both are empty
@@ -123,7 +125,7 @@ def test_extremes_are_ordered_and_stay_ordered():
         assert chain.ordered(swapped) == (lower == upper)
         for _ in range(60):
             pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
-            assert sandwiched(*halves(chain, pair))
+            assert sandwiched(*halves(box, pair))
 
 
 def test_monotone_check_sees_the_pair_packing(monkeypatch):
@@ -132,7 +134,7 @@ def test_monotone_check_sees_the_pair_packing(monkeypatch):
 
     def guardless(self, *args):
         init(self, *args)
-        self._shift = self.box.height  # upper at bit H: no guard bit between the halves
+        self._shift -= 1  # upper at bit H: no guard bit between the halves
 
     monkeypatch.setattr(GlauberChain, "__init__", guardless)
     for seed in (20260815 + 9, 20260816 + 9):
@@ -140,25 +142,38 @@ def test_monotone_check_sees_the_pair_packing(monkeypatch):
         assert not res.passed and "lost its order" in res.detail
 
 
-def reference_occupied(chain, pair):
-    """GlauberChain.occupied by its numpy definition: the set bits of each
-    column's lower half."""
-    box = chain.box
-    lower = np.array([c & (1 << box.height) - 1 for c in pair], dtype=np.uint64)
-    xs, ys = np.nonzero(lower[:, None] >> np.arange(box.height, dtype=np.uint64) & 1)
-    return frozenset(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist()))
+def reference_sites(box, columns):
+    """draw_sites by its numpy definition: the set bits of each column, in sorted order."""
+    packed = np.array(columns, dtype=np.uint64)
+    xs, ys = np.nonzero(packed[:, None] >> np.arange(box.height, dtype=np.uint64) & 1)
+    return list(zip((xs + box.x_min).tolist(), (ys + box.y_min).tolist()))
 
 
 @pytest.mark.parametrize("h", [1, 2, 31, 32, 63, MAX_SIDE])
 def test_occupied_decodes_the_lower_half(h):
+    # draw_sites on the lower halves CftpResult keeps, as Python ints and as int64 below height 64
     rng = random.Random(h)
     for box in (centered_box(3, h), LatticeBox(-9, -7, -h - 4, -5)):  # negative offsets
-        chain = GlauberChain(box, uniform_field(box))
         full = (1 << h) - 1
         for lower, upper in [(0, 0), (full, 0), (0, full), (full, full)] + [
                 (rng.getrandbits(h), rng.getrandbits(h)) for _ in range(30)]:
             pair = [lower >> x | (upper >> x) << h + 1 for x in range(3)]
-            assert chain.occupied(pair) == reference_occupied(chain, pair)
+            columns = [c & full for c in pair]
+            want = reference_sites(box, columns)
+            assert draw_sites(box, columns) == want
+            if h < 64:
+                assert draw_sites(box, np.array(columns, dtype=np.int64)) == want
+
+
+def test_cftp_draws_at_height_64_keep_the_top_row():
+    # the lower halves of a 64-row pair pass 2^63: they must stay Python ints, not wrap in an int64
+    box = LatticeBox(0, 1, 0, 63)
+    f = uniform_field(box, 1.0, 3.0)
+    draws = [cftp_sample(box, f, FREE_BC, ReplicaSeed(5, i)) for i in range(20)]
+    assert all(type(c) is int and 0 <= c < 1 << 64 for res in draws for c in res.columns)
+    assert any(c >> 63 for res in draws for c in res.columns)
+    for res in draws:
+        assert_admissible(draw_sites(box, res.columns), box, f, FREE_BC)
 
 
 def test_cftp_reuses_a_chain_only_for_the_same_field_box_and_frame(monkeypatch):
@@ -184,11 +199,11 @@ def test_cftp_is_deterministic_in_the_seed():
     f = uniform_field(box, value=2.0)
     a = cftp_sample(box, f, "empty", ReplicaSeed(5, 0))
     b = cftp_sample(box, f, "empty", ReplicaSeed(5, 0))
-    assert a.occupied == b.occupied
+    assert a.columns == b.columns
     assert a.epochs == b.epochs
     c = cftp_sample(box, f, "empty", ReplicaSeed(5, 1))
     # different replica reads a different driving sequence
-    assert (c.occupied != a.occupied) or c.sweeps_used != a.sweeps_used
+    assert (c.columns != a.columns) or c.sweeps_used != a.sweeps_used
 
 
 def test_cftp_agrees_with_exact_sampler():
@@ -198,9 +213,10 @@ def test_cftp_agrees_with_exact_sampler():
     counts = np.zeros((2, len(states)), dtype=np.int64)
     draws = 3000
     for i in range(draws):
-        counts[0, states[cftp_sample(box, f, "empty", ReplicaSeed(99, i)).occupied]] += 1
-    for s in sample_exact(box, f, "empty", np.random.default_rng(99), draws):
-        counts[1, states[s]] += 1
+        res = cftp_sample(box, f, "empty", ReplicaSeed(99, i))
+        counts[0, states[frozenset(draw_sites(box, res.columns))]] += 1
+    for columns in sample_exact(box, f, "empty", np.random.default_rng(99), draws):
+        counts[1, states[frozenset(draw_sites(box, columns))]] += 1
     _, p, _, _ = scipy.stats.chi2_contingency(counts)
     assert p > 1e-3
 
@@ -224,8 +240,8 @@ def test_cftp_respects_even_frame():
     box = box_lambda(1)
     f = uniform_field(box, value=5.0)
     for i in range(40):
-        occ = cftp_sample(box, f, "even", ReplicaSeed(13, i)).occupied
-        assert not ({(1, 0), (0, 1)} & occ)
+        occ = draw_sites(box, cftp_sample(box, f, "even", ReplicaSeed(13, i)).columns)
+        assert not ({(1, 0), (0, 1)} & set(occ))
 
 
 def test_cftp_timeout_raises(monkeypatch):
@@ -287,7 +303,7 @@ def test_cftp_serves_boxes_taller_than_the_scan():
     for bc in (FREE_BC, EVEN_BC):
         for i in range(3):
             res = cftp_sample(box, f, bc, ReplicaSeed(7, i))
-            assert_admissible(res.occupied, box, f, bc)
+            assert_admissible(draw_sites(box, res.columns), box, f, bc)
 
 
 def test_chain_refuses_a_field_that_misses_the_box():
