@@ -47,12 +47,13 @@ The scan runs on a stack of instances (one box and frame, many fields): every
 table has a leading instance axis, so one numpy call steps the whole stack,
 and a single field is a stack of one.  log_partition, occupation_probabilities
 and occupation_probability take one ActivityField or a sequence; a sequence
-is grouped by each instance's float type and cut into chunks that hold at most
-_SCAN_ENTRIES entries: instances x (largest table + the column vectors the
-marginals store), about 1 MB of float64.  So log Z runs up to 963 side-8 or
-140 side-12 boxes at once and side 22 one at a time.  Site steps and the
-marginal fold are elementwise across instances, and log scales and sums run
-along each instance's masks as for one field, with no BLAS call, so every
+is grouped by each instance's float type and cut into chunks of at most
+_CHUNK_ENTRIES entries, about 1 MB of float64: instances x (largest table +
+the column vectors the marginals store), so log Z runs up to 963 side-8 or 140
+side-12 boxes at once and side 22 alone.  The same budget caps the CDF rows x
+masks of a sample_exact chunk and a cftp_sample block of uniforms.  Site steps
+and the marginal fold are elementwise across instances, and log scales and sums
+run along each instance's masks as for one field, with no BLAS call, so every
 instance's result is bit for bit what it is alone.
 """
 from __future__ import annotations
@@ -68,8 +69,7 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_c
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
-_DRAW_ENTRIES = 1 << 16  # cap on the (CDF rows x masks) tables sample_exact builds at once
-_SCAN_ENTRIES = 1 << 16  # cap on the table and stored-vector entries of one chunk of a stack
+_CHUNK_ENTRIES = 1 << 16  # cap on the entries one chunk builds at once: tables and stored vectors, CDF rows, uniforms
 _LIVE_ROWS_FROM = 17  # below this box height every row counts as live
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
 _FLOAT_BITS = np.array([bits - _SAFETY_BITS for _, bits in _FLOATS])
@@ -168,7 +168,7 @@ class _Scan:
     """Forward and transposed site sweeps for a stack of instances of one
     height and one float type: every table carries a leading instance axis."""
 
-    def __init__(self, acts: np.ndarray, dtype: type):
+    def __init__(self, acts: np.ndarray, dtype: type, kept: int = 0):
         self.dtype, self.count = dtype, len(acts)
         height = acts.shape[2]
         self.steps, largest, orders, self.masks = _plan(height)
@@ -183,8 +183,8 @@ class _Scan:
                 np.empty(self.count * len(self.masks), dtype))
         self.spread, self.spread_idx = np.zeros((self.count, len(self.masks)), dtype), []
         self.empty = np.ones((self.count, 1), dtype)  # the vector over the one mask of an empty column
-        # the last 4 column pairs (p, q) of this scan: tables, views, p's mask positions and q's in hi order
-        self.tables = lru_cache(4)(lambda p, q, tops=self.tops: _tables(bufs, len(acts), height, p, q) + (
+        # column pairs' set-ups (tables, views, mask positions): the kept pairs, else all-live (full, 0), (full, full)
+        self.tables = lru_cache(max(kept, 2))(lambda p, q, tops=self.tops: _tables(bufs, len(acts), height, p, q) + (
             orders if p == q == full else _walk(*_sizes(p, q, height), tops)))
 
     def _spread(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -242,9 +242,9 @@ class _Scan:
 
 
 def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition | str, kept: int = 0):
-    """Yield (instance indices, scan) over the stack: instances grouped by their
-    float type, each group cut into chunks of at most _SCAN_ENTRIES entries in
-    the largest table plus ``kept`` column vectors per instance."""
+    """Yield (instance indices, scan) over the stack: instances grouped by float
+    type, in chunks of at most _CHUNK_ENTRIES entries in the largest table plus
+    ``kept`` column vectors per instance; a scan keeps ``kept`` column pairs' set-ups."""
     acts = box_activities(box, fields, bc)
     if box.height > MAX_HEIGHT:
         raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
@@ -255,12 +255,12 @@ def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition |
     if len(_FLOATS) in kinds:
         raise CapacityError("activities span too wide a range for an exact scan")
     _, largest, _, masks = _plan(box.height)
-    chunk = max(1, _SCAN_ENTRIES // (largest + kept * len(masks)))
+    chunk = max(1, _CHUNK_ENTRIES // (largest + kept * len(masks)))
     for k in sorted(set(kinds)):
         group = [i for i, kind in enumerate(kinds) if kind == k]
         for start in range(0, len(group), chunk):
             idx = group[start : start + chunk]
-            yield idx, _Scan(acts[idx], _FLOATS[k][0])
+            yield idx, _Scan(acts[idx], _FLOATS[k][0], kept)
 
 
 def log_partition(
@@ -330,7 +330,7 @@ def sample_exact(
     ``rng.random((draws, W))[i, x]``, so the draws do not depend on how many
     are asked for at once.  Draws whose previous columns agree share one CDF
     row, built as for a single draw, and bisect it.  Chunks of at most
-    _DRAW_ENTRIES entries (rows x masks) serve slices of the draws by row.
+    _CHUNK_ENTRIES entries (rows x masks) serve slices of the draws by row.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -338,7 +338,7 @@ def sample_exact(
     ((_, scan),) = _scans(box, [field], bc)
     masks = scan.masks
     betas = list(scan.backward())[::-1]
-    chunk = max(1, _DRAW_ENTRIES // len(masks))
+    chunk = max(1, _CHUNK_ENTRIES // len(masks))
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)  # column 0: left of the box
     for x, beta in enumerate(betas):

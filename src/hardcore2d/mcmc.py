@@ -32,7 +32,7 @@ t, 1])).random(site_count)`` of numpy, keys wrapped to uint64: uniform k goes
 to the k-th site of the sweep (column by column, bottom to top), and every
 epoch replays the same uniforms.  One Philox per draw reads them: for each new
 time t its state is reset to that of a fresh Philox at counter [0, 0, t, 1].
-An epoch reads its new times in blocks of at most 2^18 uniforms.
+An epoch reads its new times in blocks of at most engine._CHUNK_ENTRIES uniforms.
 
 ``cftp_sample`` reuses its last call's chain for the same field object (fields
 are immutable), an equal box and an equal frame: 499 of the 500 calls of
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import ActivityField, ReplicaSeed
-from .engine import box_activities
+from .engine import _CHUNK_ENTRIES, box_activities
 from .errors import CoalescenceTimeout
 from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox
 
@@ -137,7 +137,7 @@ def cftp_sample(
     bits = np.random.Philox(key=key, counter=[0, 0, 0, 1])
     gen, fresh = np.random.Generator(bits), bits.state
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
-    block = max(1, (1 << 18) // box.site_count)  # new times read at once: at most 2 MiB of uniforms
+    block = max(1, _CHUNK_ENTRIES // box.site_count)  # new times read at once: at most 512 KiB of uniforms
     total = epochs = 0
     horizon = 1
     while horizon <= _MAX_SWEEPS:

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardcore2d import engine
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import (
+    MAX_HEIGHT,
     log_partition,
     occupation_probabilities,
     occupation_probability,
@@ -182,6 +185,44 @@ def test_hard_square_entropy_approaches_baxters_constant():
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
+@st.composite
+def cut_boxes(draw):
+    """A box of height 17..MAX_HEIGHT, a field on it and its frame with row or
+    column ``cut`` of the box dead, and the parts of the box on either side."""
+    w, h, rows = draw(st.integers(1, 6)), draw(st.integers(17, MAX_HEIGHT)), draw(st.booleans())
+    cut = draw(st.integers(0, (h if rows else w) - 1))
+    box = centered_box(w, h)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    region = box.expand(1)
+    vals = rng.integers(1, 33, size=(region.width, region.height)) / 16.0
+    vals[rng.random(vals.shape) < draw(st.sampled_from((0.0, 0.2)))] = 0.0
+    if rows:
+        vals[:, cut + 1] = 0.0
+    else:
+        vals[cut + 1] = 0.0
+    first, last = (box.y_min, box.y_max) if rows else (box.x_min, box.x_max)
+    spans = [(a, b) for a, b in ((first, first + cut - 1), (first + cut + 1, last)) if a <= b]
+    parts = [LatticeBox(box.x_min, box.x_max, a, b) if rows else LatticeBox(a, b, box.y_min, box.y_max)
+             for a, b in spans]
+    return box, ActivityField(region, vals, float(rng.choice((0.5, 1.0, 3.0)))), parts
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cut_boxes())
+def test_a_dead_row_or_column_factorizes_the_box(case):
+    # the whole box scans its live rows; a part beside a dead row may be lower than
+    # 17 and take the full plan, so the two paths check each other past the oracle
+    box, field, parts = case
+    for bc in (FREE_BC, EVEN_BC, ODD_BC):
+        frames = [BoundaryCondition("custom", bc.frame_occupied(box) & external_boundary(part)) for part in parts]
+        whole = occupation_probabilities(box, field, bc)
+        assert log_partition(box, field, bc) == pytest.approx(
+            sum(log_partition(part, field, frame) for part, frame in zip(parts, frames)), rel=1e-13)
+        for part, frame in zip(parts, frames):
+            for v, p in occupation_probabilities(part, field, frame).items():
+                assert p == pytest.approx(whole[v], abs=1e-13)
+
+
 def test_height_cap():
     box = LatticeBox(0, 0, 0, 24)  # height 25
     with pytest.raises(CapacityError):
@@ -310,7 +351,7 @@ def test_draws_sharing_a_previous_column_match_one_cdf_row_per_draw(monkeypatch)
     got = sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400)  # 377 masks: 173 CDF rows a chunk
     assert np.array_equal(got, draws_reference(box, f, EVEN_BC, np.random.default_rng(3), 400))
     assert len(set(got[:, 0].tolist())) < 100  # first columns repeat
-    monkeypatch.setattr(engine, "_DRAW_ENTRIES", 64)  # one CDF row a chunk, each for a slice of the draws
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 64)  # one CDF row a chunk, each for a slice of the draws
     assert np.array_equal(sample_exact(box, f, EVEN_BC, np.random.default_rng(3), draws=400), got)
     monkeypatch.undo()
     for exponent in (1, 600) if WIDE else (1,):
@@ -394,7 +435,7 @@ def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
         box = LatticeBox(-1, w - 2, 0, h - 1)
         if per_chunk:
             largest = engine._plan(h)[1]
-            monkeypatch.setattr(engine, "_SCAN_ENTRIES", per_chunk * largest)
+            monkeypatch.setattr(engine, "_CHUNK_ENTRIES", per_chunk * largest)
         fields = random_stack(rng, box, 10)
         for bc in random_frames(rng, box):
             if WIDE and h > 1:
@@ -454,7 +495,7 @@ def test_dead_rows_change_no_bit(monkeypatch, exponent, dtype):
     # beside an all-live companion of its float type the stack's scan keeps
     # every row; alone, the diluted field's scan drops its dead rows
     monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", 0)  # on every height
-    monkeypatch.setattr(engine, "_SCAN_ENTRIES", 1 << 20)  # both instances in one chunk
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 1 << 20)  # both instances in one chunk
     rng = np.random.default_rng(22)
     checked = []
     for w, h in ((5, 1), (1, 6), (6, 7), (3, 20), (2, 24)):
@@ -474,6 +515,17 @@ def test_dead_rows_change_no_bit(monkeypatch, exponent, dtype):
                     single = occupation_probabilities(box, field, bc)
                     assert probs.ravel().tolist() == [single[v] for v in box.sites()], (name, w, h, bc.kind)
     assert checked.count(dtype) >= 20
+
+
+def test_marginals_build_each_column_pairs_set_up_once(monkeypatch):
+    # at height 20 every column has its own live rows, so the backward pass
+    # revisits each of the forward pass's column pairs, none of them all-live
+    box = box_lambda(10)
+    f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
+    built, tables = [], engine._tables
+    monkeypatch.setattr(engine, "_tables", lambda *args: built.append(args[3:]) or tables(*args))
+    occupation_probabilities(box, f, EVEN_BC)
+    assert len(built) == len(set(built)) == box.width
 
 
 def test_a_box_with_every_site_dead():

@@ -282,7 +282,7 @@ def test_cftp_reads_one_philox_generator_per_past_time(monkeypatch, n):
 
 def test_cftp_reads_the_uniforms_of_an_epoch_in_bounded_blocks(monkeypatch):
     # the last epoch's 128 new times on 64x64 are 4 MiB of uniforms read at once
-    # without blocks; a block holds at most 2^18 of them
+    # without blocks; a block holds at most engine._CHUNK_ENTRIES (2^16) of them
     box = centered_box(64, 64)
     monkeypatch.setattr(mcmc, "_MAX_SWEEPS", 256)
     tracemalloc.start()
@@ -292,7 +292,7 @@ def test_cftp_reads_the_uniforms_of_an_epoch_in_bounded_blocks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_cftp_serves_boxes_taller_than_the_scan():
