@@ -1,16 +1,16 @@
 """Brute-force ground truth for small boxes.
 
-Everything here trades speed for transparency: independent sets come from a
-filter over all subsets of the usable (live, not frame-blocked) sites,
-partition sums use exact arithmetic, and the set counts are cross-checked
-against a row-by-row recursion that shares no code with the transfer scan of
-the fast engine.
+Everything here trades speed for transparency: the independent sets of the
+usable (live, not frame-blocked) sites are grown one site at a time as
+bitmasks, so the cost follows their number; partition sums are exact Python
+integers over a common power of two, one ``Fraction`` per result; and the set
+counts are cross-checked against a row-by-row recursion that shares no code
+with the transfer scan of the fast engine.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +36,32 @@ def _usable_sites(
     return sites, edges
 
 
+def _independent_sets(
+    box: LatticeBox, bc: BoundaryCondition, field: ActivityField
+) -> tuple[list[Site], np.ndarray, np.ndarray, int]:
+    """The usable sites, their independent sets as ascending int64 masks, and
+    each set's weight as a Python int over one common denominator 2^e.
+
+    Site k joins each set holding none of its lower-indexed neighbours, after
+    the sets without it.  Each usable activity is an integer a_v over a common
+    2^K (floats are dyadic), and a set's weight is the product of a_v over its
+    sites and of 2^K over the other usable sites, so e = K * usable."""
+    if box.site_count > MAX_SITES:
+        raise CapacityError(f"subset enumeration is capped at {MAX_SITES} sites")
+    sites, edges = _usable_sites(box, bc, field)
+    p, q = field.scale.as_integer_ratio()
+    ratios = [(p * m, q * d) for m, d in (field.value_at(v).as_integer_ratio() for v in sites)]
+    K = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    lower = [sum(1 << i for i, j in edges if j == k) for k in range(len(sites))]  # i < j
+    subs = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1, dtype=object)
+    for k, (low, (m, d)) in enumerate(zip(lower, ratios)):
+        sel = (subs & low) == 0
+        subs = np.concatenate((subs, subs[sel] | 1 << k))
+        weights = np.concatenate((weights << K, weights[sel] * (m << K - d.bit_length() + 1)))
+    return sites, subs, weights, K * len(sites)
+
+
 def enumerate_independent_sets(
     box: LatticeBox,
     bc: BoundaryCondition = FREE_BC,
@@ -43,27 +69,11 @@ def enumerate_independent_sets(
 ) -> list[frozenset[Site]]:
     """All admissible occupation patterns: independent, live, frame-compatible.
 
-    Only subsets of the usable sites are filtered, so the cost follows 2^usable;
+    The sets grow one usable site at a time, so the cost follows their number;
     the patterns come in ascending order of their bitmask over the box sites."""
-    if box.site_count > MAX_SITES:
-        raise CapacityError(f"subset enumeration is capped at {MAX_SITES} sites")
-    sites, edges = _usable_sites(box, bc, field)
-    subs = np.arange(1 << len(sites), dtype=np.int64)
-    ok = np.ones(len(subs), dtype=bool)
-    for i, j in edges:
-        ok &= ((subs >> i) & (subs >> j) & 1) == 0
-    return [frozenset(v for i, v in enumerate(sites) if s >> i & 1) for s in subs[ok].tolist()]
-
-
-def _weighted_sets(
-    box: LatticeBox, field: ActivityField, bc: BoundaryCondition
-) -> Iterator[tuple[frozenset[Site], Fraction]]:
-    """Each admissible pattern with its exact weight: binary floats are exact
-    dyadic rationals, so every weight is represented without error."""
-    lam = Fraction(field.scale)
-    weight = {v: lam * Fraction(field.value_at(v)) for v in box.sites()}
-    for occ in enumerate_independent_sets(box, bc, field):
-        yield occ, math.prod((weight[v] for v in occ), start=Fraction(1))
+    field = ActivityField(box, np.ones((box.width, box.height))) if field is None else field
+    sites, subs, _, _ = _independent_sets(box, bc, field)
+    return [frozenset(v for i, v in enumerate(sites) if s >> i & 1) for s in subs.tolist()]
 
 
 @dataclass(frozen=True)
@@ -86,20 +96,18 @@ def oracle_log_partition(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition = FREE_BC
 ) -> ExactWeight:
     """Exact partition sum by enumeration, in rationals."""
-    return ExactWeight(sum((w for _, w in _weighted_sets(box, field, bc)), Fraction(0)))
+    _, _, weights, e = _independent_sets(box, bc, field)
+    return ExactWeight(Fraction(int(weights.sum()), 1 << e))
 
 
 def oracle_occupations(
     box: LatticeBox, field: ActivityField, bc: BoundaryCondition = FREE_BC
 ) -> dict[Site, Fraction]:
     """Exact occupation probability of every box site."""
-    z = Fraction(0)
-    mass: dict[Site, Fraction] = {v: Fraction(0) for v in box.sites()}
-    for occ, w in _weighted_sets(box, field, bc):
-        z += w
-        for v in occ:
-            mass[v] += w
-    return {v: m / z for v, m in mass.items()}
+    sites, subs, weights, _ = _independent_sets(box, bc, field)
+    z = int(weights.sum())
+    mass = {v: int(weights[(subs >> i & 1) == 1].sum()) for i, v in enumerate(sites)}
+    return {v: Fraction(mass.get(v, 0), z) for v in box.sites()}
 
 
 def grid_independent_set_count(width: int, height: int) -> int:

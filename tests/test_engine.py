@@ -185,6 +185,20 @@ def test_hard_square_entropy_approaches_baxters_constant():
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
+@pytest.mark.parametrize("h", [12, 16, 18, 22, 23])
+def test_strip_free_energy_differences_give_kappa(h):
+    # the second difference of log Z over widths 60, 61 and heights h, h + 1 cancels
+    # the edge and corner terms and leaves log kappa, the entropy per site (Baxter,
+    # Enting and Tsang, J. Stat. Phys. 22, 1980): an outside value for the
+    # all-live per-height plans up to height 24, far past the oracle's cap
+    def log_z(w, h):
+        box = LatticeBox(0, w - 1, 0, h - 1)
+        return log_partition(box, uniform_field(box))
+
+    d = log_z(61, h + 1) - log_z(60, h + 1) - log_z(61, h) + log_z(60, h)
+    assert math.exp(d) == pytest.approx(1.503048082475332, rel=1e-12)
+
+
 @st.composite
 def cut_boxes(draw):
     """A box of height 17..MAX_HEIGHT, a field on it and its frame with row or

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardcore2d.disorder import ActivityField
 from hardcore2d.lattice import (
@@ -16,12 +18,17 @@ from hardcore2d.lattice import (
     EVEN_BC,
     FREE_BC,
     ODD_BC,
+    LatticeBox,
     box_lambda,
     centered_box,
+    external_boundary,
+    neighbours,
 )
 from hardcore2d.errors import CapacityError
 from hardcore2d.oracle import (
+    MAX_SITES,
     ExactWeight,
+    _usable_sites,
     enumerate_independent_sets,
     grid_independent_set_count,
     oracle_log_partition,
@@ -143,8 +150,95 @@ def test_site_cap_enforced():
         enumerate_independent_sets(box)
 
 
+@pytest.mark.parametrize("oracle", [oracle_log_partition, oracle_occupations])
+def test_sums_enforce_the_site_cap(oracle):
+    box = centered_box(1, MAX_SITES + 1)
+    with pytest.raises(CapacityError):
+        oracle(box, uniform_field(box))
+
+
 def test_custom_bc_neighbours_blocked():
     box = centered_box(2, 2)
     bc = BoundaryCondition("custom", frozenset({(box.x_min - 1, box.y_min)}))
     sets = enumerate_independent_sets(box, bc)
     assert all((box.x_min, box.y_min) not in s for s in sets)
+
+
+def reference_oracle(box, field, bc):
+    """The enumeration by its definition: filter all 2^usable subsets edge by
+    edge, weigh each survivor by a product of Fractions and sum the weights."""
+    sites, edges = _usable_sites(box, bc, field)
+    subs = np.arange(1 << len(sites), dtype=np.int64)
+    ok = np.ones(len(subs), dtype=bool)
+    for i, j in edges:
+        ok &= ((subs >> i) & (subs >> j) & 1) == 0
+    sets = [frozenset(v for i, v in enumerate(sites) if s >> i & 1) for s in subs[ok].tolist()]
+    weight = {v: Fraction(field.scale) * Fraction(field.value_at(v)) for v in sites}
+    z = Fraction(0)
+    mass = {v: Fraction(0) for v in box.sites()}
+    for occ in sets:
+        w = math.prod((weight[v] for v in occ), start=Fraction(1))
+        z += w
+        for v in occ:
+            mass[v] += w
+    return sets, z, {v: m / z for v, m in mass.items()}
+
+
+# zeros, plain dyadics and the extremes of the double range: the smallest
+# subnormal, three times it, and 1e300, which every scale below keeps finite
+MODERATE = (0.0, 0.25, 0.75, 1.0, 1.5, 2.0, 3.0)
+EXTREME = (5e-324, 3 * 2.0**-1074, 1e300)
+SCALES = (1.0, 0.5, 1e-300)
+
+
+def _frame(box, kind, pick):
+    if kind != "custom":
+        return BoundaryCondition(kind)
+    occupied: set = set()
+    for u in pick:
+        if not any(w in occupied for w in neighbours(u)):
+            occupied.add(u)
+    return BoundaryCondition("custom", frozenset(occupied))
+
+
+def _case(w, h, kind, seed, scale=1.0, extremes=0):
+    """A 20-site example: dyadic values with zeros on the box and its ring."""
+    rng = np.random.default_rng(seed)
+    box = LatticeBox(0, w - 1, 0, h - 1)
+    region = box.expand(1)
+    vals = rng.choice(MODERATE, size=(region.width, region.height))
+    vals.flat[rng.choice(vals.size, extremes, replace=False)] = rng.choice(EXTREME, extremes)
+    frame = sorted(external_boundary(box))
+    pick = [frame[i] for i in rng.permutation(len(frame))[: len(frame) // 2]]
+    return box, ActivityField(region, vals, scale), _frame(box, kind, pick)
+
+
+@st.composite
+def oracle_cases(draw):
+    # the reference's Fraction sums cost about 20 us per set and grow with the
+    # exponent range, so drawn boxes stay at 12 sites; the 20-site ones are examples
+    w = draw(st.integers(1, 12))
+    box = LatticeBox(0, w - 1, 0, draw(st.integers(1, 12 // w)) - 1)
+    region = draw(st.sampled_from((box, box.expand(1))))
+    n = region.width * region.height
+    vals = draw(st.lists(st.sampled_from(MODERATE + EXTREME), min_size=n, max_size=n))
+    field = ActivityField(region, np.reshape(vals, (region.width, region.height)), draw(st.sampled_from(SCALES)))
+    kind = draw(st.sampled_from(("empty", "even", "odd", "custom")))
+    pick = draw(st.lists(st.sampled_from(sorted(external_boundary(box))), unique=True))
+    return box, field, _frame(box, kind, pick)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(oracle_cases())
+@example(_case(1, 20, "empty", 1))
+@example(_case(20, 1, "even", 2, scale=0.5, extremes=4))
+@example(_case(4, 5, "odd", 3, extremes=2))
+@example(_case(5, 4, "custom", 4))
+def test_oracle_equals_its_definition(case):
+    # the same rationals, not close ones, and the same sets in the same order
+    box, field, bc = case
+    sets, z, probs = reference_oracle(box, field, bc)
+    assert enumerate_independent_sets(box, bc, field) == sets
+    assert oracle_log_partition(box, field, bc).value == z
+    got = oracle_occupations(box, field, bc)
+    assert got == probs and list(got) == list(probs)
