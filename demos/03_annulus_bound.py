@@ -12,8 +12,8 @@ from hardcore2d import (
     ReplicaSeed,
     annulus_bound_check,
     box_lambda,
+    expected_gap_bound,
     pathwise_gap_bound,
-    per_site_gap_bound,
     response_gap,
     sample_field,
 )
@@ -29,8 +29,7 @@ bounds = pathwise_gap_bound(fields, J)
 assert np.all(np.abs(gaps) <= bounds + 1e-9)
 print(f"40 replicas: max |gap| = {np.abs(gaps).max():.4f}, min bound = {np.min(bounds):.4f} (bound held every time)")
 
-ring = box_lambda(J + 1).site_count - box_lambda(J).site_count
-cap = per_site_gap_bound(LAM, spec) * ring
+cap = expected_gap_bound(J, LAM, spec)
 mean = float(np.mean(gaps))
 stderr = float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
 print(f"mean gap = {mean:+.4f} +- {stderr:.4f}; per-site constant x ring = {cap:.4f}")

@@ -3,16 +3,12 @@
 Two regimes:
 
 * with 50 percent dilution everywhere, var/volume falls about tenfold per
-  step in j. The gap is exactly zero unless a live path through the moat
-  joins the inner box to a live frame site, and with the live density below
-  the site-percolation threshold (~0.5927) such crossings become
-  exponentially rare as the moat widens. At j <= 3 a crossing still exists in
-  nearly every replica, so that cut-off governs large j, not these sizes;
+  step in j, as acceptance criterion 07 asserts; the docstring of
+  hardcore2d.validation.check_variance_band says why;
 * with a pure (undiluted) moat and disorder only inside the inner box, the
   gap variance stays of the order of the ring size. That is a measurement,
-  not a consequence of the pathwise annulus cap: the cap grows like the ring,
-  so its square grows like the inner-box volume, and in two dimensions it
-  alone would allow volume-order variance.
+  not a consequence of the pathwise annulus cap, which alone would allow
+  volume-order variance.
 
 Neither regime produces variance proportional to the inner-box volume.
 """

@@ -44,11 +44,11 @@ from .observables import (
     boundary_influence,
     derivative_identity_check,
     estimate_response_gap,
+    expected_gap_bound,
     free_energy_response,
     influence_table,
     log_gain_mean,
     pathwise_gap_bound,
-    per_site_gap_bound,
     response_gap,
 )
 from .oracle import (
@@ -71,8 +71,8 @@ __all__ = [
     "CftpResult", "GlauberChain", "cftp_sample",
     "annulus_bound_check", "annulus_log_sum",
     "boundary_influence", "derivative_identity_check", "estimate_response_gap",
-    "free_energy_response", "influence_table", "log_gain_mean",
-    "pathwise_gap_bound", "per_site_gap_bound", "response_gap",
+    "expected_gap_bound", "free_energy_response", "influence_table", "log_gain_mean",
+    "pathwise_gap_bound", "response_gap",
     "ExactWeight", "enumerate_independent_sets", "grid_independent_set_count",
     "oracle_log_partition", "oracle_occupations",
 ]

@@ -40,8 +40,8 @@ from .observables import (
     _mean_stderr,
     annulus_bound_check,
     boundary_influence,
+    expected_gap_bound,
     pathwise_gap_bound,
-    per_site_gap_bound,
     response_gap,
     sampled_response_gaps,
 )
@@ -61,24 +61,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _records_to_csv(records: list[tuple]) -> str:
+def _emit(records: list[tuple], args) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *records])
-    return buf.getvalue()
-
-
-def _emit(records: list[tuple], args) -> None:
-    body = _records_to_csv(records)
     if args.out == "-":
-        sys.stdout.write(body)
+        sys.stdout.write(buf.getvalue())
         return
     path = Path(args.out)
-    path.write_text(body, encoding="utf-8")
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command", "lam")}
     manifest = {
         "tool": "hardcore2d",
         "version": __version__,
         "command": args.command,
-        "config": _config_dict(args),
+        "config": {**config, "lambda": args.lam},
         "written": datetime.now(timezone.utc).isoformat(),
     }
     path.with_suffix(path.suffix + ".manifest.json").write_text(
@@ -97,9 +93,9 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_box(args) -> tuple[LatticeBox, int | None]:
-    if getattr(args, "j", None) is not None:
+    if args.j is not None:
         return box_lambda(args.j), args.j
-    if getattr(args, "box", None):
+    if args.box:
         w, _, h = args.box.lower().partition("x")
         try:
             w, h = int(w), int(h)
@@ -258,12 +254,11 @@ def cmd_free_energy(args) -> int:
     records = [row(r, name, value) for r, values in enumerate(results) for name, value in zip(names, values)]
     mean, stderr = _mean_stderr(np.asarray([gap for gap, *_ in results]))
     ratio = max(abs(gap) / cap if cap > 0 else 0.0 for gap, cap, *_ in results)
-    annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
     s = SUMMARY_REPLICA
     records += [
         row(s, "response_gap_mean", mean, stderr),
         row(s, "max_gap_bound_ratio", ratio),
-        row(s, "expected_gap_bound", per_site_gap_bound(args.lam, spec) * annulus),
+        row(s, "expected_gap_bound", expected_gap_bound(j, args.lam, spec)),
         row(s, "all_bounds_hold", all(pw_ok and ann_ok for *_, pw_ok, ann_ok in results)),
     ]
     _emit(records, args)
@@ -350,13 +345,6 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise ValueError(f"empty integer list {text!r}")
     return values
-
-
-def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command")}
-    if "lam" in cfg:
-        cfg["lambda"] = cfg.pop("lam")
-    return cfg
 
 
 def _add_common(p: argparse.ArgumentParser, box: bool = False) -> None:

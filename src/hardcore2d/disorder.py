@@ -277,18 +277,25 @@ def field_to_json(field: ActivityField) -> dict:
     }
 
 
+def _json_as(x, kinds: tuple[type, ...] = (int,)):
+    """``x``, uncast, if it is one of ``kinds``; a bool is no number here."""
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {x!r}")
+    return x
+
+
 def field_from_json(source: dict | str | Path) -> ActivityField:
-    """Read a field from a mapping or a JSON file path."""
+    """Read a field from a mapping or a JSON file path: integer sites, numeric scale and values."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     else:
         obj = source
     try:
-        x_min, y_min, x_max, y_max = (int(c) for c in obj["region"])
-        scale = float(obj["scale"])
-        triples = [(int(x), int(y), float(val)) for x, y, val in obj["values"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        x_min, y_min, x_max, y_max = (_json_as(c) for c in obj["region"])
+        scale = float(_json_as(obj["scale"], (int, float)))
+        triples = [(_json_as(x), _json_as(y), float(_json_as(val, (int, float)))) for x, y, val in obj["values"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed field description: {exc}") from exc
     region = LatticeBox(x_min, x_max, y_min, y_max)
     arr = np.zeros((region.width, region.height))

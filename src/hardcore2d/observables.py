@@ -209,10 +209,12 @@ def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
     return val
 
 
-def per_site_gap_bound(scale: float, spec: DisorderSpec) -> float:
-    """(2 / scale) * E[log(1 + scale*X)]: expected gap bound per annulus site."""
+def expected_gap_bound(j: int, scale: float, spec: DisorderSpec) -> float:
+    """(2 / scale) * E[log(1 + scale*X)] per site of the annulus
+    box_lambda(j + 1) minus box_lambda(j): the cap on the mean gap."""
     _bound_scales(scale)
-    return 2.0 / scale * log_gain_mean(spec, scale)
+    annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
+    return 2.0 / scale * log_gain_mean(spec, scale) * annulus
 
 
 def sampled_response_gaps(

@@ -24,13 +24,12 @@ MAX_SITES = 20
 
 
 def _usable_sites(
-    box: LatticeBox, bc: BoundaryCondition, field: ActivityField | None
+    box: LatticeBox, bc: BoundaryCondition, field: ActivityField
 ) -> tuple[list[Site], list[tuple[int, int]]]:
     """The box sites neither dead nor frame-blocked, in box order, and the
     adjacency pairs among them."""
-    is_live = field.is_live if field is not None else None
-    blocked = {w for u in bc.frame_occupied(box, is_live) for w in neighbours(u)}
-    sites = [v for v in box.sites() if v not in blocked and (is_live is None or is_live(v))]
+    blocked = {w for u in bc.frame_occupied(box, field.is_live) for w in neighbours(u)}
+    sites = [v for v in box.sites() if v not in blocked and field.is_live(v)]
     index = {v: i for i, v in enumerate(sites)}
     edges = [(i, index[w]) for i, v in enumerate(sites) for w in neighbours(v) if index.get(w, -1) > i]
     return sites, edges

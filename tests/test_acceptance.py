@@ -3,33 +3,14 @@
 Every test prints a single `criterion NN <name>: PASS|FAIL` line (shown in the
 summary via the -rA pytest option configured in pyproject.toml).
 
-Criterion 07 asserts that the volume-normalized variance of the even/odd
-response gap, var(gap) / (2j)^2 at bernoulli(0.5), scale 4, L = 2j and
-j = 1, 2, 3, is non-degenerate at j = 1 and falls by more than a factor 2 at
-each step in j. A ratio flat in j would be the volume-order variance that
-signals even/odd coexistence in the Aizenman-Wehr argument (Commun. Math.
-Phys. 130, 1990), and the model has none here:
-
-* log Z factorises over the connected components of live sites. Switching
-  off the inner box changes only the components that meet it, and the frame
-  parity acts only on components next to a live frame site. So the gap is
-  exactly zero unless a live path in the moat between the inner box and the
-  frame joins the two; on this criterion's 900 replicas every replica
-  without such a path gave |gap| <= 1.1e-14.
-* With the live density 0.5 below the square-lattice site-percolation
-  threshold (~0.5927), the chance of crossing a moat of width L - j = j
-  decays exponentially in j.
-* The pathwise cap only bounds |gap| by (2/scale)(8j + 4) log(1 + scale);
-  squared, that is of the order of the volume 4j^2, so the cap alone does
-  not force any decay in two dimensions. The two facts above do: the ratio
-  must go to zero, and no positive floor or factor-2 band can hold at every
-  j.
-
-The three sizes measured here are small: a live crossing exists in 290, 294
-and 287 of the 300 replicas at j = 1, 2, 3, so the exponential cut-off by
-the moat describes large j. The measured decay at these sizes is about 14x
-and 8x per step at this seed, and 6.9x to 12.0x per step on eight other
-seeds.
+Criterion 07 asserts that var(gap) / (2j)^2 at bernoulli(0.5), scale 4,
+L = 2j and j = 1, 2, 3 is above 1e-4 at j = 1 and falls by more than a factor
+2 at each step; why it must fall is argued once, in the docstring of
+hardcore2d.validation.check_variance_band. Measured at this seed: every
+replica without a live crossing of the moat gave |gap| <= 1.1e-14, a
+crossing exists in 290, 294 and 287 of the 300 replicas at j = 1, 2, 3, and
+the ratio falls about 14x and 8x per step (6.9x to 12.0x on eight other
+seeds).
 The per-replica gaps are checked against the enumeration oracle at j = 1
 (16 sites, in tests/test_observables.py); the 64- and 144-site boxes of
 j = 2, 3 are past the oracle's 20-site cap and rest on the engine checks of

@@ -522,6 +522,60 @@ def test_bad_box_names_its_fault(capsys, box, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["logz", "--j", "1"], "abc", "HARDCORE_SEED must be an integer, got 'abc'"),
+    (["logz"], None, "give either --box WxH or --j J"),
+    (["occupation", "--j", "1", "--site", "1"], None, "bad --site '1': expected X,Y"),
+    (["influence", "--sides", "3"], None, "sides must be even and >= 2 (centered boxes)"),
+    (["influence", "--sides", "2,,x"], None, "bad integer list '2,,x'"),
+    (["free-energy", "--j", "2", "--L", "2"], None, "need 1 <= j < L"),
+    (["fluctuations", "--j", "2", "--L", "2"], None, "need 1 <= j < L"),
+    *((["fluctuations", "--j", "1", "--replicas", "2", "--disorder", law], None, message) for law, message in (
+        ("bernoulli:0.5,1", "bernoulli takes 1 parameter(s)"),
+        ("uniform:nan,1", "disorder parameters must be finite"),
+        ("constant:-1", "constant value must be >= 0"),
+        ("gamma:0,1", "gamma shape and scale must be > 0"),
+        ("pareto:0,1", "pareto alpha and x_min must be > 0"),
+        ("uniform:a,b", "bad disorder parameters in 'uniform:a,b'"),
+    )),
+])
+def test_bad_input_exits_one_with_its_message(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    else:
+        monkeypatch.setenv(cli.ENV_SEED, env)
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_occupation_writes_its_row_and_a_manifest(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, printed, _ = run_cli(["occupation", "--j", "2", "--site", "0,0", "--out", str(out)], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert (row["j"], row["observable"], row["value"]) == ("2", "occupation[0,0]", printed.strip())
+    assert json.loads((tmp_path / "x.csv.manifest.json").read_text())["command"] == "occupation"
+
+
+@pytest.mark.parametrize("doc", [
+    '{"scale": 1.0, "region": [0, 0, 1, 0], "values": [[0, 0, 1.0], [1.7, 0, 2.0]]}',
+    '{"scale": 1.0, "region": [0, 0, 1.9, 0], "values": [[0, 0, 1.0], [1, 0, 2.0]]}',
+    '{"scale": true, "region": [0, 0, 1, 0], "values": [[0, 0, 1.0], [1, 0, 2.0]]}',
+    '{"scale": 1.0, "region": [0, 0, 1, 0], "values": [[0, 0, 1.0], [1, 0, "2"]]}',
+    '{"scale": 1.0, "region": [0, 0, 1, 0], "values": [[0, 0, 1.0], [1, 0, 1%s]]}' % ("0" * 400),
+], ids=["float-coordinate", "float-corner", "bool-scale", "string-value", "int-past-float"])
+def test_a_field_file_holds_integer_sites_and_numeric_values(tmp_path, capsys, doc):
+    # int() would read 1.7 as site 1 and 1.9 as corner 1, float() true as 1.0 and "2" as 2.0
+    path = tmp_path / "f.json"
+    path.write_text(doc)
+    code, out, err = run_cli(["logz", "--box", "2x1", "--field", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed field description: ")
+    # JSON integers are numbers too
+    path.write_text('{"scale": 1, "region": [0, 0, 1, 0], "values": [[0, 0, 1], [1, 0, 3]]}')
+    code, out, _ = run_cli(["logz", "--box", "2x1", "--field", str(path)], capsys)
+    assert code == 0 and float(out) == pytest.approx(math.log(5.0), abs=1e-14)
+
+
 def test_sides_past_62_are_refused_for_the_field_ring(capsys):
     # each command samples its field on the box and its one-site ring, whose sides are capped at 64
     for argv in (["sample", "--box", "2x63", "--method", "cftp"], ["logz", "--box", "63x2"],

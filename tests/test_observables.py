@@ -16,11 +16,11 @@ from hardcore2d.observables import (
     boundary_influence,
     derivative_identity_check,
     estimate_response_gap,
+    expected_gap_bound,
     free_energy_response,
     influence_table,
     log_gain_mean,
     pathwise_gap_bound,
-    per_site_gap_bound,
     response_gap,
     sampled_response_gaps,
 )
@@ -299,11 +299,15 @@ def test_pareto_gain_matches_quadrature_wherever_it_converges():
     assert checked > 50
 
 
-def test_per_site_gap_bound_scales():
+def test_expected_gap_bound_scales():
+    # (2 / lambda) * E[log(1 + lambda X)] per site of the 8j + 4 annulus sites, in that order of operations
     lam = 2.0
     spec = DisorderSpec("gamma", (2.0, 0.5))
-    assert per_site_gap_bound(lam, spec) == pytest.approx(2.0 / lam * log_gain_mean(spec, lam))
-    assert per_site_gap_bound(lam, DisorderSpec("constant", (0.0,))) == 0.0
+    for j in (1, 2, 5):
+        assert expected_gap_bound(j, lam, spec) == 2.0 / lam * log_gain_mean(spec, lam) * (8 * j + 4)
+    assert expected_gap_bound(1, lam, DisorderSpec("constant", (0.0,))) == 0.0
+    with pytest.raises(ValueError, match="activity scale"):
+        expected_gap_bound(1, 1e-310, spec)
 
 
 def test_sampled_gap_reproducible():
@@ -323,9 +327,7 @@ def test_estimate_response_gap_statistics():
     mean, err = estimate_response_gap(3, 1, inside, spec, replicas=50, seed=SEED)
     assert err > 0
     # the conditional mean is bounded by the per-site constant times the ring
-    ring = box_lambda(2).site_count - box_lambda(1).site_count
-    cap = per_site_gap_bound(2.0, spec) * ring
-    assert abs(mean) <= cap + 4 * err
+    assert abs(mean) <= expected_gap_bound(1, 2.0, spec) + 4 * err
 
 
 def test_estimate_requires_two_replicas():

@@ -23,7 +23,7 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in hardcore2d.__all__:
         assert not isinstance(getattr(hardcore2d, name), types.ModuleType), name
     for gone in ("Configuration", "MonotonePair", "sandwich_ordered", "ResponseGapEstimate", "ScalingRow",
-                 "fluctuation_scaling", "engine", "mcmc", "oracle_occupation", "translate"):
+                 "fluctuation_scaling", "engine", "mcmc", "oracle_occupation", "translate", "per_site_gap_bound"):
         assert gone not in hardcore2d.__all__
 
 
