@@ -24,7 +24,7 @@ region = box_lambda(L).expand(1)
 
 print(f"outer half-side {L}, inner half-side {J}, scale {LAM}, disorder {spec.label()}")
 fields = [sample_field(spec, region, LAM, ReplicaSeed(7, rep)) for rep in range(40)]
-gaps = response_gap(L, box_lambda(J), fields)  # one entry per replica
+gaps = response_gap(L, J, fields)  # one entry per replica
 bounds = pathwise_gap_bound(fields, J)
 assert np.all(np.abs(gaps) <= bounds + 1e-9)
 print(f"40 replicas: max |gap| = {np.abs(gaps).max():.4f}, min bound = {np.min(bounds):.4f} (bound held every time)")

@@ -23,7 +23,7 @@ spec = DisorderSpec("bernoulli", (0.5,))
 print(f"disorder everywhere ({spec.label()}, scale {LAM}), outer half-side 2j:")
 for j in (1, 2, 3):
     fields = sample_fields(spec, box_lambda(2 * j).expand(1), LAM, 2026, 0, REPS)
-    var = float(response_gap(2 * j, box_lambda(j), fields).var(ddof=1))
+    var = float(response_gap(2 * j, j, fields).var(ddof=1))
     print(f"  j={j}: var={var:.4e}  var/volume={var / box_lambda(j).site_count:.4e}")
 print("  -> var/volume decays: the gap needs a live crossing of the diluted moat")
 
@@ -34,7 +34,7 @@ for j in (1, 2, 3):
     region = box_lambda(L).expand(1)
     pure = ActivityField(region, np.ones((region.width, region.height)), LAM)
     inners = sample_fields(spec, box_lambda(j), LAM, 2026, 0, REPS)
-    gaps = response_gap(L, box_lambda(j), [pure.patched(f, box_lambda(j)) for f in inners])
+    gaps = response_gap(L, j, [pure.patched(f, box_lambda(j)) for f in inners])
     var = gaps.var(ddof=1)
     ring = box_lambda(j + 1).site_count - box_lambda(j).site_count
     print(f"  j={j}: var={var:.4e}  var/ring={var / ring:.4e}")

@@ -49,7 +49,7 @@ def plateau(js, replicas):
             ratios = []
             for j in js:
                 fields = sample_fields(spec, box_lambda(2 * j).expand(1), lam, SEED, 0, replicas)
-                ratios.append(float(response_gap(2 * j, box_lambda(j), fields).var(ddof=1)) / box_lambda(j).site_count)
+                ratios.append(float(response_gap(2 * j, j, fields).var(ddof=1)) / box_lambda(j).site_count)
             row(spec.label(), [f"{r:.3e} +- {r * err:.1e}" for r in ratios])
             if delta:
                 row("  / delta^2", [f"{r / delta**2:.3e}" for r in ratios])

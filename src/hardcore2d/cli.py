@@ -180,7 +180,7 @@ def _influence_task(arg: tuple) -> list[float]:
 def _free_energy_task(arg: tuple) -> list[tuple]:
     j, L, lam, spec, master, start, stop = arg
     fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
-    gap = response_gap(L, box_lambda(j), fields)
+    gap = response_gap(L, j, fields)
     cap = pathwise_gap_bound(fields, j)
     lhs, rhs = annulus_bound_check(L, j, fields)
     pathwise_ok = np.abs(gap) <= cap + 1e-9
@@ -270,12 +270,12 @@ def cmd_fluctuations(args) -> int:
     replicas = _at_least(args.replicas, 2, "--replicas")
     workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
+    groups = [(j, args.L if args.L is not None else 2 * j) for j in js]
+    if not all(1 <= j < L for j, L in groups):
+        raise ValueError("need 1 <= j < L")
     records: list[tuple] = []
     summaries: list[tuple] = []
-    for j in js:
-        L = args.L if args.L is not None else 2 * j
-        if not 1 <= j < L:
-            raise ValueError("need 1 <= j < L")
+    for j, L in groups:
         row = _row_maker(args, j, L, spec.label())
         gaps = np.asarray(_run_blocks(_fluctuation_task, (j, L, args.lam, spec, args.seed), replicas, workers))
         records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
@@ -427,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.seed = _resolve_seed(args) % (1 << 64)  # numpy refuses seeds < 0; Philox keys wrap
         return args.func(args)
-    except (ValueError, CapacityError, CoalescenceTimeout, OSError) as exc:
+    except (ValueError, CapacityError, CoalescenceTimeout, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,10 +65,10 @@ def free_energy_response(
     return _responses(outer, inner, fields, [bc])[0]
 
 
-def response_gap(L: int, inner: LatticeBox, fields: Sequence[ActivityField]) -> np.ndarray:
-    """Even-minus-odd boundary gap of the free-energy response on the box of
-    half-side L, per field."""
-    even, odd = _responses(box_lambda(L), inner, fields, ["even", "odd"])
+def response_gap(L: int, j: int, fields: Sequence[ActivityField]) -> np.ndarray:
+    """Even-minus-odd boundary gap of the free-energy response of the inner
+    box of half-side j on the box of half-side L, per field."""
+    even, odd = _responses(box_lambda(L), box_lambda(j), fields, ["even", "odd"])
     return even - odd
 
 
@@ -224,14 +224,11 @@ def sampled_response_gaps(
     replicas start .. stop - 1 under one master seed, as one stacked solve."""
     # one extra ring so the boundary frame is diluted like everything else
     fields = sample_fields(spec, box_lambda(L).expand(1), scale, seed, start, stop)
-    return response_gap(L, box_lambda(j), fields)
+    return response_gap(L, j, fields)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if len(values) < 2:
-        return mean, math.nan
-    return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def estimate_response_gap(
@@ -254,4 +251,4 @@ def estimate_response_gap(
         raise ValueError("need at least 2 replicas")
     inner = box_lambda(j)
     outside = sample_fields(spec, box_lambda(L).expand(1), inside_field.scale, seed, 0, replicas)
-    return _mean_stderr(response_gap(L, inner, [f.patched(inside_field, inner) for f in outside]))
+    return _mean_stderr(response_gap(L, j, [f.patched(inside_field, inner) for f in outside]))

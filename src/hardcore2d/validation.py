@@ -128,14 +128,8 @@ def check_translation_covariance(instances: int, seed: int) -> CheckResult:
     for _ in range(instances):
         box, field, bc = _random_instance(rng, 4)
         a = (int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
-        moved_bc = bc
-        if (a[0] + a[1]) % 2 == 1:
-            if bc.kind in swap:
-                moved_bc = BoundaryCondition(swap[bc.kind])
-        if bc.kind == "custom":
-            moved_bc = BoundaryCondition(
-                "custom", frozenset((u[0] + a[0], u[1] + a[1]) for u in bc.custom_occupied)
-            )
+        kind = swap.get(bc.kind, bc.kind) if (a[0] + a[1]) % 2 else bc.kind
+        moved_bc = BoundaryCondition(kind, frozenset((x + a[0], y + a[1]) for x, y in bc.custom_occupied))
         moved_field = ActivityField(field.region.translated(a), field.values, field.scale)
         base = log_partition(box, field, bc)
         moved = log_partition(box.translated(a), moved_field, moved_bc)
@@ -227,7 +221,7 @@ def check_annulus_and_pathwise(instances: int, seed: int) -> tuple[CheckResult, 
         lhs, rhs = annulus_bound_check(L, j, fields)
         ann_ok = ann_ok and bool(np.all(lhs <= rhs + tol))
         worst_margin = max(worst_margin, float((lhs - rhs).max()))
-        excess = np.abs(response_gap(L, box_lambda(j), fields)) - pathwise_gap_bound(fields, j)
+        excess = np.abs(response_gap(L, j, fields)) - pathwise_gap_bound(fields, j)
         worst_path = max(worst_path, float(excess.max()))
     return (
         CheckResult("annulus-bound", ann_ok, f"n={instances} worst lhs-rhs={worst_margin:.2e}"),

@@ -122,7 +122,7 @@ def test_sweeps_sample_the_law_given(capsys):
     gaps = [float(row[7]) for row in exact]
     assert gaps != [float(row[7]) for row in rows("uniform:0,1.23457")]
     fields = sample_fields(DisorderSpec("uniform", (0, 1.23456789)), box_lambda(2).expand(1), 1.0, 5, 0, 3)
-    assert gaps == response_gap(2, box_lambda(1), fields).tolist()
+    assert gaps == response_gap(2, 1, fields).tolist()
     assert {row[5] for row in exact} == {"uniform:0,1.23456789"}
 
 
@@ -538,6 +538,8 @@ def test_bad_box_names_its_fault(capsys, box, message):
         ("pareto:0,1", "pareto alpha and x_min must be > 0"),
         ("uniform:a,b", "bad disorder parameters in 'uniform:a,b'"),
     )),
+    (["occupation", "--box", "3x3", "--site", "9,9"], None, "site lies outside the box"),
+    (["logz", "--j", "2", "--field", "bernoulli:0.5", "--replica-index", "-1"], None, "replica index must be >= 0"),
 ])
 def test_bad_input_exits_one_with_its_message(capsys, monkeypatch, argv, env, message):
     if env is None:
@@ -545,6 +547,22 @@ def test_bad_input_exits_one_with_its_message(capsys, monkeypatch, argv, env, me
     else:
         monkeypatch.setenv(cli.ENV_SEED, env)
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_fluctuations_check_every_group_before_solving_one(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_run_blocks", lambda *args: calls.append(args) or [])
+    assert run_cli(["fluctuations", "--j", "1,2,9", "--L", "4"], capsys) == (1, "", "error: need 1 <= j < L\n")
+    assert calls == []
+
+
+def test_a_draw_count_past_memory_exits_one(capsys, monkeypatch):
+    def out_of_memory(*args):  # stands in for numpy's _ArrayMemoryError, a MemoryError
+        raise MemoryError("Unable to allocate 14.2 PiB for an array with shape (1000000000000000, 2)")
+
+    monkeypatch.setattr(cli, "sample_exact", out_of_memory)
+    assert run_cli(["sample", "--box", "2x2", "--draws", "1000000000000000"], capsys) == (
+        1, "", "error: Unable to allocate 14.2 PiB for an array with shape (1000000000000000, 2)\n")
 
 
 def test_occupation_writes_its_row_and_a_manifest(tmp_path, capsys):

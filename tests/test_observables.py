@@ -60,7 +60,7 @@ def test_gap_vanishes_for_constant_field():
     # reflection swaps the two frames and fixes a constant field
     for lam in (0.5, 4.0):
         f = unit_field(box_lambda(3).expand(1), lam)
-        assert response_gap(3, box_lambda(1), [f])[0] == pytest.approx(0.0, abs=1e-12)
+        assert response_gap(3, 1, [f])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_is_zero_without_a_live_crossing():
@@ -75,16 +75,16 @@ def test_gap_is_zero_without_a_live_crossing():
         if not box_lambda(j).contains(v):
             moat[v[0] - region.x_min, v[1] - region.y_min] = 0.0
     cut = ActivityField(region, moat, 4.0)
-    assert abs(response_gap(L, box_lambda(j), [cut])[0]) <= 1e-12
-    assert abs(response_gap(L, box_lambda(j), [alive])[0]) > 1e-6
+    assert abs(response_gap(L, j, [cut])[0]) <= 1e-12
+    assert abs(response_gap(L, j, [alive])[0]) > 1e-6
 
 
 def test_gap_flips_sign_under_reflection():
     spec = DisorderSpec("bernoulli", (0.6,))
     f = random_field(2, spec, 2.0, 3)
     mirrored = f.compose(reflect_theta)
-    a = response_gap(2, box_lambda(1), [f])[0]
-    b = response_gap(2, box_lambda(1), [mirrored])[0]
+    a = response_gap(2, 1, [f])[0]
+    b = response_gap(2, 1, [mirrored])[0]
     assert a == pytest.approx(-b, abs=1e-12)
 
 
@@ -139,10 +139,10 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_response_gap_switches_each_field_off_once_and_solves_once_per_frame(monkeypatch):
     fields = [random_field(3, DisorderSpec("uniform", (0.0, 2.0)), 4.0, rep) for rep in range(5)]
-    want = [response_gap(3, box_lambda(1), [f])[0] for f in fields]
+    want = [response_gap(3, 1, [f])[0] for f in fields]
     offs = _count_calls(monkeypatch, ActivityField, "switched_off")
     solves = _count_calls(monkeypatch, observables, "log_partition")
-    assert response_gap(3, box_lambda(1), fields).tolist() == want
+    assert response_gap(3, 1, fields).tolist() == want
     assert (len(offs), len(solves)) == (5, 2)
 
 
@@ -151,7 +151,7 @@ def test_a_tuple_of_fields_gives_what_a_list_gives():
     box, inner = box_lambda(3), box_lambda(1)
     calls = [
         lambda fs: free_energy_response(box, inner, fs, "even"),
-        lambda fs: response_gap(3, inner, fs),
+        lambda fs: response_gap(3, 1, fs),
         lambda fs: annulus_log_sum(fs, 1),
         lambda fs: pathwise_gap_bound(fs, 1),
         lambda fs: annulus_bound_check(3, 1, fs)[0],
@@ -174,7 +174,7 @@ def test_pathwise_bound_dominates_gap():
     spec = DisorderSpec("uniform", (0.0, 2.0))
     for rep in range(25):
         f = random_field(3, spec, 4.0, rep)
-        gap = response_gap(3, box_lambda(1), [f])[0]
+        gap = response_gap(3, 1, [f])[0]
         assert abs(gap) <= pathwise_gap_bound([f], 1)[0] + 1e-9
 
 
@@ -318,7 +318,7 @@ def test_sampled_gap_reproducible():
     assert a[5] != a[6]
     assert sampled_response_gaps(2, 1, spec, 4.0, SEED, 5, 7).tobytes() == a[5:].tobytes()
     alone = sample_field(spec, box_lambda(2).expand(1), 4.0, ReplicaSeed(SEED, 5))
-    assert a[5] == response_gap(2, box_lambda(1), [alone])[0]
+    assert a[5] == response_gap(2, 1, [alone])[0]
 
 
 def test_estimate_response_gap_statistics():
