@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -372,7 +373,10 @@ def _add_sweep(p: argparse.ArgumentParser, disorder: str, replicas: int) -> None
     _add_common(p)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later ``main`` call
+    (building it costs ~20x a parse); ``set_defaults(func=cmd_*)`` binds the commands of that first build."""
     parser = argparse.ArgumentParser(
         prog="hardcore",
         description="Exact finite-box computations for the hard-core gas with random activities.",

@@ -9,27 +9,24 @@ transfer matrix.  Both index sets follow the Fibonacci order that splits on
 the bit added or consumed next, so a site step needs no gathers: T[:, :f1]
 (consumed bit clear) plus T[:, f1:] folded into its first w1 columns, then the
 rows T[:keep] times the activity for the new bit.  One loop, _Scan.step, runs
-a column's steps from the vectors of the column before; the scan starts from
-the empty column left of the box (one mask of weight 1), and exact draws take
-a column's weights from its step next to that column.  Marginals meet forward
+a column's steps from the vectors of the column before; next to the empty column
+left of the box they are the products of each mask's activities (_Scan.column),
+which exact draws weigh with one shared backward pass.  Marginals meet forward
 and transposed-step vectors at column edges, and a fold takes rows r = H-1..0:
 the masks with top bit r are the tail after the first F(r+2), whose sum is row
-r's mass and which adds onto the masks without bit r.  Exact draws share one
-backward pass: every draw picks its columns left to right from the same suffix
-vectors by a bisection on its own uniform, and draws that picked the same
-previous column share one CDF row.
+r's mass and which adds onto the masks without bit r.
 
 Only rows where some instance has a nonzero activity carry bits: the tables
 index the masks of the live rows p of column x (lo) and q of column x-1 (hi),
-sized by _sizes(p, q) (with every row live: the per-height plan); lo ends
-ascending and hi starts bit-reversed, the plan's orders restricted to p.  A
-dropped entry is an exact zero of the full tables, a kept one sees the same
-operations, and column vectors go back over all masks, so every output is bit
-for bit that of the full tables.  Below height _LIVE_ROWS_FROM every row counts
-as live: per column, sizes, orders and views cost more there than dead rows
-save (log Z, one new bernoulli:0.7 field, lambda 5, even frame, median of 60:
-1.86 ms against 1.55 all-live at side 16, 2.18 against 2.15 at 17, 2.52 against
-3.46 at 18).
+sized by _sizes(p, q) from each pattern's _ranks.  Column vectors run over the
+column's own masks, ascending, gathered in hi order by the next column (_hand);
+log Z spreads only its last to all masks (_Scan.spread).  A dropped entry is an
+exact zero of the full tables and a kept one sees the same operations, so every
+output is bit for bit that of the full tables.  Below height _LIVE_ROWS_FROM all
+rows count as live: ranks, hand-overs and views cost more than dead rows save
+(ms live / all-live, one new bernoulli:0.7 field a call, lambda 5, even frame,
+median of 60; sides 14 to 17, log Z: 1.74 / 1.29, 2.10 / 1.81, 2.26 / 2.40, 2.50
+/ 3.33; marginals: 3.08 / 2.95, 3.38 / 3.81, 3.86 / 5.23, 4.45 / 7.39).
 
 Each column ends divided by its maximum, at least 1 as the empty column carries
 the last.  Within a column the maximum never decreases and grows by at most
@@ -48,8 +45,8 @@ table has a leading instance axis, so one numpy call steps the whole stack,
 and a single field is a stack of one.  log_partition, occupation_probabilities
 and occupation_probability take one ActivityField or a sequence; a sequence
 is grouped by each instance's float type and cut into chunks of at most
-_CHUNK_ENTRIES entries, about 1 MB of float64: instances x (largest table +
-the column vectors the marginals store), so log Z runs up to 963 side-8 or 140
+_CHUNK_ENTRIES entries, 512 KiB of float64: instances x (largest table + the
+column vectors the marginals store), so log Z runs up to 963 side-8 or 140
 side-12 boxes at once and side 22 alone.  The same budget caps the CDF rows x
 masks of a sample_exact chunk and a cftp_sample block of uniforms.  Site steps
 and the marginal fold are elementwise across instances, and log scales and sums
@@ -70,56 +67,62 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_c
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
 _CHUNK_ENTRIES = 1 << 16  # cap on the entries one chunk builds at once: tables and stored vectors, CDF rows, uniforms
-_LIVE_ROWS_FROM = 17  # below this box height every row counts as live
+_LIVE_ROWS_FROM = 16  # below this box height every row counts as live
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
 _FLOAT_BITS = np.array([bits - _SAFETY_BITS for _, bits in _FLOATS])
 
 Fields = Union[ActivityField, Sequence[ActivityField]]
 
 
-@lru_cache(maxsize=128)  # a call needs one entry per column pair; an entry holds ~4 KB at height 22
-def _sizes(p: int, q: int, height: int) -> tuple[tuple, tuple]:
-    """A column with live rows ``p`` (bit r: row r) next to one with live rows
-    ``q``: per row that changes the table, (r, top = N(r), rows T[:keep = K(r)],
-    f1, w1), and the table shapes before each such row and after the last."""
-    k, n, w, m = [0], [1], [0], [1]  # K(r - 1), N(r) and w1(r), M(r) from row H down
+@lru_cache(maxsize=256)  # one entry per live-row pattern or its bit reversal: two tuples of H + 1 ints
+def _ranks(p: int, height: int) -> tuple[tuple, tuple]:
+    """Masks of the live rows p (bit r: row r), ascending: of the n[r] below row r, k[r + 1] take bit r."""
+    k, n = [0], [1]
     for r in range(height):  # the masks without the bit next to the new one take it
         k.append(n[-1] - k[-1] if p >> r & 1 else 0)
         n.append(n[-1] + k[-1])
-        w.append(m[-1] - w[-1] if q >> (height - 1 - r) & 1 else 0)
-        m.append(m[-1] + w[-1])
+    return tuple(k), tuple(n)
+
+
+@lru_cache(maxsize=128)  # a call needs one entry per column pair; an entry holds ~4 KB at height 22
+def _sizes(p: int, q: int, height: int) -> tuple[tuple, tuple]:
+    """A column with live rows ``p`` next to one with live rows ``q``: per row that changes the table, (r, top = N(r),
+    T[:keep = K(r)], f1, w1), and the table shapes before each and after the last; w1, f1: K, N of q from row H-1."""
+    k, n = _ranks(p, height)
+    w, m = _ranks(int(f"{q:0{height}b}"[::-1], 2), height)
     rows = [r for r in range(height) if k[r + 1] or w[height - r]]
     return (tuple((r, n[r], slice(0, k[r + 1]), m[height - r - 1], w[height - r]) for r in rows),
             ((1, m[height]),) + tuple((n[r + 1], m[height - r - 1]) for r in rows))
 
 
-def _walk(steps: tuple, shapes: tuple, inc) -> tuple[np.ndarray, np.ndarray]:
-    """For ``_sizes(p, q, height)``, the masks of the live rows p in lo (ascending)
-    order and those of q in hi order, each as the sum of ``inc[r]`` over its bits r."""
-    lo, hi = np.zeros(shapes[-1][0], np.int64), np.zeros(shapes[0][1], np.int64)
-    for (r, top, *_), (end, _) in zip(steps, shapes[1:]):
-        np.add(lo[: end - top], inc[r], out=lo[top:end])
-    for r, _, _, f1, w1 in reversed(steps):
-        np.add(hi[:w1], inc[r], out=hi[f1 : f1 + w1])
-    return lo, hi
+def _walk(p: int, height: int, inc, out=None, op=np.add) -> np.ndarray:
+    """Masks of the live rows p, ascending, on ``out``'s last axis: its first entry (0) op'd with inc[r] per bit r."""
+    k, n = _ranks(p, height)
+    out = np.zeros(n[height], np.int64) if out is None else out
+    for r in range(height):
+        if p >> r & 1:
+            op(out[..., : k[r + 1]], inc[r], out=out[..., n[r] : n[r + 1]])
+    return out
+
+
+def _hand(q: int, height: int) -> np.ndarray:
+    """Masks of the live rows q in hi order (ascending over rows H - 1 down to 0), each as its ascending rank."""
+    return _walk(int(f"{q:0{height}b}"[::-1], 2), height, _ranks(q, height)[1][height - 1 :: -1])
 
 
 @lru_cache(maxsize=None)
-def _plan(height: int) -> tuple[tuple, int, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Steps, largest table, mask positions (_walk) and masks of a height, every row live."""
-    sizes = _sizes((1 << height) - 1, (1 << height) - 1, height)
-    orders = _walk(*sizes, [top for _, top, *_ in sizes[0]])
-    masks = _walk(*sizes, [1 << r for r in range(height)])[0]
-    for arr in (*orders, masks):
-        arr.setflags(write=False)
-    return sizes[0], max(n * m for n, m in sizes[1]), orders, masks
+def _plan(height: int) -> tuple[tuple, int, np.ndarray, np.ndarray]:
+    """Steps, largest table, hand-over positions (_hand) and masks of a height, every row live."""
+    full = (1 << height) - 1
+    steps, shapes = _sizes(full, full, height)
+    hand, masks = _hand(full, height), _walk(full, height, [1 << r for r in range(height)])
+    hand.flags.writeable = masks.flags.writeable = False
+    return steps, max(n * m for n, m in shapes), hand, masks
 
 
 def _as_stack(fields: Fields) -> tuple[list[ActivityField], bool]:
     """The fields as a list, and whether one bare field was given."""
-    if isinstance(fields, ActivityField):
-        return [fields], True
-    return list(fields), False
+    return ([fields], True) if isinstance(fields, ActivityField) else (list(fields), False)
 
 
 def box_activities(
@@ -157,86 +160,87 @@ def _tables(bufs: tuple, count: int, height: int, p: int, q: int) -> tuple[list,
     first on its own buffer, filled by each hand-over, then on two ping-pong buffers), each step's row and views."""
     steps, shapes = _sizes(p, q, height)
     tables = [b[: count * n * m].reshape(count, n, m) for b, (n, m) in zip([bufs[2], *bufs[:2] * len(steps)], shapes)]
-    return tables, [(r, (t[:, :, :w1], t[:, :, f1:], u[:, :top, :w1]) if w1 else None,  # fold the consumed bit
-                     (u[:, :top, w1:], t[:, :, w1:f1]) if w1 < f1 else None,  # the rest
-                     (t[:, keep, :f1], u[:, top:]) if keep.stop else None,  # the new bit
-                     (t[:, :, :f1], u[:, :top]))  # the transposed step's copy
+    return tables, [(r, (t[..., :w1], t[..., f1:], u[:, :top, :w1]) if w1 else None,  # fold the consumed bit
+                     (u[:, :top, w1:], t[..., w1:f1]) if w1 < f1 else None,  # the rest
+                     (t[:, keep, :f1], u[:, top:]) if keep.stop else None)  # the new bit
                     for (r, top, keep, f1, w1), t, u in zip(steps, tables, tables[1:])]
 
 
 class _Scan:
-    """Forward and transposed site sweeps for a stack of instances of one
-    height and one float type: every table carries a leading instance axis."""
+    """Forward and transposed site sweeps for a stack of instances of one height and one float type: every
+    table carries a leading instance axis, and a column's vectors run over its live rows' masks, ascending."""
 
     def __init__(self, acts: np.ndarray, dtype: type, kept: int = 0):
         self.dtype, self.count = dtype, len(acts)
-        height = acts.shape[2]
-        self.steps, largest, orders, self.masks = _plan(height)
+        self.height = height = acts.shape[2]
+        self.steps, largest, hand, self.masks = _plan(height)
         # per column and row, the factor that scales a stack of tables: an (instances, 1, 1) column, or a
         # scalar for one instance (side-20 marginals of one field: 6.40 ms against 6.55 with the column)
         acts = acts.astype(dtype, copy=False)
         self.acts = acts[0] if self.count == 1 else acts.transpose(1, 2, 0)[..., None, None]
-        full, self.tops = (1 << height) - 1, [top for _, top, *_ in self.steps]
+        self.full = full = (1 << height) - 1
         self.live = [full] * acts.shape[1] if height < _LIVE_ROWS_FROM else (
             acts.any(axis=0) @ (1 << np.arange(height))).tolist()  # per column its live rows, as bits
-        bufs = (np.empty(self.count * largest, dtype), np.empty(self.count * largest, dtype),
-                np.empty(self.count * len(self.masks), dtype))
-        self.spread, self.spread_idx = np.zeros((self.count, len(self.masks)), dtype), []
-        self.empty = np.ones((self.count, 1), dtype)  # the vector over the one mask of an empty column
-        # column pairs' set-ups (tables, views, mask positions): the kept pairs, else all-live (full, 0), (full, full)
-        self.tables = lru_cache(max(kept, 2))(lambda p, q, tops=self.tops: _tables(bufs, len(acts), height, p, q) + (
-            orders if p == q == full else _walk(*_sizes(p, q, height), tops)))
+        self.bufs = bufs = (np.empty(self.count * largest, dtype), np.empty(self.count * largest, dtype),
+                            np.empty(self.count * len(self.masks), dtype))
+        # column pairs' set-ups (tables, views, hand-overs): the kept pairs, else the last, (full, full) if all-live
+        self.tables = lru_cache(max(kept, 1))(lambda p, q: _tables(bufs, len(acts), height, p, q) + (
+            hand if q == full else _hand(q, height),))
 
-    def _spread(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Vectors over the masks at ascending positions idx as vectors over every
-        mask: ``v`` itself or the scan's spread buffer, valid until the next call."""
-        if len(idx) == len(self.masks):
+    def spread(self, x: int, v: np.ndarray) -> np.ndarray:
+        """Column x's vectors over every mask, zero on the masks with a dead row: new, or ``v`` if none is dead."""
+        if (p := self.live[x]) == self.full:
             return v
-        self.spread[:, self.spread_idx] = 0  # only the entries the last call set
-        self.spread[:, idx], self.spread_idx = v, idx
-        return self.spread
+        out = np.zeros((len(v), len(self.masks)), self.dtype)
+        out[:, _walk(p, self.height, _ranks(self.full, self.height)[1])] = v
+        return out
 
-    def step(self, x: int, v: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hand ``v`` over the masks of column x - 1 (live rows q) into column x's tables and
-        step its sites: the unscaled compact table (instances x masks), its mask positions."""
-        tables, rows, idx, hand = self.tables(self.live[x], q)
+    def column(self, x: int) -> np.ndarray:
+        """Column x's vectors next to an empty one: its masks' activity products, a view the next step overwrites."""
+        n = _ranks(self.live[x], self.height)[1][-1]
+        ones = self.bufs[0][: self.count * n].reshape(self.count, 1, n)
+        ones.fill(1)
+        return _walk(self.live[x], self.height, self.acts[x], ones, np.multiply)[:, 0]
+
+    def step(self, x: int, v: np.ndarray) -> np.ndarray:
+        """Hand ``v``, column x - 1's vectors, into column x's tables and step its sites: column x's vectors."""
+        tables, rows, hand = self.tables(self.live[x], self.live[x - 1])
         np.take(v, hand, axis=1, out=tables[0][:, 0], mode="clip")
-        for r, fold, rest, new, _ in rows:
+        for r, fold, rest, new in rows:
             if fold:
                 np.add(*fold)
             if rest:
                 np.copyto(*rest)
             if new:
                 np.multiply(new[0], self.acts[x, r], new[1])
-        return tables[-1][:, :, 0], idx
+        return tables[-1][:, :, 0]
 
     def forward(self):
-        """Yield per column its prefix vectors (instances x ascending masks, max 1
-        per instance) and their float64 log scales."""
-        v, q, log_scale = self.empty, 0, 0.0  # the column left of the box is empty
-        for x, p in enumerate(self.live):
-            t, idx = self.step(x, v, q)
-            log_scale = log_scale + _rescale(t)
-            v, q = self._spread(t, idx), p
+        """Yield per column its prefix vectors (max 1 per instance, a view the next column overwrites), log scales."""
+        log_scale = 0.0
+        for x in range(len(self.live)):
+            v = self.step(x, v) if x else self.column(0)  # the column left of the box is empty
+            log_scale = log_scale + _rescale(v)
             yield v, log_scale
 
     def backward(self):
-        """Yield the suffix vectors (instances x ascending masks, max 1 per
-        instance), last column first."""
-        beta = np.ones((self.count, len(self.masks)), self.dtype)
+        """Yield the suffix vectors (max 1 per instance), last column first."""
+        beta = np.ones((self.count, _ranks(self.live[-1], self.height)[1][-1]), self.dtype)
         for x in reversed(range(1, len(self.live))):
             yield beta
-            tables, rows, idx, hand = self.tables(self.live[x], self.live[x - 1])
-            np.take(beta, idx, axis=1, out=tables[-1][:, :, 0], mode="clip")
-            for r, fold, _, new, copy in reversed(rows):
-                np.copyto(*copy)
+            tables, rows, hand = self.tables(self.live[x], self.live[x - 1])
+            tables[-1][:, :, 0] = beta
+            for r, fold, rest, new in reversed(rows):  # the step's copies reversed: T[:, :f1] from U[:top]
+                if rest:
+                    np.copyto(rest[1], rest[0])
                 if fold:
+                    np.copyto(fold[0], fold[2])
                     np.copyto(fold[1], fold[2])
                 if new:
                     np.multiply(new[1], self.acts[x, r], new[1])
                     np.add(new[0], new[1], new[0])
             _rescale(tables[0][:, 0])
-            beta = np.zeros_like(beta)
+            beta = np.empty((self.count, len(hand)), self.dtype)
             beta[:, hand] = tables[0][:, 0]
         yield beta
 
@@ -272,7 +276,7 @@ def log_partition(
     out = np.empty(len(fields))
     for idx, scan in _scans(box, fields, bc):
         *_, (alpha, log_scale) = scan.forward()
-        out[idx] = np.log(alpha.sum(axis=1)).astype(np.float64) + log_scale
+        out[idx] = np.log(scan.spread(-1, alpha).sum(axis=1)).astype(np.float64) + log_scale
     return float(out[0]) if single else out
 
 
@@ -286,9 +290,9 @@ def occupation_probabilities(
     for idx, scan in _scans(box, fields, bc, kept=box.width):
         mass = np.empty((len(idx), box.width, len(scan.masks)), scan.dtype)
         for ix, (alpha, _) in enumerate(scan.forward()):
-            mass[:, ix] = alpha
+            mass[:, ix, : alpha.shape[1]] = alpha  # spread by the backward pass
         for ix, beta in zip(reversed(range(box.width)), scan.backward()):
-            mass[:, ix] *= beta
+            mass[:, ix] = scan.spread(ix, mass[:, ix, : beta.shape[1]] * beta)
         total = mass.sum(axis=2)  # taken before the fold sums the tails into the front
         for r, top, keep, _, _ in reversed(scan.steps):
             probs[idx, :, r] = mass[..., top:].sum(axis=2) / total
@@ -325,24 +329,22 @@ def sample_exact(
 ) -> np.ndarray:
     """``draws`` exact draws from the finite-volume measure, a (draws, W) int64 array of packed columns.
 
-    One backward pass serves every draw.  Draw i picks its column x by inverse
-    CDF, as ``Generator.choice`` does, with the uniform
-    ``rng.random((draws, W))[i, x]``, so the draws do not depend on how many
-    are asked for at once.  Draws whose previous columns agree share one CDF
-    row, built as for a single draw, and bisect it.  Chunks of at most
-    _CHUNK_ENTRIES entries (rows x masks) serve slices of the draws by row.
+    One backward pass serves every draw.  Draw i picks its column x by inverse CDF, as
+    ``Generator.choice`` does, with the uniform ``rng.random((draws, W))[i, x]``, so the draws
+    do not depend on how many are asked for at once.  Draws whose previous columns agree share
+    one CDF row, built as for a single draw, and bisect it.  Chunks of at most _CHUNK_ENTRIES
+    entries (rows x masks) serve slices of the draws by row.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     ((_, scan),) = _scans(box, [field], bc)
-    masks = scan.masks
-    betas = list(scan.backward())[::-1]
+    masks, betas = scan.masks, list(scan.backward())[::-1]
     chunk = max(1, _CHUNK_ENTRIES // len(masks))
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)  # column 0: left of the box
     for x, beta in enumerate(betas):
-        column = scan._spread(*scan.step(x, scan.empty, 0))
+        column, beta = scan.spread(x, scan.column(x)), scan.spread(x, beta)
         prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
         order = np.argsort(row, kind="stable") if len(prev) > chunk else slice(None)  # the draws by row
         for start in range(0, len(prev), chunk):

@@ -203,6 +203,23 @@ def test_unknown_flag_exits_two(capsys):
     assert e.value.code == 2
 
 
+def test_main_builds_one_parser_and_keeps_no_options_between_calls(capsys):
+    # the first call builds the parser and later calls share it, each parsing into a new namespace
+    cli.build_parser.cache_clear()
+    plain = run_cli(["logz", "--box", "2x2"], capsys)
+    assert float(plain[1]) == pytest.approx(math.log(7.0), abs=1e-12)
+    assert run_cli(["logz", "--box", "2x2", "--lambda", "2", "--bc", "even"], capsys) != plain
+    assert run_cli(["logz", "--box", "2x2"], capsys) == plain  # no --lambda or --bc left over
+    with pytest.raises(SystemExit) as e:
+        cli.main(["logz", "--jay", "1"])
+    assert e.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--version"])
+    assert e.value.code == 0 and capsys.readouterr().out == f"hardcore2d {cli.__version__}\n"
+    assert run_cli(["logz", "--box", "2x2"], capsys) == plain
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_sample_rows_are_reproducible(capsys):
     argv = ["sample", "--box", "3x2", "--method", "exact", "--draws", "4", "--seed", "6",
             "--out", "-"]

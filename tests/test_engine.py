@@ -301,9 +301,9 @@ def draws_reference(box, field, bc, gen, draws):
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)
     for x, beta in enumerate(betas):
-        weights = np.where(masks & picked[:, x, None], 0.0, scan._spread(*scan.step(x, scan.empty, 0)))
+        weights = np.where(masks & picked[:, x, None], 0.0, scan.spread(x, scan.column(x)))
         weights /= weights.max(axis=1, keepdims=True)
-        weights *= beta
+        weights *= scan.spread(x, beta)
         cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         picked[:, x + 1] = masks[(cdf <= u[:, x, None]).sum(axis=1)]
@@ -320,7 +320,7 @@ def wide_columns(exponent):
 def test_column_weights_are_the_products_of_their_rows_activities():
     # a column's weights next to an empty column, which exact draws use: per mask the
     # product of its rows' activities in the scan's float type, from 1 and bottom to top;
-    # single diluted fields, every row live below height 17 and live rows from there
+    # single diluted fields, every row live below height 16 and live rows from there
     spec, cases = DisorderSpec("bernoulli", (0.7,)), [wide_columns(600)] if WIDE else []
     for k, (w, h) in enumerate(((4, 1), (4, 5), (4, 12), (3, 18), (3, 20))):
         box = centered_box(w, h)
@@ -336,7 +336,7 @@ def test_column_weights_are_the_products_of_their_rows_activities():
             want = np.ones(len(scan.masks), scan.dtype)
             for r, a in enumerate(acts):
                 want = np.where(scan.masks >> r & 1, want * scan.dtype(a), want)
-            got = scan._spread(*scan.step(x, scan.empty, 0))[0]
+            got = scan.spread(x, scan.column(x))[0]
             assert got.dtype == want.dtype and np.array_equal(got, want), (box.height, x)
             dead = scan.masks & sum(1 << r for r, a in enumerate(acts) if a == 0.0) > 0
             assert not got[dead].any(), (box.height, x)
@@ -533,13 +533,14 @@ def test_dead_rows_change_no_bit(monkeypatch, exponent, dtype):
 
 def test_marginals_build_each_column_pairs_set_up_once(monkeypatch):
     # at height 20 every column has its own live rows, so the backward pass
-    # revisits each of the forward pass's column pairs, none of them all-live
+    # revisits each of the forward pass's column pairs, none of them all-live;
+    # the first column, next to the empty one, needs no pair set-up
     box = box_lambda(10)
     f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
     built, tables = [], engine._tables
     monkeypatch.setattr(engine, "_tables", lambda *args: built.append(args[3:]) or tables(*args))
     occupation_probabilities(box, f, EVEN_BC)
-    assert len(built) == len(set(built)) == box.width
+    assert len(built) == len(set(built)) == box.width - 1
 
 
 def test_a_box_with_every_site_dead():
@@ -553,10 +554,43 @@ def test_a_box_with_every_site_dead():
 
 
 def test_diluted_exact_draws_match_the_reference(monkeypatch):
-    box = centered_box(12, 12)
+    # on live rows the backward pass hands compact vectors over each column's live rows;
+    # spread by those rows, they draw what the all-row plan and the per-draw reference
+    # draw: at 12 x 12 (live rows forced) and at live heights, also in long double
+    spec, cases = DisorderSpec("bernoulli", (0.7,)), []
+    for w, h, seed, draws in ((12, 12, ReplicaSeed(11, 0), 200), (3, 16, ReplicaSeed(13, 0), 50),
+                              (3, 20, ReplicaSeed(13, 1), 50), (2, 24, ReplicaSeed(13, 2), 20)):
+        box = centered_box(w, h)
+        cases.append((box, sample_field(spec, box.expand(1), 5.0, seed), draws))
+    dtypes = {np.float64, np.longdouble} if WIDE else {np.float64}
+    if WIDE:
+        cases.append((*wide_columns(600), 50))
+    for box, f, draws in cases:
+        monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", MAX_HEIGHT + 1)
+        every_row = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=draws)
+        monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", 0)
+        ((_, scan),) = engine._scans(box, [f], EVEN_BC)
+        assert any(p != scan.full for p in scan.live), box  # some column drops a dead row
+        dtypes.discard(scan.dtype)
+        live_rows = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=draws)
+        assert np.array_equal(live_rows, every_row), box
+        assert np.array_equal(every_row, draws_reference(box, f, EVEN_BC, np.random.default_rng(4), draws)), box
+    assert not dtypes  # every float type ran
+
+
+def test_log_partition_spreads_only_its_last_column(monkeypatch):
+    # a column hands its vectors to the next over its own live rows' masks, so a side-20 log Z
+    # places masks among all masks once, for its last column; the other walks weigh the first
+    # column's masks and rank each later column's hand-over
+    box = box_lambda(10)
     f = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), 5.0, ReplicaSeed(11, 0))
-    every_row = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=200)
-    monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", 0)
-    live_rows = sample_exact(box, f, EVEN_BC, np.random.default_rng(4), draws=200)
-    assert np.array_equal(live_rows, every_row)
-    assert np.array_equal(every_row, draws_reference(box, f, EVEN_BC, np.random.default_rng(4), 200))
+    ((_, scan),) = engine._scans(box, [f], EVEN_BC)
+    tops = engine._ranks(scan.full, box.height)[1]  # each mask's position among all masks: the sum of these
+    walked, walk = [], engine._walk
+    monkeypatch.setattr(engine, "_walk", lambda p, h, inc, *out_op: walked.append(
+        (p, isinstance(inc, tuple) and inc == tops)) or walk(p, h, inc, *out_op))
+    logz = log_partition(box, f, EVEN_BC)
+    assert [p for p, positions in walked if positions] == [scan.live[-1]]
+    assert len(walked) == box.width + 1 and scan.full not in scan.live
+    monkeypatch.setattr(engine, "_LIVE_ROWS_FROM", MAX_HEIGHT + 1)
+    assert logz == log_partition(box, f, EVEN_BC)
