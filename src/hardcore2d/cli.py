@@ -44,7 +44,6 @@ from .observables import (
     expected_gap_bound,
     pathwise_gap_bound,
     response_gap,
-    sampled_response_gaps,
 )
 
 ENV_SEED = "HARDCORE_SEED"
@@ -157,9 +156,11 @@ def _pmap(fn, items, workers: int):
 # -- replica tasks (top level: picklable for ProcessPoolExecutor) -------------
 #
 # A task solves one contiguous block of replicas as stacks (one engine call
-# per box, field variant and frame) and returns the block's rows; --workers
-# shards the blocks.  Every replica's numbers are a function of its key
-# alone, so the output does not depend on the worker count or on _BLOCK.
+# per box, field variant and frame) for every size of its command, from one
+# field per replica drawn on the largest box and its ring, and returns the
+# block's rows; --workers shards the blocks over one pool per command.  Every
+# replica's numbers are a function of its key alone, so the output does not
+# depend on the worker count or on _BLOCK.
 
 _BLOCK = 64  # replicas per task
 
@@ -171,11 +172,10 @@ def _run_blocks(fn, head: tuple, replicas: int, workers: int) -> list:
     return [row for rows in _pmap(fn, blocks, workers) for row in rows]
 
 
-def _influence_task(arg: tuple) -> list[float]:
-    side, lam, spec, master, start, stop = arg
-    box = box_lambda(side // 2)
-    fields = sample_fields(spec, box.expand(1), lam, master, start, stop)
-    return boundary_influence(box, fields, (0, 0)).tolist()
+def _influence_task(arg: tuple) -> list[tuple]:
+    sides, lam, spec, master, start, stop = arg
+    fields = sample_fields(spec, box_lambda(max(sides) // 2).expand(1), lam, master, start, stop)
+    return list(zip(*(boundary_influence(box_lambda(s // 2), fields, (0, 0)).tolist() for s in sides)))
 
 
 def _free_energy_task(arg: tuple) -> list[tuple]:
@@ -189,9 +189,10 @@ def _free_energy_task(arg: tuple) -> list[tuple]:
     return list(zip(gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist()))
 
 
-def _fluctuation_task(arg: tuple) -> list[float]:
-    j, L, lam, spec, master, start, stop = arg
-    return sampled_response_gaps(L, j, spec, lam, master, start, stop).tolist()
+def _fluctuation_task(arg: tuple) -> list[tuple]:
+    groups, lam, spec, master, start, stop = arg
+    fields = sample_fields(spec, box_lambda(max(L for _, L in groups)).expand(1), lam, master, start, stop)
+    return list(zip(*(response_gap(L, j, fields).tolist() for j, L in groups)))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -230,11 +231,11 @@ def cmd_influence(args) -> int:
         if s < 2 or s % 2:
             raise ValueError("sides must be even and >= 2 (centered boxes)")
     spec = DisorderSpec.parse(args.disorder)
+    rows = _run_blocks(_influence_task, (tuple(sides), args.lam, spec, args.seed), replicas, workers)
     records: list[tuple] = []
     summaries: list[tuple] = []
-    for side in sides:
+    for side, gaps in zip(sides, zip(*rows)):
         row = _row_maker(args, side // 2, None, spec.label())
-        gaps = _run_blocks(_influence_task, (side, args.lam, spec, args.seed), replicas, workers)
         records += [row(r, "origin_gap", g) for r, g in enumerate(gaps)]
         for name, q in (("origin_gap_q1", 25), ("origin_gap_median", 50), ("origin_gap_q3", 75)):
             summaries.append(row(SUMMARY_REPLICA, name, float(np.percentile(gaps, q))))
@@ -274,11 +275,11 @@ def cmd_fluctuations(args) -> int:
     groups = [(j, args.L if args.L is not None else 2 * j) for j in js]
     if not all(1 <= j < L for j, L in groups):
         raise ValueError("need 1 <= j < L")
+    rows = _run_blocks(_fluctuation_task, (tuple(groups), args.lam, spec, args.seed), replicas, workers)
     records: list[tuple] = []
     summaries: list[tuple] = []
-    for j, L in groups:
+    for (j, L), gaps in zip(groups, map(np.asarray, zip(*rows))):
         row = _row_maker(args, j, L, spec.label())
-        gaps = np.asarray(_run_blocks(_fluctuation_task, (j, L, args.lam, spec, args.seed), replicas, workers))
         records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
         var = float(gaps.var(ddof=1))
         summaries += [
@@ -316,9 +317,9 @@ def cmd_sample(args) -> int:
 def _determinism_check(seed: int):
     from .validation import CheckResult  # here, not at module level: only validate runs the checks
 
-    cfg = [(4, 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
-    seq = [_fmt(g) for t in cfg for g in _influence_task(t)]
-    par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g in block]
+    cfg = [((4,), 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
+    seq = [_fmt(g) for t in cfg for g, in _influence_task(t)]
+    par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g, in block]
     return CheckResult("determinism", seq == par, "workers 1 vs 2 byte-identical")
 
 

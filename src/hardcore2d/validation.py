@@ -185,12 +185,9 @@ def check_influence_contrast(replicas: int, seed: int) -> CheckResult:
         box = centered_box(side, side)
         field = ActivityField(box.expand(1), np.ones((side + 2, side + 2)), lam)
         pure_gap[side] = float(boundary_influence(box, [field], (0, 0))[0])
-    spec = DisorderSpec("bernoulli", (0.7,))
-    medians = []
-    for side in sides:
-        box = centered_box(side, side)
-        fields = sample_fields(spec, box.expand(1), lam, seed, 0, replicas)
-        medians.append(float(np.median(boundary_influence(box, fields, (0, 0)))))
+    region = centered_box(sides[-1], sides[-1]).expand(1)
+    fields = sample_fields(DisorderSpec("bernoulli", (0.7,)), region, lam, seed, 0, replicas)
+    medians = [float(np.median(boundary_influence(centered_box(s, s), fields, (0, 0)))) for s in sides]
     persistent = pure_gap[sides[-1]] >= 0.05 * pure_gap[sides[0]] > 0
     decaying = all(a > b for a, b in zip(medians, medians[1:]))
     detail = (
@@ -282,7 +279,8 @@ def check_variance_band(
     governs large j, not these sizes.
     """
     spec = spec or DisorderSpec("bernoulli", (0.5,))
-    gaps = [sampled_response_gaps(2 * j, j, spec, 4.0, seed, 0, replicas) for j in js]
+    fields = sample_fields(spec, box_lambda(2 * max(js)).expand(1), 4.0, seed, 0, replicas)
+    gaps = [response_gap(2 * j, j, fields) for j in js]
     ratios = [float(g.var(ddof=1)) / (2 * j) ** 2 for j, g in zip(js, gaps)]
     ok = ratios[0] > 1e-4 and all(b < a / 2.0 for a, b in zip(ratios, ratios[1:]))
     detail = "var/site " + ", ".join(f"j={j}:{q:.2e}" for j, q in zip(js, ratios))

@@ -573,6 +573,38 @@ def test_fluctuations_check_every_group_before_solving_one(capsys, monkeypatch):
     assert calls == []
 
 
+def test_sweeps_draw_each_replica_once_per_block(capsys, monkeypatch):
+    # every size of a sweep is solved from one field per replica, drawn on the largest box and its ring
+    regions = []
+
+    def spy(spec, region, *args):
+        regions.append(region)
+        return sample_fields(spec, region, *args)
+
+    monkeypatch.setattr(cli, "sample_fields", spy)
+    for argv in (["influence", "--sides", "4,8,12", "--replicas", "70"],
+                 ["fluctuations", "--j", "1,2,3", "--replicas", "70"]):
+        regions.clear()
+        assert run_cli(argv, capsys)[0] == 0
+        assert regions == [box_lambda(6).expand(1)] * 2  # blocks of 64
+    regions.clear()
+    assert run_cli(["fluctuations", "--j", "1,2", "--L", "5", "--replicas", "4"], capsys)[0] == 0
+    assert regions == [box_lambda(5).expand(1)]
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["fluctuations", "--j", "1,7", "--replicas", "1000"], "response_gap"),
+    (["influence", "--sides", "4,28", "--replicas", "1000"], "boundary_influence"),
+])
+def test_an_oversized_group_fails_within_the_first_block(capsys, monkeypatch, argv, solver):
+    # both groups pass the up-front checks; the engine's height cap refuses the second in the first block
+    calls = []
+    real = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *args: calls.append(args) or real(*args))
+    assert run_cli(argv, capsys) == (1, "", "error: box height is capped at 24\n")
+    assert len(calls) <= 2
+
+
 def test_a_draw_count_past_memory_exits_one(capsys, monkeypatch):
     def out_of_memory(*args):  # stands in for numpy's _ArrayMemoryError, a MemoryError
         raise MemoryError("Unable to allocate 14.2 PiB for an array with shape (1000000000000000, 2)")
@@ -631,6 +663,8 @@ def test_sample_needs_a_draw(capsys):
     ["influence", "--sides", "4", "--replicas", "4"],
     ["free-energy", "--j", "1", "--L", "2", "--replicas", "4"],
     ["fluctuations", "--j", "1", "--replicas", "4"],
+    ["influence", "--sides", "4,8", "--replicas", "4"],
+    ["fluctuations", "--j", "1,2", "--replicas", "4"],
 ])
 def test_workers_capped_at_cpu_count(argv, capsys, monkeypatch):
     seen = []

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 from hardcore2d import disorder, observables, validation
-from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
+from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields
 from hardcore2d.engine import log_partition, occupation_probability
 from hardcore2d.lattice import EVEN_BC, ODD_BC, LatticeBox, box_lambda, centered_box, phi_j, reflect_theta
 from hardcore2d.observables import (
@@ -360,6 +360,22 @@ def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
         assert gaps[r] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("law", ["bernoulli:0.5", "uniform:0,2", "pareto:2.5,0.5"])
+@pytest.mark.parametrize("L, j", [(2, 1), (3, 2)])
+def test_a_wider_field_region_changes_no_bit(law, L, j):
+    # the sweeps draw each replica once on their largest box's ring and solve every size from it
+    spec = DisorderSpec.parse(law)
+    near = sample_fields(spec, box_lambda(L).expand(1), 4.0, SEED, 0, 16)
+    wide = sample_fields(spec, box_lambda(L + 2).expand(1), 4.0, SEED, 0, 16)
+    assert response_gap(L, j, wide).tobytes() == response_gap(L, j, near).tobytes()
+    box = box_lambda(L)
+    assert boundary_influence(box, wide, (0, 0)).tobytes() == boundary_influence(box, near, (0, 0)).tobytes()
+    if spec.family == "bernoulli":  # some frame site is dead, so the frames differ from the all-live ones
+        frame = np.ones((2 * L + 2, 2 * L + 2), dtype=bool)
+        frame[1:-1, 1:-1] = False
+        assert any(not f.values[frame].all() for f in near)
+
+
 def test_variance_band_fails_on_zero_gap():
     res = validation.check_variance_band(
         seed=SEED, js=(1, 2), spec=DisorderSpec("constant", (1.5,)), replicas=30
@@ -378,11 +394,11 @@ def test_variance_band_fails_on_zero_gap():
     ],
 )
 def test_variance_band_asks_decay_at_every_step(monkeypatch, ratios, passed):
-    def fake_gaps(L, j, spec, scale, seed, start, stop):
+    def fake_gaps(L, j, fields):
         d = j * math.sqrt(2 * ratios[j - 1])  # var(ddof=1) of (-d, d) is 2 d^2 = 4 j^2 * ratio
         return np.array([-d, d])
 
-    monkeypatch.setattr(validation, "sampled_response_gaps", fake_gaps)
+    monkeypatch.setattr(validation, "response_gap", fake_gaps)
     res = validation.check_variance_band(seed=SEED)
     assert res.passed == passed
     assert res.detail.startswith("var/site j=1:")
