@@ -181,9 +181,8 @@ def _influence_task(arg: tuple) -> list[tuple]:
 def _free_energy_task(arg: tuple) -> list[tuple]:
     j, L, lam, spec, master, start, stop = arg
     fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
-    gap = response_gap(L, j, fields)
+    gap, lhs, rhs = annulus_bound_check(L, j, fields)
     cap = pathwise_gap_bound(fields, j)
-    lhs, rhs = annulus_bound_check(L, j, fields)
     pathwise_ok = np.abs(gap) <= cap + 1e-9
     annulus_ok = np.all(lhs <= rhs + 1e-9, axis=0)
     return list(zip(gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist()))

@@ -7,10 +7,11 @@ even-minus-odd boundary gap, averaged over the field outside the sub-box, is
 the order parameter all the desk-scale experiments look at.
 
 Every observable takes a sequence of fields on one box and returns an array
-with one entry per field (``annulus_bound_check`` adds a leading axis for its
-two orders).  Each field variant a quantity needs (switched off inside the inner
-box, pulled back through phi_j) is built once per call, and each frame solves
-the fields and their variants as one stack.
+with one entry per field (``annulus_bound_check`` returns the gap, its two
+orders' left-hand sides on a leading axis, and the right-hand side).  Each
+field variant a quantity needs (switched off inside the inner box, pulled back
+through phi_j) is built once per call, and each frame solves the fields and
+their variants as one stack.
 """
 from __future__ import annotations
 
@@ -41,17 +42,19 @@ def _bound_scales(scales) -> np.ndarray:
     return scales
 
 
-def _responses(outer: LatticeBox, inner: LatticeBox, fields: Sequence[ActivityField], bcs) -> np.ndarray:
-    """Free-energy responses of the fields, one row per frame in ``bcs``: each
-    field is switched off once, and each frame solves fields and copies as
-    one stack."""
+def _responses(
+    outer: LatticeBox, inner: LatticeBox, fields: Sequence[ActivityField], bcs, extra: Sequence[ActivityField] = ()
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Free-energy responses of the fields, one row per frame in ``bcs``, and
+    each frame's log Z of its stack: the fields, each switched off once, then
+    ``extra``.  Every row of a stack is what its field gives alone."""
     scales = _bound_scales([f.scale for f in fields])
     if not outer.contains_box(inner):
         raise ValueError("inner box must lie inside the outer box")
-    stack = [*fields, *(f.switched_off(inner) for f in fields)]
+    stack = [*fields, *(f.switched_off(inner) for f in fields), *extra]
     n = len(fields)
     logz = [log_partition(outer, stack, bc) for bc in bcs]
-    return np.array([(z[:n] - z[n:]) / scales for z in logz])
+    return np.array([(z[:n] - z[n : 2 * n]) / scales for z in logz]), logz
 
 
 def free_energy_response(
@@ -62,13 +65,13 @@ def free_energy_response(
 ) -> np.ndarray:
     """(log Z(field) - log Z(field switched off inside)) / scale on the outer
     box, per field."""
-    return _responses(outer, inner, fields, [bc])[0]
+    return _responses(outer, inner, fields, [bc])[0][0]
 
 
 def response_gap(L: int, j: int, fields: Sequence[ActivityField]) -> np.ndarray:
     """Even-minus-odd boundary gap of the free-energy response of the inner
     box of half-side j on the box of half-side L, per field."""
-    even, odd = _responses(box_lambda(L), box_lambda(j), fields, ["even", "odd"])
+    even, odd = _responses(box_lambda(L), box_lambda(j), fields, ["even", "odd"])[0]
     return even - odd
 
 
@@ -91,14 +94,17 @@ def pathwise_gap_bound(fields: Sequence[ActivityField], j: int) -> np.ndarray:
     return 2.0 / _bound_scales([f.scale for f in fields]) * annulus_log_sum(fields, j)
 
 
-def annulus_bound_check(L: int, j: int, fields: Sequence[ActivityField]) -> tuple[np.ndarray, np.ndarray]:
+def annulus_bound_check(
+    L: int, j: int, fields: Sequence[ActivityField]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Swapping the boundary parity costs at most the annulus log sum.
 
     For both orders (tau, tau'): log Z^tau(y) - log Z^tau'(y o phi) <= rhs,
     where phi reflects everything outside the (j+1)-box and y o phi is the
-    pulled-back field.  Returns (lhs, rhs): lhs[0] is the even->odd order and
-    lhs[1] the odd->even one, each an array over the fields, as is rhs, the
-    annulus log sum.
+    pulled-back field.  Returns (gap, lhs, rhs): gap is response_gap(L, j,
+    fields) bit for bit, from the same stack per frame; lhs[0] is the
+    even->odd order and lhs[1] the odd->even one, each an array over the
+    fields, as is rhs, the annulus log sum.
     """
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
@@ -109,10 +115,10 @@ def annulus_bound_check(L: int, j: int, fields: Sequence[ActivityField]) -> tupl
         if not f.region.contains_box(outer):
             raise ValueError("field region must contain the outer box")
     n = len(fields)
-    stack = [*fields, *(f.compose(lambda v: phi_j(v, j)) for f in fields)]
-    even, odd = (log_partition(outer, stack, bc) for bc in ("even", "odd"))
-    lhs = np.array([even[:n] - odd[n:], odd[:n] - even[n:]])
-    return lhs, annulus_log_sum(fields, j)
+    pulled = [f.compose(lambda v: phi_j(v, j)) for f in fields]
+    (even, odd), (z_even, z_odd) = _responses(outer, box_lambda(j), fields, ["even", "odd"], pulled)
+    lhs = np.array([z_even[:n] - z_odd[2 * n :], z_odd[:n] - z_even[2 * n :]])
+    return even - odd, lhs, annulus_log_sum(fields, j)
 
 
 def boundary_influence(box: LatticeBox, fields: Sequence[ActivityField], v: Site) -> np.ndarray:
@@ -215,16 +221,6 @@ def expected_gap_bound(j: int, scale: float, spec: DisorderSpec) -> float:
     _bound_scales(scale)
     annulus = box_lambda(j + 1).site_count - box_lambda(j).site_count
     return 2.0 / scale * log_gain_mean(spec, scale) * annulus
-
-
-def sampled_response_gaps(
-    L: int, j: int, spec: DisorderSpec, scale: float, seed: int, start: int, stop: int
-) -> np.ndarray:
-    """Response gaps of fully resampled fields (inner sites included), for
-    replicas start .. stop - 1 under one master seed, as one stacked solve."""
-    # one extra ring so the boundary frame is diluted like everything else
-    fields = sample_fields(spec, box_lambda(L).expand(1), scale, seed, start, stop)
-    return response_gap(L, j, fields)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

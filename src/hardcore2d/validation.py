@@ -35,7 +35,6 @@ from .observables import (
     influence_table,
     pathwise_gap_bound,
     response_gap,
-    sampled_response_gaps,
 )
 from .oracle import enumerate_independent_sets, oracle_log_partition, oracle_occupations
 
@@ -215,10 +214,10 @@ def check_annulus_and_pathwise(instances: int, seed: int) -> tuple[CheckResult, 
     worst_margin = -math.inf
     worst_path = -math.inf
     for (j, L), fields in groups.items():
-        lhs, rhs = annulus_bound_check(L, j, fields)
+        gap, lhs, rhs = annulus_bound_check(L, j, fields)
         ann_ok = ann_ok and bool(np.all(lhs <= rhs + tol))
         worst_margin = max(worst_margin, float((lhs - rhs).max()))
-        excess = np.abs(response_gap(L, j, fields)) - pathwise_gap_bound(fields, j)
+        excess = np.abs(gap) - pathwise_gap_bound(fields, j)
         worst_path = max(worst_path, float(excess.max()))
     return (
         CheckResult("annulus-bound", ann_ok, f"n={instances} worst lhs-rhs={worst_margin:.2e}"),
@@ -246,7 +245,8 @@ def check_step1_mean(
     worst_z = 0.0
     for spec in (DisorderSpec("bernoulli", (0.5,)), DisorderSpec("uniform", (0.0, 2.0))):
         for lam in lams:
-            mean, stderr = _mean_stderr(sampled_response_gaps(L, j, spec, lam, seed, 0, replicas))
+            fields = sample_fields(spec, box_lambda(L).expand(1), lam, seed, 0, replicas)
+            mean, stderr = _mean_stderr(response_gap(L, j, fields))
             worst_z = max(worst_z, abs(mean) / stderr)
     return CheckResult("step1-mean", worst_z <= 4.0, f"max |mean|/stderr={worst_z:.2f}")
 

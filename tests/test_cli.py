@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardcore2d import cli
+from hardcore2d import cli, observables
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields, save_field
 from hardcore2d.engine import sample_exact
 from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, draw_sites
@@ -268,11 +268,12 @@ def test_validate_flags_injected_engine_bug(capsys, monkeypatch):
         engine._plan.cache_clear()  # a plan built under the bug must not outlive the test
 
 
-def test_validate_output_is_pinned(capsys, monkeypatch):
+@pytest.mark.parametrize("seed", [20260815, 20260831])
+def test_validate_output_is_pinned(capsys, monkeypatch, seed):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    code, out, _ = run_cli(["validate", "--seed", "20260815"], capsys)
+    code, out, _ = run_cli(["validate", "--seed", str(seed)], capsys)
     assert code == 0
-    assert out == (Path(__file__).parent / "data" / "validate_seed20260815.txt").read_text()
+    assert out == (Path(__file__).parent / "data" / f"validate_seed{seed}.txt").read_text()
 
 
 def test_exact_draws_are_pinned(capsys):
@@ -590,6 +591,20 @@ def test_sweeps_draw_each_replica_once_per_block(capsys, monkeypatch):
     regions.clear()
     assert run_cli(["fluctuations", "--j", "1,2", "--L", "5", "--replicas", "4"], capsys)[0] == 0
     assert regions == [box_lambda(5).expand(1)]
+
+
+def test_free_energy_solves_one_stack_per_frame_and_block(capsys, monkeypatch):
+    # the gap and the annulus inequality share each frame's stack: the fields, their
+    # switched-off copies and their pulled-back copies, for blocks of 64 and 6 replicas
+    sizes, solve = [], observables.log_partition
+
+    def spy(box, fields, bc):
+        sizes.append(len(fields))
+        return solve(box, fields, bc)
+
+    monkeypatch.setattr(observables, "log_partition", spy)
+    assert run_cli(["free-energy", "--j", "1", "--L", "3", "--replicas", "70"], capsys)[0] == 0
+    assert sizes == [192, 192, 18, 18]
 
 
 @pytest.mark.parametrize("argv, solver", [

@@ -22,7 +22,6 @@ from hardcore2d.observables import (
     log_gain_mean,
     pathwise_gap_bound,
     response_gap,
-    sampled_response_gaps,
 )
 from hardcore2d.oracle import oracle_log_partition
 
@@ -130,7 +129,7 @@ def _count_calls(monkeypatch, owner, name):
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -156,6 +155,7 @@ def test_a_tuple_of_fields_gives_what_a_list_gives():
         lambda fs: pathwise_gap_bound(fs, 1),
         lambda fs: annulus_bound_check(3, 1, fs)[0],
         lambda fs: annulus_bound_check(3, 1, fs)[1],
+        lambda fs: annulus_bound_check(3, 1, fs)[2],
         lambda fs: boundary_influence(box, fs, (0, 0)),
         lambda fs: influence_table(box, fs),
     ]
@@ -165,9 +165,24 @@ def test_a_tuple_of_fields_gives_what_a_list_gives():
 
 def test_annulus_bound_check_solves_once_per_frame(monkeypatch):
     fields = [random_field(3, DisorderSpec("bernoulli", (0.7,)), 1.0, rep) for rep in range(5)]
+    offs = _count_calls(monkeypatch, ActivityField, "switched_off")
+    pulls = _count_calls(monkeypatch, ActivityField, "compose")
     solves = _count_calls(monkeypatch, observables, "log_partition")
     annulus_bound_check(3, 1, fields)
-    assert len(solves) == 2
+    assert (len(offs), len(pulls)) == (5, 5)
+    assert [len(stack) for _, stack, _ in solves] == [15, 15]
+
+
+@pytest.mark.parametrize("law", ["bernoulli:0.7", "uniform:0,2", "pareto:2.5,0.5"])
+@pytest.mark.parametrize("L, j", [(2, 1), (3, 1), (4, 2)])
+def test_annulus_bound_check_gives_response_gap_bit_for_bit(law, L, j):
+    spec = DisorderSpec.parse(law)
+    fields = sample_fields(spec, box_lambda(L).expand(1), 4.0, SEED, 0, 12)
+    assert annulus_bound_check(L, j, fields)[0].tobytes() == response_gap(L, j, fields).tobytes()
+    if spec.family == "bernoulli":  # some frame site is dead
+        frame = np.ones((2 * L + 2, 2 * L + 2), dtype=bool)
+        frame[1:-1, 1:-1] = False
+        assert any(not f.values[frame].all() for f in fields)
 
 
 def test_pathwise_bound_dominates_gap():
@@ -183,17 +198,18 @@ def test_annulus_bound_check_both_orders():
     box = box_lambda(3)
     fields = [random_field(3, spec, 1.0, 100 + rep) for rep in range(10)]
     for f in fields:
-        lhs, rhs = annulus_bound_check(3, 1, [f])
-        lhs, rhs = lhs[:, 0], rhs[0]
+        gap, lhs, rhs = annulus_bound_check(3, 1, [f])
+        gap, lhs, rhs = gap[0], lhs[:, 0], rhs[0]
         pulled = f.compose(lambda v: phi_j(v, 1))
         assert lhs.shape == (2,)
         assert lhs[0] == log_partition(box, f, "even") - log_partition(box, pulled, "odd")
         assert lhs[1] == log_partition(box, f, "odd") - log_partition(box, pulled, "even")
         assert rhs == annulus_log_sum([f], 1)[0]
+        assert gap == response_gap(3, 1, [f])[0]
         assert np.all(lhs <= rhs + 1e-9)
-    lhs, rhs = annulus_bound_check(3, 1, fields)
-    assert lhs.shape == (2, 10) and rhs.shape == (10,)
-    assert np.array_equal(lhs, np.array([annulus_bound_check(3, 1, [f])[0][:, 0] for f in fields]).T)
+    gap, lhs, rhs = annulus_bound_check(3, 1, fields)
+    assert gap.shape == (10,) and lhs.shape == (2, 10) and rhs.shape == (10,)
+    assert np.array_equal(lhs, np.array([annulus_bound_check(3, 1, [f])[1][:, 0] for f in fields]).T)
 
 
 def test_influence_sign_at_small_grid():
@@ -310,13 +326,18 @@ def test_expected_gap_bound_scales():
         expected_gap_bound(1, 1e-310, spec)
 
 
+def sampled_gaps(L, j, spec, lam, seed, start, stop):
+    # fully resampled fields (inner sites included), drawn as the sweeps draw them
+    return response_gap(L, j, sample_fields(spec, box_lambda(L).expand(1), lam, seed, start, stop))
+
+
 def test_sampled_gap_reproducible():
     spec = DisorderSpec("bernoulli", (0.5,))
-    a = sampled_response_gaps(2, 1, spec, 4.0, SEED, 0, 7)
-    b = sampled_response_gaps(2, 1, spec, 4.0, SEED, 0, 7)
+    a = sampled_gaps(2, 1, spec, 4.0, SEED, 0, 7)
+    b = sampled_gaps(2, 1, spec, 4.0, SEED, 0, 7)
     assert np.array_equal(a, b)
     assert a[5] != a[6]
-    assert sampled_response_gaps(2, 1, spec, 4.0, SEED, 5, 7).tobytes() == a[5:].tobytes()
+    assert sampled_gaps(2, 1, spec, 4.0, SEED, 5, 7).tobytes() == a[5:].tobytes()
     alone = sample_field(spec, box_lambda(2).expand(1), 4.0, ReplicaSeed(SEED, 5))
     assert a[5] == response_gap(2, 1, [alone])[0]
 
@@ -338,7 +359,7 @@ def test_estimate_requires_two_replicas():
 
 
 def test_sampled_gaps_under_constant_disorder_do_not_vary():
-    gaps = sampled_response_gaps(2, 1, DisorderSpec("constant", (1.5,)), 2.0, SEED, 0, 30)
+    gaps = sampled_gaps(2, 1, DisorderSpec("constant", (1.5,)), 2.0, SEED, 0, 30)
     assert gaps.var(ddof=1) == pytest.approx(0.0, abs=1e-24)
 
 
@@ -346,7 +367,7 @@ def test_sampled_gaps_match_oracle_at_criterion_07_smallest_size():
     # criterion 07's j = 1 battery: 16-site boxes, inside the oracle's cap
     spec, lam, L, j = DisorderSpec("bernoulli", (0.5,)), 4.0, 2, 1
     box = box_lambda(L)
-    gaps = sampled_response_gaps(L, j, spec, lam, SEED + 8, 0, 50)
+    gaps = sampled_gaps(L, j, spec, lam, SEED + 8, 0, 50)
     for r in range(50):
         seed = ReplicaSeed(SEED + 8, r)
         field = sample_field(spec, box.expand(1), lam, seed)
