@@ -88,28 +88,33 @@ class DisorderSpec:
         return self.family + ":" + ",".join(repr(p).removesuffix(".0") for p in self.params)
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """The family's values at uniforms ``u`` from [0, 1), by inverse CDF."""
+        """The family's values at uniforms ``u`` from [0, 1), by inverse CDF;
+        ValueError, and no warning, if a draw exceeds the largest float."""
         p, fam = self.params, self.family
         u = np.asarray(u, dtype=np.float64)
-        if fam == "constant":
-            return np.full(u.shape, p[0])
-        if fam == "bernoulli":
-            return (u < p[0]).astype(np.float64)
-        if fam == "uniform":
-            return p[0] + (p[1] - p[0]) * u
         if fam in ("lognormal", "gamma"):
             import scipy.special  # here, not at module level: most runs never need scipy
-        if fam == "lognormal":
-            return np.exp(p[0] + p[1] * scipy.special.ndtri(u))
-        if fam == "gamma":
-            return p[1] * scipy.special.gammaincinv(p[0], u)
-        # pareto on 1 - u from (0, 1]; Python's scalar ** (libm pow) can differ
-        # from numpy's vector power in the last bit, and raises past the largest float
-        e = -1.0 / p[0]
-        try:
-            return p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
-        except OverflowError:
-            raise ValueError(f"a {self.label()} draw exceeds the largest float") from None
+        with np.errstate(over="ignore"):  # an overflow leaves an inf, which the check below refuses
+            if fam == "constant":
+                x = np.full(u.shape, p[0])
+            elif fam == "bernoulli":
+                x = (u < p[0]).astype(np.float64)
+            elif fam == "uniform":
+                x = p[0] + (p[1] - p[0]) * u
+            elif fam == "lognormal":
+                x = np.exp(p[0] + p[1] * scipy.special.ndtri(u))
+            elif fam == "gamma":
+                x = p[1] * scipy.special.gammaincinv(p[0], u)
+            else:  # pareto on 1 - u from (0, 1]; Python's scalar ** (libm pow) can differ from
+                # numpy's vector power in the last bit, and raises past the largest float
+                e = -1.0 / p[0]
+                try:
+                    x = p[1] * np.array([b**e for b in (1.0 - u).ravel().tolist()]).reshape(u.shape)
+                except OverflowError:
+                    x = np.full(u.shape, np.inf)
+        if not np.isfinite(x).all():
+            raise ValueError(f"a {self.label()} draw exceeds the largest float")
+        return x
 
 
 @dataclass(frozen=True)

@@ -40,18 +40,22 @@ double (wider only where np.longdouble has 80 or 128 bits), else it raises
 CapacityError, as for an infinite maximum.  Zero activities and frame-blocked
 sites forbid bits; the empty pattern keeps log Z >= 0.
 
-The scan runs on a stack of instances (one box and frame, many fields): every
-table has a leading instance axis, so one numpy call steps the whole stack,
-and a single field is a stack of one.  log_partition, occupation_probabilities
-and occupation_probability take one ActivityField or a sequence; a sequence
-is grouped by each instance's float type and cut into chunks of at most
-_CHUNK_ENTRIES entries, 512 KiB of float64: instances x (largest table + the
-column vectors the marginals store), so log Z runs up to 963 side-8 or 140
-side-12 boxes at once and side 22 alone.  The same budget caps the CDF rows x
-masks of a sample_exact chunk and a cftp_sample block of uniforms.  Site steps
-and the marginal fold are elementwise across instances, and log scales and sums
-run along each instance's masks as for one field, with no BLAS call, so every
-instance's result is bit for bit what it is alone.
+The scan runs on a stack of instances (one box and frame, many fields); a single
+field is a stack of one.  Tables are T[lo, hi, instance] and column vectors
+v[mask, instance]: with the instance axis last, one numpy call steps the stack
+and a row's fold, copy and multiply each walk one contiguous run (w1 or f1
+entries times the instances), not a short run per instance.  log_partition,
+occupation_probabilities and occupation_probability take one ActivityField or a
+sequence; a sequence is grouped by each instance's float type and cut into
+chunks of at most _CHUNK_ENTRIES entries, 512 KiB of float64: instances x
+(largest table + the column vectors the marginals store), so log Z runs up to
+963 side-8 or 140 side-12 boxes at once and side 22 alone.  The same budget caps
+the CDF rows x masks of a sample_exact chunk and a cftp_sample block of
+uniforms.  Steps, maxima and rescales are elementwise across instances, with no
+BLAS call; only a sum depends on its order, so log Z's last sum and the
+marginals' totals and fold run along each instance's contiguous masks as for one
+field (the last column vector transposed, masses stored instances first), and
+every instance's result is bit for bit what it is alone.
 """
 from __future__ import annotations
 
@@ -96,12 +100,12 @@ def _sizes(p: int, q: int, height: int) -> tuple[tuple, tuple]:
 
 
 def _walk(p: int, height: int, inc, out=None, op=np.add) -> np.ndarray:
-    """Masks of the live rows p, ascending, on ``out``'s last axis: its first entry (0) op'd with inc[r] per bit r."""
+    """Masks of the live rows p, ascending, on ``out``'s first axis: its first entry (0) op'd with inc[r] per bit r."""
     k, n = _ranks(p, height)
     out = np.zeros(n[height], np.int64) if out is None else out
     for r in range(height):
         if p >> r & 1:
-            op(out[..., : k[r + 1]], inc[r], out=out[..., n[r] : n[r + 1]])
+            op(out[: k[r + 1]], inc[r], out=out[n[r] : n[r + 1]])
     return out
 
 
@@ -128,8 +132,7 @@ def _as_stack(fields: Fields) -> tuple[list[ActivityField], bool]:
 def box_activities(
     box: LatticeBox, fields: Sequence[ActivityField], bc: BoundaryCondition | str = FREE_BC
 ) -> np.ndarray:
-    """Effective activities of the scan and the heat-bath chain, n x W x H for a
-    sequence of n fields; frame-blocked sites get 0."""
+    """Effective activities of the scan and the heat-bath chain, n x W x H for n fields; frame-blocked sites get 0."""
     if not all(f.region.contains_box(box) for f in fields):
         raise ValueError("box must lie inside the field region")
     w, h = box.width, box.height
@@ -145,13 +148,12 @@ def box_activities(
 
 
 def _rescale(t: np.ndarray) -> np.ndarray:
-    """Divide each row of ``t`` by its maximum in place; return the logs of the
-    maxima, each rounded to float64 (np.log, as a long double maximum may lie
-    past the float64 range)."""
-    m = t.max(axis=1)
+    """Divide each column of ``t`` by its maximum in place; return the logs of the maxima, each rounded to
+    float64 (np.log, as a long double maximum may lie past the float64 range)."""
+    m = t.max(axis=0)
     if not m.max() < np.inf:
         raise CapacityError("the transfer scan left floating-point range")
-    t /= m[:, None]
+    t /= m
     return np.log(m).astype(np.float64, copy=False)
 
 
@@ -159,30 +161,28 @@ def _tables(bufs: tuple, count: int, height: int, p: int, q: int) -> tuple[list,
     """A column of live rows p next to live rows q: its tables before each step and after the last (the
     first on its own buffer, filled by each hand-over, then on two ping-pong buffers), each step's row and views."""
     steps, shapes = _sizes(p, q, height)
-    tables = [b[: count * n * m].reshape(count, n, m) for b, (n, m) in zip([bufs[2], *bufs[:2] * len(steps)], shapes)]
-    return tables, [(r, (t[..., :w1], t[..., f1:], u[:, :top, :w1]) if w1 else None,  # fold the consumed bit
-                     (u[:, :top, w1:], t[..., w1:f1]) if w1 < f1 else None,  # the rest
-                     (t[:, keep, :f1], u[:, top:]) if keep.stop else None)  # the new bit
+    tables = [b[: n * m * count].reshape(n, m, count) for b, (n, m) in zip([bufs[2], *bufs[:2] * len(steps)], shapes)]
+    return tables, [(r, (t[:, :w1], t[:, f1:], u[:top, :w1]) if w1 else None,  # fold the consumed bit
+                     (u[:top, w1:], t[:, w1:f1]) if w1 < f1 else None,  # the rest
+                     (t[keep, :f1], u[top:]) if keep.stop else None)  # the new bit
                     for (r, top, keep, f1, w1), t, u in zip(steps, tables, tables[1:])]
 
 
 class _Scan:
-    """Forward and transposed site sweeps for a stack of instances of one height and one float type: every
-    table carries a leading instance axis, and a column's vectors run over its live rows' masks, ascending."""
+    """Forward and transposed site sweeps for a stack of instances of one height and one float type: every table
+    is (lo, hi, instances), and a column's vectors are (masks, instances), over its live rows' masks ascending."""
 
     def __init__(self, acts: np.ndarray, dtype: type, kept: int = 0):
         self.dtype, self.count = dtype, len(acts)
         self.height = height = acts.shape[2]
         self.steps, largest, hand, self.masks = _plan(height)
-        # per column and row, the factor that scales a stack of tables: an (instances, 1, 1) column, or a
-        # scalar for one instance (side-20 marginals of one field: 6.40 ms against 6.55 with the column)
-        acts = acts.astype(dtype, copy=False)
-        self.acts = acts[0] if self.count == 1 else acts.transpose(1, 2, 0)[..., None, None]
+        # per column and row, the factor that scales a stack of tables: an (instances,) run of one contiguous
+        # (W, H, n) copy, or a scalar for one instance (side-20 marginals of one field: 6.85 ms against 6.98)
+        self.acts = acts[0].astype(dtype) if self.count == 1 else np.ascontiguousarray(acts.transpose(1, 2, 0), dtype)
         self.full = full = (1 << height) - 1
         self.live = [full] * acts.shape[1] if height < _LIVE_ROWS_FROM else (
             acts.any(axis=0) @ (1 << np.arange(height))).tolist()  # per column its live rows, as bits
-        self.bufs = bufs = (np.empty(self.count * largest, dtype), np.empty(self.count * largest, dtype),
-                            np.empty(self.count * len(self.masks), dtype))
+        self.bufs = bufs = tuple(np.empty(self.count * n, dtype) for n in (largest, largest, len(self.masks)))
         # column pairs' set-ups (tables, views, hand-overs): the kept pairs, else the last, (full, full) if all-live
         self.tables = lru_cache(max(kept, 1))(lambda p, q: _tables(bufs, len(acts), height, p, q) + (
             hand if q == full else _hand(q, height),))
@@ -191,21 +191,21 @@ class _Scan:
         """Column x's vectors over every mask, zero on the masks with a dead row: new, or ``v`` if none is dead."""
         if (p := self.live[x]) == self.full:
             return v
-        out = np.zeros((len(v), len(self.masks)), self.dtype)
-        out[:, _walk(p, self.height, _ranks(self.full, self.height)[1])] = v
+        out = np.zeros((len(self.masks), self.count), self.dtype)
+        out[_walk(p, self.height, _ranks(self.full, self.height)[1])] = v
         return out
 
     def column(self, x: int) -> np.ndarray:
         """Column x's vectors next to an empty one: its masks' activity products, a view the next step overwrites."""
         n = _ranks(self.live[x], self.height)[1][-1]
-        ones = self.bufs[0][: self.count * n].reshape(self.count, 1, n)
+        ones = self.bufs[0][: n * self.count].reshape(n, self.count)
         ones.fill(1)
-        return _walk(self.live[x], self.height, self.acts[x], ones, np.multiply)[:, 0]
+        return _walk(self.live[x], self.height, self.acts[x], ones, np.multiply)
 
     def step(self, x: int, v: np.ndarray) -> np.ndarray:
         """Hand ``v``, column x - 1's vectors, into column x's tables and step its sites: column x's vectors."""
         tables, rows, hand = self.tables(self.live[x], self.live[x - 1])
-        np.take(v, hand, axis=1, out=tables[0][:, 0], mode="clip")
+        np.take(v, hand, axis=0, out=tables[0][0], mode="clip")
         for r, fold, rest, new in rows:
             if fold:
                 np.add(*fold)
@@ -213,7 +213,7 @@ class _Scan:
                 np.copyto(*rest)
             if new:
                 np.multiply(new[0], self.acts[x, r], new[1])
-        return tables[-1][:, :, 0]
+        return tables[-1][:, 0]
 
     def forward(self):
         """Yield per column its prefix vectors (max 1 per instance, a view the next column overwrites), log scales."""
@@ -225,11 +225,11 @@ class _Scan:
 
     def backward(self):
         """Yield the suffix vectors (max 1 per instance), last column first."""
-        beta = np.ones((self.count, _ranks(self.live[-1], self.height)[1][-1]), self.dtype)
+        beta = np.ones((_ranks(self.live[-1], self.height)[1][-1], self.count), self.dtype)
         for x in reversed(range(1, len(self.live))):
             yield beta
             tables, rows, hand = self.tables(self.live[x], self.live[x - 1])
-            tables[-1][:, :, 0] = beta
+            tables[-1][:, 0] = beta
             for r, fold, rest, new in reversed(rows):  # the step's copies reversed: T[:, :f1] from U[:top]
                 if rest:
                     np.copyto(rest[1], rest[0])
@@ -239,16 +239,16 @@ class _Scan:
                 if new:
                     np.multiply(new[1], self.acts[x, r], new[1])
                     np.add(new[0], new[1], new[0])
-            _rescale(tables[0][:, 0])
-            beta = np.empty((self.count, len(hand)), self.dtype)
-            beta[:, hand] = tables[0][:, 0]
+            _rescale(tables[0][0])
+            beta = np.empty((len(hand), self.count), self.dtype)
+            beta[hand] = tables[0][0]
         yield beta
 
 
 def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition | str, kept: int = 0):
-    """Yield (instance indices, scan) over the stack: instances grouped by float
-    type, in chunks of at most _CHUNK_ENTRIES entries in the largest table plus
-    ``kept`` column vectors per instance; a scan keeps ``kept`` column pairs' set-ups."""
+    """Yield (instance indices, scan) over the stack: instances grouped by float type, in chunks of at most
+    _CHUNK_ENTRIES entries in the largest table plus ``kept`` column vectors per instance; a scan keeps ``kept``
+    column pairs' set-ups."""
     acts = box_activities(box, fields, bc)
     if box.height > MAX_HEIGHT:
         raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
@@ -276,7 +276,7 @@ def log_partition(
     out = np.empty(len(fields))
     for idx, scan in _scans(box, fields, bc):
         *_, (alpha, log_scale) = scan.forward()
-        out[idx] = np.log(scan.spread(-1, alpha).sum(axis=1)).astype(np.float64) + log_scale
+        out[idx] = np.log(scan.spread(-1, alpha).T.copy().sum(axis=1)).astype(np.float64) + log_scale
     return float(out[0]) if single else out
 
 
@@ -290,9 +290,9 @@ def occupation_probabilities(
     for idx, scan in _scans(box, fields, bc, kept=box.width):
         mass = np.empty((len(idx), box.width, len(scan.masks)), scan.dtype)
         for ix, (alpha, _) in enumerate(scan.forward()):
-            mass[:, ix, : alpha.shape[1]] = alpha  # spread by the backward pass
+            mass[:, ix, : len(alpha)] = alpha.T  # spread by the backward pass
         for ix, beta in zip(reversed(range(box.width)), scan.backward()):
-            mass[:, ix] = scan.spread(ix, mass[:, ix, : beta.shape[1]] * beta)
+            mass[:, ix] = scan.spread(ix, mass[:, ix, : len(beta)].T * beta).T
         total = mass.sum(axis=2)  # taken before the fold sums the tails into the front
         for r, top, keep, _, _ in reversed(scan.steps):
             probs[idx, :, r] = mass[..., top:].sum(axis=2) / total
@@ -304,6 +304,7 @@ def occupation_probabilities(
 def occupation_probability(
     box: LatticeBox, field: Fields, v: Site, bc: BoundaryCondition | str = FREE_BC
 ) -> float | np.ndarray:
+    """Exact occupation probability of box site v: occupation_probabilities' entry, per field for a sequence."""
     if not box.contains(v):
         raise ValueError("site lies outside the box")
     probs = occupation_probabilities(box, field, bc)
@@ -311,9 +312,8 @@ def occupation_probability(
 
 
 def _bisect(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per draw, the number of entries of its non-decreasing row ``cdf[row]``
-    that are <= u, as searchsorted(side="right"): one bisection for all draws,
-    keeping every entry before ``base`` <= u and every one from base + size > u."""
+    """Per draw, how many entries of its non-decreasing row ``cdf[row]`` are <= u, as searchsorted(side="right"): one
+    bisection for all draws, keeping every entry before ``base`` <= u and every one from base + size > u."""
     size, flat = cdf.shape[1], cdf.ravel()
     first = base = row * size
     while size > 1:
@@ -344,7 +344,7 @@ def sample_exact(
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)  # column 0: left of the box
     for x, beta in enumerate(betas):
-        column, beta = scan.spread(x, scan.column(x)), scan.spread(x, beta)
+        column, beta = scan.spread(x, scan.column(x)).T, scan.spread(x, beta).T
         prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
         order = np.argsort(row, kind="stable") if len(prev) > chunk else slice(None)  # the draws by row
         for start in range(0, len(prev), chunk):

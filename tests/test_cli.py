@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +490,16 @@ def test_pareto_draws_past_the_largest_float_exit_one(capsys):
     code, out, err = run_cli(["logz", "--j", "10", "--field", "pareto:0.01,1", "--seed", "3"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "pareto:0.01,1" in err
+
+
+@pytest.mark.parametrize("law", ["lognormal:700,10", "gamma:1,1e308", "pareto:0.01,1e300"])
+def test_draws_overflowing_in_the_inverse_cdf_exit_one(capsys, law):
+    # exp, and the product with the scale parameter, pass the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["logz", "--box", "2x2", "--field", law], capsys)
+    label = DisorderSpec.parse(law).label()
+    assert (code, out, err) == (1, "", f"error: a {label} draw exceeds the largest float\n")
 
 
 def test_a_gap_bound_whose_quadrature_does_not_converge_exits_one(capsys):

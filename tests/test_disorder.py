@@ -1,6 +1,7 @@
 """Disorder specs, seeded fields, and the field file format."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ SPECS = st.one_of(
 def test_label_names_the_law_exactly(spec):
     # the label is what sweeps write in the CSV disorder column
     assert DisorderSpec.parse(spec.label()) == spec
+
+
+@settings(derandomize=True, max_examples=300)
+@given(SPECS, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+def test_draws_are_finite_or_refused_without_a_warning(spec, u):
+    # a draw past the largest float raises one ValueError that names the law, for every family
+    u.append(1.0 - 2.0**-53)  # the largest uniform philox_uniforms returns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = spec.from_uniform(np.array(u))
+        except ValueError as exc:
+            assert str(exc) == f"a {spec.label()} draw exceeds the largest float"
+        else:
+            assert x.shape == (len(u),) and np.isfinite(x).all() and (x >= 0).all()
 
 
 def test_spec_validation():

@@ -301,9 +301,9 @@ def draws_reference(box, field, bc, gen, draws):
     u = gen.random((draws, box.width))
     picked = np.zeros((draws, box.width + 1), dtype=np.int64)
     for x, beta in enumerate(betas):
-        weights = np.where(masks & picked[:, x, None], 0.0, scan.spread(x, scan.column(x)))
+        weights = np.where(masks & picked[:, x, None], 0.0, scan.spread(x, scan.column(x)).T)
         weights /= weights.max(axis=1, keepdims=True)
-        weights *= scan.spread(x, beta)
+        weights *= scan.spread(x, beta).T
         cdf = np.asarray(weights / weights.sum(axis=1, keepdims=True), dtype=np.float64).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         picked[:, x + 1] = masks[(cdf <= u[:, x, None]).sum(axis=1)]
@@ -336,7 +336,7 @@ def test_column_weights_are_the_products_of_their_rows_activities():
             want = np.ones(len(scan.masks), scan.dtype)
             for r, a in enumerate(acts):
                 want = np.where(scan.masks >> r & 1, want * scan.dtype(a), want)
-            got = scan.spread(x, scan.column(x))[0]
+            got = scan.spread(x, scan.column(x))[:, 0]
             assert got.dtype == want.dtype and np.array_equal(got, want), (box.height, x)
             dead = scan.masks & sum(1 << r for r, a in enumerate(acts) if a == 0.0) > 0
             assert not got[dead].any(), (box.height, x)
@@ -463,6 +463,40 @@ def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
                 assert probs[i].ravel().tolist() == [single[v] for v in box.sites()]
             corner = occupation_probability(box, fields, (box.x_max, box.y_min), bc)
             assert np.array_equal(corner, probs[:, -1, 0])
+
+
+@pytest.mark.parametrize("chunked", [None, "log Z", "marginals"])
+def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, chunked):
+    # side 12 has 377 masks, past numpy's 128-entry pairwise block; the 3 x 18 box scans live
+    # rows, with rows 4 and 11 dead in every instance and one more dead in each; chunked:
+    # 3 instances of that solve a chunk, so chunks end mid-stack in both float types; at scale
+    # 1/1024, log Z stays near 0, where the last bit of the sum over the last column's masks shows
+    rng = np.random.default_rng(33)
+    for w, h in ((12, 12), (3, 18)):
+        box = centered_box(w, h)
+        fields = random_stack(rng, box, 8)
+        fields += [ActivityField(f.region, f.values, f.scale / 1024) for f in fields[:4]]
+        if h == 18:
+            dead = [np.isin(np.arange(h + 2), [5, 12, k + 1]) for k in range(len(fields))]  # region row: box row + 1
+            fields = [ActivityField(f.region, np.where(d, 0.0, f.values), f.scale) for f, d in zip(fields, dead)]
+        if chunked:
+            _, largest, _, masks = engine._plan(h)
+            kept = w if chunked == "marginals" else 0
+            monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 3 * (largest + kept * len(masks)))
+        for bc in (EVEN_BC, FREE_BC):
+            scans = [scan for _, scan in engine._scans(box, fields, bc)]
+            if WIDE:
+                assert {scan.dtype for scan in scans} == {np.float64, np.longdouble}
+            if h == 18:  # every scan drops row 4, and the single fields' scans drop rows the stack keeps
+                stacked = {p for scan in scans for p in scan.live}
+                alone = {p for f in fields for _, scan in engine._scans(box, [f], bc) for p in scan.live}
+                assert not any(p >> 4 & 1 for p in stacked | alone) and alone - stacked
+            logz = log_partition(box, fields, bc)
+            probs = occupation_probabilities(box, fields, bc)
+            for i, f in enumerate(fields):
+                assert logz[i] == log_partition(box, f, bc), (w, h, i)
+                single = occupation_probabilities(box, f, bc)
+                assert probs[i].ravel().tolist() == [single[v] for v in box.sites()], (w, h, i)
 
 
 def test_one_instance_out_of_range_fails_the_stack():
