@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Subcommands: logz, occupation, influence, free-energy, fluctuations, sample,
-validate.  Sweeps write RFC-4180 CSV with the fixed column set
-(replica, seed, j, L, lambda, disorder, observable, value, stderr); floats
-carry 17 significant digits so re-runs with the same seeds are byte-identical
-regardless of the worker count.  A JSON manifest with the full configuration
-is written next to any CSV file.  The environment variable HARDCORE_SEED,
-when set, overrides --seed everywhere: main resolves it once into args.seed,
-taken modulo 2^64, so a negative seed names the same fields and draws as
-its wrap does.
+validate.  Sweeps write CSV with the fixed column set (replica, seed, j, L,
+lambda, disorder, observable, value, stderr), a line per row ending in "\n";
+a field holding ",", '"' or "\n" is quoted, each '"' doubled, as csv.writer
+does.  Floats carry 17 significant digits so re-runs with the same seeds are
+byte-identical regardless of the worker count.  A JSON manifest with the full
+configuration is written next to any CSV file.  The environment variable
+HARDCORE_SEED, when set, overrides --seed everywhere: main resolves it once
+into args.seed, taken modulo 2^64, so a negative seed names the same fields
+and draws as its wrap does.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -58,17 +57,17 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, float):
         return format(x, ".17g")
+    if isinstance(x, str) and ("," in x or '"' in x or "\n" in x):
+        return '"' + x.replace('"', '""') + '"'
     return str(x)
 
 
-def _emit(records: list[tuple], args) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *records])
+def _emit(lines: list[str], args) -> None:
+    text = "".join([",".join(CSV_COLUMNS) + "\n", *lines])
     if args.out == "-":
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
         return
-    path = Path(args.out)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    (path := Path(args.out)).write_text(text, encoding="utf-8")
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command", "lam")}
     manifest = {
         "tool": "hardcore2d",
@@ -127,9 +126,9 @@ def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
 
 
 def _row_maker(args, j: int | None, L: int | None, label: str):
-    """The CSV row maker of one (j, L) group, its fields formatted once: (replica, observable, value, stderr)."""
-    group = (_fmt(args.seed), _fmt(j), _fmt(L), _fmt(args.lam), label)
-    return lambda r, observable, value, stderr=None: (str(r), *group, observable, _fmt(value), _fmt(stderr))
+    """The CSV line maker of one (j, L) group, its fields formatted once: (replica, observable, value, stderr)."""
+    group = ",".join(map(_fmt, (args.seed, j, L, args.lam, label)))
+    return lambda r, observable, value, stderr=None: f"{r},{group},{_fmt(observable)},{_fmt(value)},{_fmt(stderr)}\n"
 
 
 def _at_least(value: int, least: int, flag: str) -> int:
@@ -201,7 +200,8 @@ def cmd_logz(args) -> int:
     box, j = _parse_box(args)
     field, label = _field_for(args, box)
     value = log_partition(box, field, as_boundary_condition(args.bc))
-    print(_fmt(value))
+    if args.out != "-":  # stdout holds the CSV alone
+        print(_fmt(value))
     if args.out:
         _emit([_row_maker(args, j, None, label)(0, "log_z", value)], args)
     return 0
@@ -216,7 +216,8 @@ def cmd_occupation(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad --site {args.site!r}: expected X,Y") from exc
     value = occupation_probability(box, field, site, as_boundary_condition(args.bc))
-    print(_fmt(value))
+    if args.out != "-":
+        print(_fmt(value))
     if args.out:
         _emit([_row_maker(args, j, None, label)(0, f"occupation[{site[0]},{site[1]}]", value)], args)
     return 0
@@ -231,8 +232,7 @@ def cmd_influence(args) -> int:
             raise ValueError("sides must be even and >= 2 (centered boxes)")
     spec = DisorderSpec.parse(args.disorder)
     rows = _run_blocks(_influence_task, (tuple(sides), args.lam, spec, args.seed), replicas, workers)
-    records: list[tuple] = []
-    summaries: list[tuple] = []
+    records, summaries = [], []
     for side, gaps in zip(sides, zip(*rows)):
         row = _row_maker(args, side // 2, None, spec.label())
         records += [row(r, "origin_gap", g) for r, g in enumerate(gaps)]
@@ -275,8 +275,7 @@ def cmd_fluctuations(args) -> int:
     if not all(1 <= j < L for j, L in groups):
         raise ValueError("need 1 <= j < L")
     rows = _run_blocks(_fluctuation_task, (tuple(groups), args.lam, spec, args.seed), replicas, workers)
-    records: list[tuple] = []
-    summaries: list[tuple] = []
+    records, summaries = [], []
     for (j, L), gaps in zip(groups, map(np.asarray, zip(*rows))):
         row = _row_maker(args, j, L, spec.label())
         records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
@@ -297,18 +296,19 @@ def cmd_sample(args) -> int:
     bc = as_boundary_condition(args.bc)
     row = _row_maker(args, j, None, label)
     if args.method == "exact":
-        drawn = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws).tolist()
+        drawn = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
     else:
         results = [cftp_sample(box, field, bc, ReplicaSeed(args.seed, i)) for i in range(draws)]
-        drawn = [res.columns for res in results]
-    # per column x, the JSON text of the sites of each distinct mask the draws picked, decoded once
-    cells = [{m: ", ".join(f"[{x}, {y}]" for _, y in draw_sites(box, [m])) for m in set(col) if m}
-             for x, col in enumerate(zip(*drawn), box.x_min)]
-    records = []
-    for i, columns in enumerate(drawn):  # the value is json.dumps(draw_sites(box, columns))
-        records.append(row(i, "sample", "[" + ", ".join([c[m] for c, m in zip(cells, columns) if m]) + "]"))
-        if args.method == "cftp":
-            records.append(row(i, "cftp_epochs", results[i].epochs))
+        drawn = np.array([res.columns for res in results], dtype=np.uint64)  # heights <= 62 fit
+    # value = json.dumps(draw_sites(box, columns)), summed by numpy from each distinct (x, mask)'s "[x, y], " text
+    texts = np.full(draws, "", dtype=object)
+    for x, column in enumerate(drawn.T, box.x_min):
+        masks, inverse = np.unique(column, return_inverse=True)
+        pieces = ["".join(f"[{x}, {y}], " for _, y in draw_sites(box, [m])) for m in masks.tolist()]
+        texts += np.array(pieces, dtype=object)[inverse]
+    records = [row(i, "sample", f"[{text[:-2]}]") for i, text in enumerate(texts.tolist())]
+    if args.method == "cftp":  # each draw's epochs follow its sample row
+        records = [line for i, res in enumerate(results) for line in (records[i], row(i, "cftp_epochs", res.epochs))]
     _emit(records, args)
     return 0
 

@@ -9,9 +9,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardcore2d import cli, observables
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields, save_field
@@ -138,6 +141,17 @@ def test_field_file_input(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(math.log(17.0), abs=1e-12)
 
 
+def test_a_field_path_holding_a_comma_and_a_quote_reads_back_from_the_disorder_column(tmp_path, capsys):
+    path = tmp_path / 'a,b"c' / "field.json"
+    path.parent.mkdir()
+    save_field(ActivityField(centered_box(2, 2), np.full((2, 2), 2.0), 1.0), path)
+    for argv in (["logz"], ["sample", "--draws", "3"]):
+        code, out, _ = run_cli(argv + ["--box", "2x2", "--field", str(path), "--out", "-"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and [row["disorder"] for row in rows] == [str(path)] * len(rows)
+
+
 def test_field_file_keeps_its_scale_unless_lambda_is_given(tmp_path, capsys):
     box = centered_box(2, 2)
     path = tmp_path / "f.json"
@@ -189,6 +203,36 @@ def test_csv_to_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("replica,seed,")
     assert any(",variance_per_site," in ln for ln in lines)
+
+
+@pytest.mark.parametrize("argv, observable", [
+    (["logz", "--j", "2", "--field", "bernoulli:0.7", "--lambda", "5"], "log_z"),
+    (["occupation", "--box", "3x3", "--site", "0,-1"], "occupation[0,-1]"),
+])
+def test_out_dash_streams_the_csv_alone(capsys, argv, observable):
+    # the value printed without --out is the one CSV row of --out -, with the header on the first line
+    _, printed, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(argv + ["--out", "-"], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["observable"], row["value"]) == (observable, printed.strip())
+
+
+# "\r" stays out of the alphabet: Python 3.11's csv leaves it unquoted under a "\n" line terminator,
+# and later versions may quote it
+_TEXT = st.text(alphabet=',"\n []-0123456789abXYé', max_size=12)
+_NUMBER = st.one_of(st.just(-0.0), st.floats(), st.integers(), st.booleans(), st.none())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(r=st.integers(), seed=_NUMBER, j=_NUMBER, L=_NUMBER, lam=_NUMBER, label=_TEXT, observable=_TEXT,
+       value=st.one_of(_NUMBER, _TEXT), stderr=st.one_of(_NUMBER, _TEXT))
+def test_a_row_is_the_line_csv_writer_writes(r, seed, j, L, lam, label, observable, value, stderr):
+    line = cli._row_maker(SimpleNamespace(seed=seed, lam=lam), j, L, label)(r, observable, value, stderr)
+    fields = [r, seed, j, L, lam, label, observable, value, stderr]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([x if isinstance(x, str) else cli._fmt(x) for x in fields])
+    assert line == buf.getvalue()
 
 
 def test_bad_disorder_text_exits_one(capsys):
@@ -306,6 +350,32 @@ def test_draws_at_benchmark_sizes_are_pinned(capsys, method, box, lam):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / f"sample_{method}_{box}_seed11.csv").read_text()
+
+
+@pytest.mark.parametrize("method, w, h, lam, draws", [("exact", 12, 12, "5", 1000), ("cftp", 8, 8, "2", 500)])
+def test_sample_bytes_at_benchmark_sizes_are_what_csv_writer_writes(capsys, monkeypatch, method, w, h, lam, draws):
+    # the benchmark's draw counts pick many more distinct masks per column than the 100-draw pins; the
+    # CFTP draws are the ones the command got, as re-running them would double the test's time
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    results = []
+    monkeypatch.setattr(cli, "cftp_sample", lambda *args: results.append(cftp_sample(*args)) or results[-1])
+    argv = ["sample", "--method", method, "--box", f"{w}x{h}", "--field", "bernoulli:0.7", "--lambda", lam,
+            "--bc", "even", "--draws", str(draws), "--seed", "11", "--out", "-"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    box = centered_box(w, h)
+    field = sample_field(DisorderSpec("bernoulli", (0.7,)), box.expand(1), float(lam), ReplicaSeed(11, 0))
+    group = ["11", "", "", lam, "bernoulli:0.7"]
+    if method == "exact":
+        drawn = sample_exact(box, field, EVEN_BC, np.random.default_rng(11), draws)
+        rows = [[i, *group, "sample", json.dumps(draw_sites(box, columns)), ""] for i, columns in enumerate(drawn)]
+    else:
+        assert len(results) == draws
+        rows = [row for i, res in enumerate(results) for row in (
+            [i, *group, "sample", json.dumps(draw_sites(box, res.columns)), ""], [i, *group, "cftp_epochs", res.epochs, ""])]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([cli.CSV_COLUMNS, *rows])
+    assert out.splitlines(keepends=True) == buf.getvalue().splitlines(keepends=True)  # a failure names its line
 
 
 @pytest.mark.parametrize("method", ["exact", "cftp"])
