@@ -1,10 +1,11 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 Subcommands: logz, occupation, influence, free-energy, fluctuations, sample,
 validate.  Sweeps write CSV with the fixed column set (replica, seed, j, L,
 lambda, disorder, observable, value, stderr), a line per row ending in "\n";
-a field holding ",", '"' or "\n" is quoted, each '"' doubled, as csv.writer
-does.  Floats carry 17 significant digits so re-runs with the same seeds are
+a field holding ",", '"', "\n" or "\r" is quoted, each '"' doubled, as
+csv.writer does (Python 3.11's leaves a "\r" bare, and the row then splits on
+reading).  Floats carry 17 significant digits so re-runs with the same seeds are
 byte-identical regardless of the worker count.  A JSON manifest with the full
 configuration is written next to any CSV file.  The environment variable
 HARDCORE_SEED, when set, overrides --seed everywhere: main resolves it once
@@ -57,7 +58,7 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, float):
         return format(x, ".17g")
-    if isinstance(x, str) and ("," in x or '"' in x or "\n" in x):
+    if isinstance(x, str) and ("," in x or '"' in x or "\n" in x or "\r" in x):
         return '"' + x.replace('"', '""') + '"'
     return str(x)
 

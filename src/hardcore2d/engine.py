@@ -47,15 +47,17 @@ and a row's fold, copy and multiply each walk one contiguous run (w1 or f1
 entries times the instances), not a short run per instance.  log_partition,
 occupation_probabilities and occupation_probability take one ActivityField or a
 sequence; a sequence is grouped by each instance's float type and cut into
-chunks of at most _CHUNK_ENTRIES entries, 512 KiB of float64: instances x
-(largest table + the column vectors the marginals store), so log Z runs up to
-963 side-8 or 140 side-12 boxes at once and side 22 alone.  The same budget caps
-the CDF rows x masks of a sample_exact chunk and a cftp_sample block of
-uniforms.  Steps, maxima and rescales are elementwise across instances, with no
-BLAS call; only a sum depends on its order, so log Z's last sum and the
-marginals' totals and fold run along each instance's contiguous masks as for one
-field (the last column vector transposed, masses stored instances first), and
-every instance's result is bit for bit what it is alone.
+chunks whose largest tables hold at most _CHUNK_ENTRIES entries (512 KiB of
+float64): 963 side-8 or 140 side-12 boxes, side 22 alone.  Marginals also store
+W column vectors per instance, over masks ~0.81 x largest from height 4: at most
+~0.81 W x 2^16 entries a chunk, which works (from height 2) in under (1.2 W + 6)
+x 2^16 beside the call's activities and output; 140 side-12 boxes store 4.8 MiB,
+64-wide ones up to 32 MiB to height 22, side 24 (alone) 22 MiB.  Steps, maxima
+and rescales are elementwise across instances, with no BLAS call; only a sum
+depends on its order, so log Z's last sum and the marginals' totals and fold run
+along each instance's contiguous masks as for one field (the last column vector
+transposed, masses stored instances first), and every instance's result is bit
+for bit what it is alone.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ from .lattice import BoundaryCondition, FREE_BC, LatticeBox, Site, as_boundary_c
 
 MAX_HEIGHT = 24
 _SAFETY_BITS = 96  # keeps the flushed mass below 2^-60 of Z; exceeds MAX_HEIGHT
-_CHUNK_ENTRIES = 1 << 16  # cap on the entries one chunk builds at once: tables and stored vectors, CDF rows, uniforms
+_CHUNK_ENTRIES = 1 << 16  # cap on the entries a chunk steps or builds at once: largest tables, CDF rows, uniforms
 _LIVE_ROWS_FROM = 16  # below this box height every row counts as live
 _FLOATS = tuple((t, -np.finfo(t).minexp) for t in (np.float64, np.longdouble))
 _FLOAT_BITS = np.array([bits - _SAFETY_BITS for _, bits in _FLOATS])
@@ -246,9 +248,8 @@ class _Scan:
 
 
 def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition | str, kept: int = 0):
-    """Yield (instance indices, scan) over the stack: instances grouped by float type, in chunks of at most
-    _CHUNK_ENTRIES entries in the largest table plus ``kept`` column vectors per instance; a scan keeps ``kept``
-    column pairs' set-ups."""
+    """Yield (instance indices, scan) by float type, in chunks whose largest tables hold at most _CHUNK_ENTRIES
+    entries; a scan keeps ``kept`` column pairs' set-ups."""
     acts = box_activities(box, fields, bc)
     if box.height > MAX_HEIGHT:
         raise CapacityError(f"box height is capped at {MAX_HEIGHT}")
@@ -258,8 +259,7 @@ def _scans(box: LatticeBox, fields: list[ActivityField], bc: BoundaryCondition |
     kinds = np.searchsorted(_FLOAT_BITS, span.max(axis=1), side="right").tolist()
     if len(_FLOATS) in kinds:
         raise CapacityError("activities span too wide a range for an exact scan")
-    _, largest, _, masks = _plan(box.height)
-    chunk = max(1, _CHUNK_ENTRIES // (largest + kept * len(masks)))
+    chunk = max(1, _CHUNK_ENTRIES // _plan(box.height)[1])
     for k in sorted(set(kinds)):
         group = [i for i, kind in enumerate(kinds) if kind == k]
         for start in range(0, len(group), chunk):

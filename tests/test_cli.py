@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardcore2d import cli, observables
+from hardcore2d import cli, engine, observables
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields, save_field
 from hardcore2d.engine import sample_exact
 from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, draw_sites
@@ -152,6 +152,16 @@ def test_a_field_path_holding_a_comma_and_a_quote_reads_back_from_the_disorder_c
         assert rows and [row["disorder"] for row in rows] == [str(path)] * len(rows)
 
 
+def test_a_field_path_holding_a_carriage_return_reads_back_as_one_row(tmp_path, capsys):
+    path = tmp_path / "a\rb" / "f.json"
+    path.parent.mkdir()
+    save_field(ActivityField(centered_box(2, 2), np.full((2, 2), 2.0), 1.0), path)
+    code, out, _ = run_cli(["logz", "--box", "2x2", "--field", str(path), "--out", "-"], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out, newline=""))
+    assert row["disorder"] == str(path)
+
+
 def test_field_file_keeps_its_scale_unless_lambda_is_given(tmp_path, capsys):
     box = centered_box(2, 2)
     path = tmp_path / "f.json"
@@ -218,9 +228,7 @@ def test_out_dash_streams_the_csv_alone(capsys, argv, observable):
     assert (row["observable"], row["value"]) == (observable, printed.strip())
 
 
-# "\r" stays out of the alphabet: Python 3.11's csv leaves it unquoted under a "\n" line terminator,
-# and later versions may quote it
-_TEXT = st.text(alphabet=',"\n []-0123456789abXYé', max_size=12)
+_TEXT = st.text(alphabet=',"\n\r []-0123456789abXYé', max_size=12)
 _NUMBER = st.one_of(st.just(-0.0), st.floats(), st.integers(), st.booleans(), st.none())
 
 
@@ -229,10 +237,13 @@ _NUMBER = st.one_of(st.just(-0.0), st.floats(), st.integers(), st.booleans(), st
        value=st.one_of(_NUMBER, _TEXT), stderr=st.one_of(_NUMBER, _TEXT))
 def test_a_row_is_the_line_csv_writer_writes(r, seed, j, L, lam, label, observable, value, stderr):
     line = cli._row_maker(SimpleNamespace(seed=seed, lam=lam), j, L, label)(r, observable, value, stderr)
-    fields = [r, seed, j, L, lam, label, observable, value, stderr]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([x if isinstance(x, str) else cli._fmt(x) for x in fields])
-    assert line == buf.getvalue()
+    texts = [x if isinstance(x, str) else cli._fmt(x) for x in [r, seed, j, L, lam, label, observable, value, stderr]]
+    if any("\r" in x for x in texts):  # Python 3.11's csv.writer leaves "\r" bare under a "\n" terminator
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [texts]
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(texts)
+        assert line == buf.getvalue()
 
 
 def test_bad_disorder_text_exits_one(capsys):
@@ -451,6 +462,8 @@ _SWEEP_PINS = {
         "fluctuations --j 1,2 --replicas 30 --disorder uniform:0,2 --lambda 4 --seed 11",
     "influence_bernoulli_seed11":
         "influence --sides 4,8 --replicas 10 --disorder bernoulli:0.7 --lambda 5 --seed 11",
+    "influence_bernoulli_side12_seed11":  # the perfbench sweep's size: side-12 marginals of 64 fields a frame
+        "influence --sides 4,8,12 --replicas 100 --disorder bernoulli:0.7 --lambda 5 --seed 11",
 }
 
 
@@ -474,6 +487,22 @@ def test_sweeps_do_not_depend_on_workers_or_block_size(capsys, monkeypatch, name
             code, out, _ = run_cli(_SWEEP_PINS[name].split() + ["--workers", workers, "--out", "-"], capsys)
             assert code == 0
             assert out == want
+
+
+def test_an_influence_block_solves_each_side_and_frame_in_one_scan(capsys, monkeypatch):
+    # blocks of 64 and 6 replicas; a chunk holds 140 side-12 fields, so each block's
+    # marginals run in one scan per side and frame, side 12 too
+    shapes = []
+
+    class Spy(engine._Scan):
+        def __init__(self, acts, *args):
+            shapes.append(acts.shape)
+            super().__init__(acts, *args)
+
+    monkeypatch.setattr(engine, "_Scan", Spy)
+    argv = "influence --sides 4,8,12 --replicas 70 --disorder bernoulli:0.7 --lambda 5 --seed 11 --out -"
+    assert run_cli(argv.split(), capsys)[0] == 0
+    assert sorted(shapes) == sorted((n, s, s) for n in (64, 6) for s in (4, 8, 12) for _frame in "eo")
 
 
 def test_influence_pin_does_not_depend_on_the_blas_kernel():

@@ -1,5 +1,6 @@
 """Transfer-matrix engine against the enumeration oracle and frozen values."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardcore2d import engine
-from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
+from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields
 from hardcore2d.engine import (
     MAX_HEIGHT,
     log_partition,
@@ -443,7 +444,7 @@ def random_frames(rng, box):
 
 @pytest.mark.parametrize("per_chunk", [None, 1, 3])
 def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
-    # per_chunk instances per log Z chunk (fewer for marginals), so chunks end mid-stack
+    # per_chunk instances a chunk, log Z and marginals alike, so chunks end mid-stack
     rng = np.random.default_rng(2024)
     for w, h in ((1, 1), (3, 4), (5, 6), (4, 9)):
         box = LatticeBox(-1, w - 2, 0, h - 1)
@@ -465,12 +466,13 @@ def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
             assert np.array_equal(corner, probs[:, -1, 0])
 
 
-@pytest.mark.parametrize("chunked", [None, "log Z", "marginals"])
-def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, chunked):
+@pytest.mark.parametrize("per_chunk", [None, 3])
+def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, per_chunk):
     # side 12 has 377 masks, past numpy's 128-entry pairwise block; the 3 x 18 box scans live
-    # rows, with rows 4 and 11 dead in every instance and one more dead in each; chunked:
-    # 3 instances of that solve a chunk, so chunks end mid-stack in both float types; at scale
-    # 1/1024, log Z stays near 0, where the last bit of the sum over the last column's masks shows
+    # rows, with rows 4 and 11 dead in every instance and one more dead in each; per_chunk
+    # instances solve a chunk, log Z and marginals alike, so chunks end mid-stack in both float
+    # types; at scale 1/1024, log Z stays near 0, where the last bit of the sum over the last
+    # column's masks shows
     rng = np.random.default_rng(33)
     for w, h in ((12, 12), (3, 18)):
         box = centered_box(w, h)
@@ -479,10 +481,8 @@ def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, chun
         if h == 18:
             dead = [np.isin(np.arange(h + 2), [5, 12, k + 1]) for k in range(len(fields))]  # region row: box row + 1
             fields = [ActivityField(f.region, np.where(d, 0.0, f.values), f.scale) for f, d in zip(fields, dead)]
-        if chunked:
-            _, largest, _, masks = engine._plan(h)
-            kept = w if chunked == "marginals" else 0
-            monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 3 * (largest + kept * len(masks)))
+        if per_chunk:
+            monkeypatch.setattr(engine, "_CHUNK_ENTRIES", per_chunk * engine._plan(h)[1])
         for bc in (EVEN_BC, FREE_BC):
             scans = [scan for _, scan in engine._scans(box, fields, bc)]
             if WIDE:
@@ -497,6 +497,22 @@ def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, chun
                 assert logz[i] == log_partition(box, f, bc), (w, h, i)
                 single = occupation_probabilities(box, f, bc)
                 assert probs[i].ravel().tolist() == [single[v] for v in box.sites()], (w, h, i)
+
+
+def test_a_marginals_chunk_works_within_its_stated_memory():
+    # 140 side-12 fields fill one chunk, which stores 12 column vectors per field beside its
+    # tables; the engine docstring bounds its work by (1.2 W + 6) x 2^16 float64 entries beside
+    # the call's activities and output, here taken as four n x W x H arrays
+    box = centered_box(12, 12)
+    fields = sample_fields(DisorderSpec.parse("bernoulli:0.7"), box.expand(1), 5.0, 35, 0, 140)
+    assert [len(idx) for idx, _ in engine._scans(box, fields, EVEN_BC, kept=12)] == [140]
+    tracemalloc.start()
+    try:
+        occupation_probabilities(box, fields, EVEN_BC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ((1.2 * 12 + 6) * 2**16 + 4 * 140 * 12 * 12) * 8
 
 
 def test_one_instance_out_of_range_fails_the_stack():
