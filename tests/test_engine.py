@@ -466,13 +466,15 @@ def test_stacks_equal_single_fields_bit_for_bit(monkeypatch, per_chunk):
             assert np.array_equal(corner, probs[:, -1, 0])
 
 
-@pytest.mark.parametrize("per_chunk", [None, 3])
-def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, per_chunk):
+@pytest.mark.parametrize("chunked", [None, "log Z", "marginals"])
+def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, chunked):
     # side 12 has 377 masks, past numpy's 128-entry pairwise block; the 3 x 18 box scans live
-    # rows, with rows 4 and 11 dead in every instance and one more dead in each; per_chunk
-    # instances solve a chunk, log Z and marginals alike, so chunks end mid-stack in both float
-    # types; at scale 1/1024, log Z stays near 0, where the last bit of the sum over the last
-    # column's masks shows
+    # rows, with rows 4 and 11 dead in every instance and one more dead in each; at scale
+    # 1/1024, log Z stays near 0, where the last bit of the sum over the last column's masks
+    # shows.  chunked sets the budget to 3 instances' largest tables ("log Z") or to 2
+    # ("marginals"), the cases' names kept from when marginals chunks also counted their stored
+    # column vectors; log Z and marginals chunks are now sized alike, so in both cases chunks
+    # end mid-stack in both float types, at other instances in each
     rng = np.random.default_rng(33)
     for w, h in ((12, 12), (3, 18)):
         box = centered_box(w, h)
@@ -481,8 +483,10 @@ def test_stacks_equal_single_fields_bit_for_bit_at_sweep_sizes(monkeypatch, per_
         if h == 18:
             dead = [np.isin(np.arange(h + 2), [5, 12, k + 1]) for k in range(len(fields))]  # region row: box row + 1
             fields = [ActivityField(f.region, np.where(d, 0.0, f.values), f.scale) for f, d in zip(fields, dead)]
-        if per_chunk:
+        if chunked:
+            per_chunk = 3 if chunked == "log Z" else 2
             monkeypatch.setattr(engine, "_CHUNK_ENTRIES", per_chunk * engine._plan(h)[1])
+            assert max(len(idx) for idx, _ in engine._scans(box, fields, EVEN_BC)) == per_chunk
         for bc in (EVEN_BC, FREE_BC):
             scans = [scan for _, scan in engine._scans(box, fields, bc)]
             if WIDE:
