@@ -92,23 +92,22 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _parse_box(args) -> tuple[LatticeBox, int | None]:
+def _field_for(args) -> tuple[LatticeBox, int | None, ActivityField, str]:
+    """A box command's box, its half-side j (None for --box), and the activity
+    field from --field (spec string or JSON path) with its CSV label; a field
+    file keeps its stored scale unless --lambda is given.  args.lam becomes
+    the scale used, for the CSV rows and the manifest."""
     if args.j is not None:
-        return box_lambda(args.j), args.j
-    if args.box:
+        box, j = box_lambda(args.j), args.j
+    elif args.box:
         w, _, h = args.box.lower().partition("x")
         try:
             w, h = int(w), int(h)
         except ValueError as exc:
             raise ValueError(f"bad --box {args.box!r}: expected WxH") from exc
-        return centered_box(w, h), None
-    raise ValueError("give either --box WxH or --j J")
-
-
-def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
-    """Build the activity field from --field (spec string or JSON path); a field
-    file keeps its stored scale unless --lambda is given.  args.lam becomes
-    the scale used, for the CSV rows and the manifest."""
+        box, j = centered_box(w, h), None
+    else:
+        raise ValueError("give either --box WxH or --j J")
     text = args.field
     if text.endswith(".json") or os.path.sep in text:
         field, label = field_from_json(text), text
@@ -123,7 +122,7 @@ def _field_for(args, box: LatticeBox) -> tuple[ActivityField, str]:
         # sample one ring beyond the box so the frame is diluted consistently
         field = sample_field(spec, box.expand(1), scale, ReplicaSeed(args.seed, args.replica_index))
     args.lam = field.scale
-    return field, label
+    return box, j, field, label
 
 
 def _row_maker(args, j: int | None, L: int | None, label: str):
@@ -143,85 +142,78 @@ def _workers(args) -> int:
     return min(_at_least(args.workers, 1, "--workers"), os.cpu_count() or 1)
 
 
-def _pmap(fn, items, workers: int):
+def _pmap(fn, items, workers: int) -> list:
+    """fn(*item) per item, in order; over a pool of ``workers`` processes when more than one."""
     if workers <= 1:
-        return [fn(it) for it in items]
+        return [fn(*item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # here, not at module level: most runs never start a pool
 
-    chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+        return list(ex.map(fn, *zip(*items)))
 
 
-# -- replica tasks (top level: picklable for ProcessPoolExecutor) -------------
+# -- replica blocks (top level: picklable for ProcessPoolExecutor) ------------
 #
-# A task solves one contiguous block of replicas as stacks (one engine call
-# per box, field variant and frame) for every size of its command, from one
-# field per replica drawn on the largest box and its ring, and returns the
-# block's rows; --workers shards the blocks over one pool per command.  Every
-# replica's numbers are a function of its key alone, so the output does not
-# depend on the worker count or on _BLOCK.
+# A block task draws one field per replica of a contiguous block on the largest
+# box of its (j, L) sizes and its ring, solves each size as stacks (one engine
+# call per box, field variant and frame), and returns one array: sizes first,
+# then any rows of the solver's own, the replica axis last, along which
+# _run_blocks joins the blocks; --workers shards them over one pool per command.
+# Every replica's numbers are a function of its key alone, so the output does
+# not depend on the worker count or on _BLOCK.
 
 _BLOCK = 64  # replicas per task
 
 
-def _run_blocks(fn, head: tuple, replicas: int, workers: int) -> list:
-    """The rows of replicas 0 .. replicas - 1: one task ``head + (start, stop)``
-    per block."""
+def _block_task(solve, sizes: tuple, lam, spec: DisorderSpec, master: int, start: int, stop: int) -> np.ndarray:
+    fields = sample_fields(spec, box_lambda(max(L for _, L in sizes)).expand(1), lam, master, start, stop)
+    return np.array([solve(L, j, fields) for j, L in sizes])
+
+
+def _run_blocks(head: tuple, replicas: int, workers: int) -> np.ndarray:
+    """The block task's array over replicas 0 .. replicas - 1: one task
+    ``head + (start, stop)`` per block."""
     blocks = [(*head, start, min(start + _BLOCK, replicas)) for start in range(0, replicas, _BLOCK)]
-    return [row for rows in _pmap(fn, blocks, workers) for row in rows]
+    return np.concatenate(_pmap(_block_task, blocks, workers), axis=-1)
 
 
-def _influence_task(arg: tuple) -> list[tuple]:
-    sides, lam, spec, master, start, stop = arg
-    fields = sample_fields(spec, box_lambda(max(sides) // 2).expand(1), lam, master, start, stop)
-    return list(zip(*(boundary_influence(box_lambda(s // 2), fields, (0, 0)).tolist() for s in sides)))
+def _origin_gap(L: int, j: int, fields) -> np.ndarray:
+    """Even-minus-odd occupation gap of the origin on the box of half-side L."""
+    return boundary_influence(box_lambda(L), fields, (0, 0))
 
 
-def _free_energy_task(arg: tuple) -> list[tuple]:
-    j, L, lam, spec, master, start, stop = arg
-    fields = sample_fields(spec, box_lambda(L).expand(1), lam, master, start, stop)
+def _gap_and_bounds(L: int, j: int, fields) -> np.ndarray:
+    """Rows: the response gap, its pathwise cap, both annulus left-hand sides and the annulus right-hand side."""
     gap, lhs, rhs = annulus_bound_check(L, j, fields)
-    cap = pathwise_gap_bound(fields, j)
-    pathwise_ok = np.abs(gap) <= cap + 1e-9
-    annulus_ok = np.all(lhs <= rhs + 1e-9, axis=0)
-    return list(zip(gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist()))
-
-
-def _fluctuation_task(arg: tuple) -> list[tuple]:
-    groups, lam, spec, master, start, stop = arg
-    fields = sample_fields(spec, box_lambda(max(L for _, L in groups)).expand(1), lam, master, start, stop)
-    return list(zip(*(response_gap(L, j, fields).tolist() for j, L in groups)))
+    return np.vstack([gap, pathwise_gap_bound(fields, j), lhs, rhs])
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_logz(args) -> int:
-    box, j = _parse_box(args)
-    field, label = _field_for(args, box)
-    value = log_partition(box, field, as_boundary_condition(args.bc))
+def _report(args, j: int | None, label: str, observable: str, value: float) -> int:
+    """A box command's value: printed unless the CSV goes to stdout, and the CSV row when --out is given."""
     if args.out != "-":  # stdout holds the CSV alone
         print(_fmt(value))
     if args.out:
-        _emit([_row_maker(args, j, None, label)(0, "log_z", value)], args)
+        _emit([_row_maker(args, j, None, label)(0, observable, value)], args)
     return 0
 
 
+def cmd_logz(args) -> int:
+    box, j, field, label = _field_for(args)
+    return _report(args, j, label, "log_z", log_partition(box, field, as_boundary_condition(args.bc)))
+
+
 def cmd_occupation(args) -> int:
-    box, j = _parse_box(args)
-    field, label = _field_for(args, box)
+    box, j, field, label = _field_for(args)
     try:
         x, _, y = args.site.partition(",")
         site = (int(x), int(y))
     except ValueError as exc:
         raise ValueError(f"bad --site {args.site!r}: expected X,Y") from exc
     value = occupation_probability(box, field, site, as_boundary_condition(args.bc))
-    if args.out != "-":
-        print(_fmt(value))
-    if args.out:
-        _emit([_row_maker(args, j, None, label)(0, f"occupation[{site[0]},{site[1]}]", value)], args)
-    return 0
+    return _report(args, j, label, f"occupation[{site[0]},{site[1]}]", value)
 
 
 def cmd_influence(args) -> int:
@@ -232,11 +224,12 @@ def cmd_influence(args) -> int:
         if s < 2 or s % 2:
             raise ValueError("sides must be even and >= 2 (centered boxes)")
     spec = DisorderSpec.parse(args.disorder)
-    rows = _run_blocks(_influence_task, (tuple(sides), args.lam, spec, args.seed), replicas, workers)
+    sizes = tuple((s // 2, s // 2) for s in sides)
+    gaps_by_side = _run_blocks((_origin_gap, sizes, args.lam, spec, args.seed), replicas, workers)
     records, summaries = [], []
-    for side, gaps in zip(sides, zip(*rows)):
+    for side, gaps in zip(sides, gaps_by_side):
         row = _row_maker(args, side // 2, None, spec.label())
-        records += [row(r, "origin_gap", g) for r, g in enumerate(gaps)]
+        records += [row(r, "origin_gap", g) for r, g in enumerate(gaps.tolist())]
         for name, q in (("origin_gap_q1", 25), ("origin_gap_median", 50), ("origin_gap_q3", 75)):
             summaries.append(row(SUMMARY_REPLICA, name, float(np.percentile(gaps, q))))
     _emit(records + summaries, args)
@@ -251,17 +244,21 @@ def cmd_free_energy(args) -> int:
     workers = _workers(args)
     spec = DisorderSpec.parse(args.disorder)
     row = _row_maker(args, j, L, spec.label())
-    results = _run_blocks(_free_energy_task, (j, L, args.lam, spec, args.seed), replicas, workers)
+    [(gap, cap, lhs_even, lhs_odd, rhs)] = _run_blocks((_gap_and_bounds, ((j, L),), args.lam, spec, args.seed),
+                                                       replicas, workers)
+    pathwise_ok = np.abs(gap) <= cap + 1e-9
+    annulus_ok = (lhs_even <= rhs + 1e-9) & (lhs_odd <= rhs + 1e-9)
     names = ("response_gap", "pathwise_bound", "pathwise_holds", "annulus_holds")
-    records = [row(r, name, value) for r, values in enumerate(results) for name, value in zip(names, values)]
-    mean, stderr = _mean_stderr(np.asarray([gap for gap, *_ in results]))
-    ratio = max(abs(gap) / cap if cap > 0 else 0.0 for gap, cap, *_ in results)
+    columns = (gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist())
+    records = [row(r, name, value) for r, values in enumerate(zip(*columns)) for name, value in zip(names, values)]
+    mean, stderr = _mean_stderr(gap)
+    ratio = max(abs(g) / c if c > 0 else 0.0 for g, c in zip(columns[0], columns[1]))
     s = SUMMARY_REPLICA
     records += [
         row(s, "response_gap_mean", mean, stderr),
         row(s, "max_gap_bound_ratio", ratio),
         row(s, "expected_gap_bound", expected_gap_bound(j, args.lam, spec)),
-        row(s, "all_bounds_hold", all(pw_ok and ann_ok for *_, pw_ok, ann_ok in results)),
+        row(s, "all_bounds_hold", bool(np.all(pathwise_ok & annulus_ok))),
     ]
     _emit(records, args)
     return 0
@@ -275,9 +272,9 @@ def cmd_fluctuations(args) -> int:
     groups = [(j, args.L if args.L is not None else 2 * j) for j in js]
     if not all(1 <= j < L for j, L in groups):
         raise ValueError("need 1 <= j < L")
-    rows = _run_blocks(_fluctuation_task, (tuple(groups), args.lam, spec, args.seed), replicas, workers)
+    gaps_by_group = _run_blocks((response_gap, tuple(groups), args.lam, spec, args.seed), replicas, workers)
     records, summaries = [], []
-    for (j, L), gaps in zip(groups, map(np.asarray, zip(*rows))):
+    for (j, L), gaps in zip(groups, gaps_by_group):
         row = _row_maker(args, j, L, spec.label())
         records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
         var = float(gaps.var(ddof=1))
@@ -292,8 +289,7 @@ def cmd_fluctuations(args) -> int:
 
 def cmd_sample(args) -> int:
     draws = _at_least(args.draws, 1, "--draws")
-    box, j = _parse_box(args)
-    field, label = _field_for(args, box)
+    box, j, field, label = _field_for(args)
     bc = as_boundary_condition(args.bc)
     row = _row_maker(args, j, None, label)
     if args.method == "exact":
@@ -317,17 +313,16 @@ def cmd_sample(args) -> int:
 def _determinism_check(seed: int):
     from .validation import CheckResult  # here, not at module level: only validate runs the checks
 
-    cfg = [((4,), 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]  # four blocks
-    seq = [_fmt(g) for t in cfg for g, in _influence_task(t)]
-    par = [_fmt(g) for block in _pmap(_influence_task, cfg, workers=2) for g, in block]
+    cfg = [(_origin_gap, ((2, 2),), 1.0, DisorderSpec("bernoulli", (0.5,)), seed, r, r + 2) for r in range(0, 8, 2)]
+    seq = [_fmt(g) for t in cfg for g in _block_task(*t).ravel().tolist()]  # four blocks of the side-4 box
+    par = [_fmt(g) for block in _pmap(_block_task, cfg, workers=2) for g in block.ravel().tolist()]
     return CheckResult("determinism", seq == par, "workers 1 vs 2 byte-identical")
 
 
 def cmd_validate(args) -> int:
-    from .validation import run_quick_suite  # here, not at module level: only validate runs the checks
+    from .validation import _guarded, run_quick_suite  # here, not at module level: only validate runs the checks
 
-    results = run_quick_suite(args.seed)
-    results.append(_determinism_check(args.seed))
+    results = run_quick_suite(args.seed) + _guarded("determinism", _determinism_check, args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")

@@ -298,6 +298,7 @@ def occupation_probabilities(
             probs[idx, :, r] = mass[..., top:].sum(axis=2) / total
             mass[..., keep] += mass[..., top:]
             mass = mass[..., :top]
+        del mass, scan  # before _scans builds the next chunk
     return dict(zip(box.sites(), probs[0].ravel().tolist())) if single else probs
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardcore2d import cli, engine, observables
+from hardcore2d import cli, engine, observables, validation
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field, sample_fields, save_field
 from hardcore2d.engine import sample_exact
 from hardcore2d.lattice import EVEN_BC, FREE_BC, box_lambda, centered_box, draw_sites
@@ -63,7 +63,6 @@ def test_influence_workers_do_not_change_bytes(tmp_path, capsys):
 
 
 def test_manifest_written_next_to_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     out = tmp_path / "run.csv"
     argv = ["logz", "--j", "1", "--lambda", "2", "--seed", "5", "--out", str(out)]
     code = cli.main(argv)
@@ -286,8 +285,7 @@ def test_sample_rows_are_reproducible(capsys):
     assert len(rows) == 4
 
 
-def test_negative_seeds_wrap_to_uint64(capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_negative_seeds_wrap_to_uint64(capsys):
     argv = ["sample", "--box", "3x2", "--method", "exact", "--draws", "4", "--out", "-", "--seed"]
     code, out, err = run_cli(argv + ["-1"], capsys)
     assert (code, err) == (0, "")
@@ -325,11 +323,32 @@ def test_validate_flags_injected_engine_bug(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [20260815, 20260831])
-def test_validate_output_is_pinned(capsys, monkeypatch, seed):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_validate_output_is_pinned(capsys, seed):
     code, out, _ = run_cli(["validate", "--seed", str(seed)], capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / f"validate_seed{seed}.txt").read_text()
+
+
+def test_a_crashing_determinism_row_fails_validate_with_its_message(capsys, monkeypatch):
+    # the row runs guarded, as the suite's checks do; the suite is stubbed to one row to stay fast
+    monkeypatch.setattr(validation, "run_quick_suite", lambda seed: [validation.CheckResult("stub", True, "ok")])
+
+    def crash(*args):
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(cli, "_block_task", crash)
+    code, out, err = run_cli(["validate"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == ["determinism  FAIL  crashed: RuntimeError('block failed')", "overall: FAIL"]
+
+
+def test_a_guarded_check_gives_a_fail_row_for_a_crash_and_a_row_per_tuple_entry():
+    def crash(n):
+        raise ZeroDivisionError(n)
+
+    assert validation._guarded("c", crash, 3) == [validation.CheckResult("c", False, "crashed: ZeroDivisionError(3)")]
+    rows = (validation.CheckResult("a", True, "x"), validation.CheckResult("b", False, "y"))
+    assert validation._guarded("t", lambda: rows) == list(rows)
 
 
 def test_exact_draws_are_pinned(capsys):
@@ -367,7 +386,6 @@ def test_draws_at_benchmark_sizes_are_pinned(capsys, method, box, lam):
 def test_sample_bytes_at_benchmark_sizes_are_what_csv_writer_writes(capsys, monkeypatch, method, w, h, lam, draws):
     # the benchmark's draw counts pick many more distinct masks per column than the 100-draw pins; the
     # CFTP draws are the ones the command got, as re-running them would double the test's time
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     results = []
     monkeypatch.setattr(cli, "cftp_sample", lambda *args: results.append(cftp_sample(*args)) or results[-1])
     argv = ["sample", "--method", method, "--box", f"{w}x{h}", "--field", "bernoulli:0.7", "--lambda", lam,
@@ -411,9 +429,8 @@ def test_sample_values_are_the_json_of_the_sorted_draw(capsys, method, box, fiel
 
 
 @pytest.mark.parametrize("method, w, h, lam, draws", [("cftp", 2, 62, 0.5, 5), ("exact", 3, 24, 1.0, 20)])
-def test_sample_values_are_the_librarys_draws_past_the_pinned_heights(capsys, monkeypatch, method, w, h, lam, draws):
+def test_sample_values_are_the_librarys_draws_past_the_pinned_heights(capsys, method, w, h, lam, draws):
     # rows past 53 of a CFTP draw would show a float or int64 round trip of its packed columns
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     argv = ["sample", "--method", method, "--box", f"{w}x{h}", "--lambda", str(lam), "--draws", str(draws),
             "--seed", "9", "--out", "-"]
     code, out, _ = run_cli(argv, capsys)
@@ -670,9 +687,7 @@ def test_bad_box_names_its_fault(capsys, box, message):
     (["logz", "--j", "2", "--field", "bernoulli:0.5", "--replica-index", "-1"], None, "replica index must be >= 0"),
 ])
 def test_bad_input_exits_one_with_its_message(capsys, monkeypatch, argv, env, message):
-    if env is None:
-        monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv(cli.ENV_SEED, env)
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
 
@@ -804,8 +819,8 @@ def test_workers_capped_at_cpu_count(argv, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)  # _pmap imports it on use
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

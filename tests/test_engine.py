@@ -519,6 +519,23 @@ def test_a_marginals_chunk_works_within_its_stated_memory():
     assert peak < ((1.2 * 12 + 6) * 2**16 + 4 * 140 * 12 * 12) * 8
 
 
+def test_a_marginals_call_holds_one_chunk_at_a_time():
+    # 280 side-12 fields run as two chunks of 140; the first chunk's tables are released
+    # before the second's are built, so the call peaks near one chunk's working set
+    box = centered_box(12, 12)
+    fields = sample_fields(DisorderSpec.parse("bernoulli:0.7"), box.expand(1), 5.0, 35, 0, 280)
+    assert [len(idx) for idx, _ in engine._scans(box, fields, EVEN_BC, kept=12)] == [140, 140]
+    peaks = []
+    for n in (140, 280):
+        tracemalloc.start()
+        try:
+            occupation_probabilities(box, fields[:n], EVEN_BC)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
 def test_one_instance_out_of_range_fails_the_stack():
     box = centered_box(2, 24)
     fine = uniform_field(box)
