@@ -296,7 +296,7 @@ def cmd_sample(args) -> int:
         drawn = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
     else:
         results = [cftp_sample(box, field, bc, ReplicaSeed(args.seed, i)) for i in range(draws)]
-        drawn = np.array([res.columns for res in results], dtype=np.uint64)  # heights <= 62 fit
+        drawn = np.array([res.columns for res in results], dtype=np.uint64)  # MAX_SIDE = 64 rows fit
     # value = json.dumps(draw_sites(box, columns)), summed by numpy from each distinct (x, mask)'s "[x, y], " text
     texts = np.full(draws, "", dtype=object)
     for x, column in enumerate(drawn.T, box.x_min):

@@ -30,9 +30,13 @@ CFTP drives past time -t of a draw keyed ReplicaSeed(master, replica) with
 ``Generator(Philox(key=[master, replica ^ 0x9E3779B97F4A7C15], counter=[0, 0,
 t, 1])).random(site_count)`` of numpy, keys wrapped to uint64: uniform k goes
 to the k-th site of the sweep (column by column, bottom to top), and every
-epoch replays the same uniforms.  One Philox per draw reads them: for each new
-time t its state is reset to that of a fresh Philox at counter [0, 0, t, 1].
-An epoch reads its new times in blocks of at most engine._CHUNK_ENTRIES uniforms.
+epoch replays the same uniforms.  One Philox per thread reads them, kept with
+its Generator and a fresh state dict: a draw writes its key into the dict, and
+for each new time t the state is reset to that of a fresh Philox at counter
+[0, 0, t, 1], so no Philox is constructed per draw and no thread shares one.
+An epoch reads its new times in blocks of at most engine._CHUNK_ENTRIES
+uniforms; the chain keeps that block size and the extremes every epoch starts
+from.
 
 ``cftp_sample`` reuses its last call's chain for the same field object (fields
 are immutable), an equal box and an equal frame: 499 of the 500 calls of
@@ -41,6 +45,7 @@ check.  The memo is one tuple, read once per call and replaced whole.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +58,10 @@ from .lattice import MAX_SIDE, BoundaryCondition, FREE_BC, LatticeBox
 _M64 = (1 << 64) - 1
 _TIME_SALT = 0x9E3779B97F4A7C15
 _EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
+_BITS = 1 << np.arange(MAX_SIDE, dtype=np.uint64)  # bit r of a packed column
 _MAX_SWEEPS = 1 << 16  # the farthest back a CFTP epoch starts
 _last: tuple = (None, None, None, None)  # (field, box, bc, chain) of the last cftp_sample call
+_local = threading.local()  # .philox: this thread's (Philox, Generator, fresh state dict)
 
 
 class GlauberChain:
@@ -72,6 +79,8 @@ class GlauberChain:
         self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
         self._live = _pack(self.odds > 0.0).tolist()
         self._low, self._shift = (1 << box.height) - 1, box.height + 1
+        self.start = self.extremes()  # every epoch's pair; _sweep returns new lists, so never mutated
+        self.block = max(1, _CHUNK_ENTRIES // box.site_count)  # new times read at once: at most 512 KiB of uniforms
 
     def extremes(self) -> list[int]:
         """The pair of the maximal unblocked live odd (lower) and even (upper) sets."""
@@ -99,7 +108,7 @@ class CftpResult:
 
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Columns as integers: bit r of entry [..., x] is bits[..., x, r]."""
-    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.uint64))
+    return bits @ _BITS[: bits.shape[-1]]
 
 
 def _sweep(cols: list[int], rises: list[int]) -> list[int]:
@@ -132,24 +141,24 @@ def cftp_sample(
     if last_field is not field or last_box != box or last_bc != bc:
         chain = GlauberChain(box, field, bc)
         _last = (field, box, bc, chain)
-    start = chain.extremes()
-    key = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], dtype=np.uint64)
-    bits = np.random.Philox(key=key, counter=[0, 0, 0, 1])
-    gen, fresh = np.random.Generator(bits), bits.state
+    if not hasattr(_local, "philox"):
+        bits = np.random.Philox(key=0, counter=[0, 0, 0, 1])
+        _local.philox = bits, np.random.Generator(bits), bits.state
+    bits, gen, fresh = _local.philox
+    fresh["state"]["key"] = np.array([seed.master_seed & _M64, (seed.replica_index ^ _TIME_SALT) & _M64], np.uint64)
     rises: list[list[int]] = []  # rises[t - 1]: the pair's packed u < odds at time -t
-    block = max(1, _CHUNK_ENTRIES // box.site_count)  # new times read at once: at most 512 KiB of uniforms
     total = epochs = 0
     horizon = 1
     while horizon <= _MAX_SWEEPS:
         epochs += 1
-        for first in range(len(rises) + 1, horizon + 1, block):
-            uniforms = np.empty((min(block, horizon + 1 - first), box.site_count))
+        for first in range(len(rises) + 1, horizon + 1, chain.block):
+            uniforms = np.empty((min(chain.block, horizon + 1 - first), box.site_count))
             for t, row in enumerate(uniforms, first):
                 fresh["state"]["counter"][2] = t
                 bits.state = fresh  # Philox(key, counter=[0, 0, t, 1]) as constructed
                 gen.random(out=row)
             rises += chain.rises(uniforms)
-        state = start
+        state = chain.start
         for t in range(horizon, 0, -1):
             state = _sweep(state, rises[t - 1])
         total += horizon

@@ -1,12 +1,15 @@
 """Heat-bath dynamics, monotone coupling, and perfect sampling."""
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from hardcore2d import mcmc
+from hardcore2d import mcmc, validation
 from hardcore2d.disorder import ActivityField, DisorderSpec, ReplicaSeed, sample_field
 from hardcore2d.engine import MAX_HEIGHT, log_partition, sample_exact
 from hardcore2d.errors import CapacityError, CoalescenceTimeout
@@ -142,6 +145,25 @@ def test_monotone_check_sees_the_pair_packing(monkeypatch):
         assert not res.passed and "lost its order" in res.detail
 
 
+def test_monotone_check_walks_the_pairs_of_per_sweep_uniforms(monkeypatch):
+    # the check reads an instance's sweeps as one block; the pairs must be those of one read per sweep
+    for total, seed in ((2000, 20260815 + 9), (1100, 5)):  # 8 instances, and 5 with a short last one
+        walked = []
+        sweep = mcmc._sweep
+        monkeypatch.setattr(validation, "_sweep", lambda cols, rises: walked.append(sweep(cols, rises)) or walked[-1])
+        assert check_monotone_order(total, seed).passed
+        monkeypatch.undo()
+        rng, want = np.random.default_rng(seed), []
+        while len(want) < total:
+            box, field, bc = validation._random_instance(rng, 4, lams=(0.5, 1.0, 5.0, 10.0))
+            chain = GlauberChain(box, field, bc)
+            pair = chain.extremes()
+            for _ in range(min(250, total - len(want))):
+                pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
+                want.append(pair)
+        assert walked == want
+
+
 def reference_sites(box, columns):
     """draw_sites by its numpy definition: the set bits of each column, in sorted order."""
     packed = np.array(columns, dtype=np.uint64)
@@ -252,6 +274,58 @@ def test_cftp_timeout_raises(monkeypatch):
     msg = r"^4x4 box: no coalescence in 2 epochs, the last from 2 sweeps back, 3 pair sweeps in all$"
     with pytest.raises(CoalescenceTimeout, match=msg):
         cftp_sample(box, f, "empty", ReplicaSeed(1, 0))
+
+
+def in_new_thread(fn, *args):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def test_cftp_draws_alike_in_concurrent_threads():
+    # two threads share one (box, field, frame) while a third draws on another field, so the memo keeps
+    # switching under them; each thread's draws must be those of its seeds drawn alone
+    box = centered_box(3, 3)
+    shared, other = uniform_field(box, 2.0), uniform_field(box, 0.5)
+    jobs = [(shared, 11), (shared, 12), (other, 13)]
+    draws = lambda f, master: [cftp_sample(box, f, "empty", ReplicaSeed(master, i)) for i in range(300)]
+    want = [draws(f, master) for f, master in jobs]
+    barrier = threading.Barrier(len(jobs))
+
+    def together(job):
+        barrier.wait()
+        return draws(*job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch every few draws
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            got = list(pool.map(together, jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_cftp_constructs_no_philox_per_draw(monkeypatch):
+    box = centered_box(2, 2)
+    f = uniform_field(box)
+    made, philox = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(1) or philox(*a, **k))
+    in_new_thread(lambda: [cftp_sample(box, f, "empty", ReplicaSeed(3, i)) for i in range(200)])
+    assert len(made) == 1  # the new thread's generator, re-keyed for each of its 200 draws
+
+
+def test_a_timed_out_draw_leaves_no_generator_state(monkeypatch):
+    box = centered_box(4, 4)
+    hot, cool = uniform_field(box, 30.0), uniform_field(box, 1.0)
+
+    def after_timeout():
+        monkeypatch.setattr(mcmc, "_MAX_SWEEPS", 2)
+        with pytest.raises(CoalescenceTimeout):
+            cftp_sample(box, hot, "empty", ReplicaSeed(1, 0))
+        monkeypatch.undo()
+        return cftp_sample(box, cool, "empty", ReplicaSeed(2, 5))
+
+    assert in_new_thread(after_timeout) == in_new_thread(cftp_sample, box, cool, "empty", ReplicaSeed(2, 5))
 
 
 def reference_time_uniforms(seed, t, n):
