@@ -347,7 +347,7 @@ def sample_exact(
     for x, beta in enumerate(betas):
         column, beta = scan.spread(x, scan.column(x)).T, scan.spread(x, beta).T
         prev, row = np.unique(picked[:, x], return_inverse=True)  # one CDF row per previous column
-        order = np.argsort(row, kind="stable") if len(prev) > chunk else slice(None)  # the draws by row
+        order = np.argsort(row, kind="stable") if len(prev) > chunk else slice(None)  # the draws by row; one chunk skips the sort (sorting anyway: +8% at 12x12, +37% at 2x2, equal draws)
         for start in range(0, len(prev), chunk):
             weights = np.where(masks & prev[start : start + chunk, None], 0.0, column)
             weights /= weights.max(axis=1, keepdims=True)  # per row: a row ignores its chunk

@@ -35,7 +35,7 @@ its Generator and a fresh state dict: a draw writes its key into the dict, and
 for each new time t the state is reset to that of a fresh Philox at counter
 [0, 0, t, 1], so no Philox is constructed per draw and no thread shares one.
 An epoch reads its new times in blocks of at most engine._CHUNK_ENTRIES
-uniforms; the chain keeps that block size and the extremes every epoch starts
+uniforms; the chain keeps that block size and the start pair every epoch starts
 from.
 
 ``cftp_sample`` reuses its last call's chain for the same field object (fields
@@ -77,14 +77,10 @@ class GlauberChain:
         acts = box_activities(box, [field], bc)[0]
         self.odds = acts / (1.0 + acts)  # occupation probability given free nbrs
         self._even = _pack(np.add(*box.coords()) % 2 == 0).tolist()
-        self._live = _pack(self.odds > 0.0).tolist()
         self._low, self._shift = (1 << box.height) - 1, box.height + 1
-        self.start = self.extremes()  # every epoch's pair; _sweep returns new lists, so never mutated
+        # the maximal unblocked live odd (lower) and even (upper) sets; _sweep returns new lists, so never mutated
+        self.start = [c & ~e | (c & e) << self._shift for c, e in zip(_pack(self.odds > 0.0).tolist(), self._even)]
         self.block = max(1, _CHUNK_ENTRIES // box.site_count)  # new times read at once: at most 512 KiB of uniforms
-
-    def extremes(self) -> list[int]:
-        """The pair of the maximal unblocked live odd (lower) and even (upper) sets."""
-        return [c & ~e | (c & e) << self._shift for c, e in zip(self._live, self._even)]
 
     def ordered(self, pair: list[int]) -> bool:
         """lower's even sites inside upper's, upper's odd sites inside lower's."""

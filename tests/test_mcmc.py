@@ -106,7 +106,7 @@ def test_extremes_are_the_unblocked_live_sublattices():
     frame = EVEN_BC.frame_occupied(box, f.is_live)
     free = {v for v in box.sites() if f.is_live(v) and not any(w in frame for w in neighbours(v))}
     chain = GlauberChain(box, f, EVEN_BC)
-    lower, upper = halves(box, chain.extremes())
+    lower, upper = halves(box, chain.start)
     assert upper == {v for v in free if is_even(v)}
     assert lower == {v for v in free if not is_even(v)}
 
@@ -118,7 +118,7 @@ def test_extremes_are_ordered_and_stay_ordered():
         box = centered_box(4, 3)
         f = sample_field(spec, box.expand(1), 6.0, ReplicaSeed(17, rep))
         chain = GlauberChain(box, f, "even")
-        pair = chain.extremes()
+        pair = chain.start
         lower, upper = halves(box, pair)
         assert sandwiched(lower, upper)
         assert chain.ordered(pair)
@@ -157,7 +157,7 @@ def test_monotone_check_walks_the_pairs_of_per_sweep_uniforms(monkeypatch):
         while len(want) < total:
             box, field, bc = validation._random_instance(rng, 4, lams=(0.5, 1.0, 5.0, 10.0))
             chain = GlauberChain(box, field, bc)
-            pair = chain.extremes()
+            pair = chain.start
             for _ in range(min(250, total - len(want))):
                 pair = mcmc._sweep(pair, chain.rises(rng.random(box.site_count))[0])
                 want.append(pair)

@@ -397,13 +397,6 @@ def test_a_wider_field_region_changes_no_bit(law, L, j):
         assert any(not f.values[frame].all() for f in near)
 
 
-def test_variance_band_fails_on_zero_gap():
-    res = validation.check_variance_band(
-        seed=SEED, js=(1, 2), spec=DisorderSpec("constant", (1.5,)), replicas=30
-    )
-    assert not res.passed
-
-
 @pytest.mark.parametrize(
     "ratios, passed",
     [
@@ -412,6 +405,7 @@ def test_variance_band_fails_on_zero_gap():
         ((1e-2, 6e-3, 1e-3), False),
         ((1e-2, 1e-3, 6e-4), False),
         ((5e-5, 1e-6, 1e-8), False),
+        ((0, 0, 0), False),  # a zero gap fails the band
     ],
 )
 def test_variance_band_asks_decay_at_every_step(monkeypatch, ratios, passed):
@@ -423,3 +417,14 @@ def test_variance_band_asks_decay_at_every_step(monkeypatch, ratios, passed):
     res = validation.check_variance_band(seed=SEED)
     assert res.passed == passed
     assert res.detail.startswith("var/site j=1:")
+
+
+def test_variance_band_inputs_stay_pinned(monkeypatch):
+    # criterion 07's law, box, scale, replicas and sizes are constants of the check, not arguments
+    drawn, solved = [], []
+    monkeypatch.setattr(validation, "sample_fields", lambda *args: drawn.append(args) or sample_fields(*args))
+    monkeypatch.setattr(validation, "response_gap", lambda L, j, fields: solved.append((L, j, fields)) or np.zeros(2))
+    validation.check_variance_band(seed=SEED + 8)
+    assert drawn == [(DisorderSpec.parse("bernoulli:0.5"), box_lambda(6).expand(1), 4.0, SEED + 8, 0, 300)]
+    assert [(L, j) for L, j, _ in solved] == [(2, 1), (4, 2), (6, 3)]
+    assert all(len(fields) == 300 for _, _, fields in solved)

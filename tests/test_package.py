@@ -30,7 +30,7 @@ def test_all_names_resolve_and_none_is_a_module():
 def test_the_heat_bath_chain_has_only_the_methods_cftp_runs():
     public = {name for name, value in vars(hardcore2d.GlauberChain).items()
               if callable(value) and not name.startswith("_")}
-    assert public == {"extremes", "ordered", "rises"}
+    assert public == {"ordered", "rises"}
 
 
 def test_benchmark_span_names_resolve(monkeypatch):
