@@ -176,14 +176,23 @@ def _pareto_log_gain(alpha: float, c: float) -> float:
     return math.log1p(c) + (2.0 * c) ** alpha * j(0.5) + log_inv * float(terms[::2].sum() - terms[1::2].sum())
 
 
+def _log1p_times(scale: float, x: float) -> float:
+    """log(1 + scale*x), also where scale*x overflows: 1/(scale*x) < 1e-308 there."""
+    u = scale * x
+    return math.log1p(u) if u < math.inf else math.log(scale) + math.log(x)
+
+
 def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
     """E[log(1 + scale*X)] under the disorder family.
 
-    Closed form for the constant, bernoulli and pareto families, otherwise
-    adaptive quadrature (relative tolerance 1e-10) against the density written
-    out; a quadrature that does not converge raises ValueError, as its value
-    is no bound.  The uniform family's elementary antiderivative is not used:
-    it cancels to nothing at small scales.
+    Closed form for the constant, bernoulli, pareto and uniform families,
+    otherwise adaptive quadrature (relative tolerance 1e-10) against the
+    density written out; a quadrature that does not converge raises
+    ValueError, as its value is no bound.  For X uniform on [a, b] the mean of
+    log1p over [scale*a, scale*b] is log1p(scale*b) - h(t), h(t) = 1 -
+    log1p(t)/t, t = (b - a) / (a + 1/scale), which loses at most a bit; below
+    t = 1/4, where 1 - log1p(t)/t cancels, h is its series sum_k>=1
+    (-1)^(k+1) t^k / (k + 1).
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
@@ -194,20 +203,21 @@ def log_gain_mean(spec: DisorderSpec, scale: float) -> float:
         return p[0] * math.log1p(scale)
     if fam == "pareto":
         return _pareto_log_gain(p[0], scale * p[1])
+    if fam == "uniform":
+        lo, hi = p  # t in the form that cannot overflow; h(1e300) is 1.0, h(inf) would be nan
+        t = min((hi - lo) / (lo + 1.0 / scale), 1e300) if scale > 1.0 else scale * (hi - lo) / (1.0 + scale * lo)
+        h = t * math.fsum((-t) ** k / (k + 2) for k in range(28)) if t < 0.25 else 1.0 - math.log1p(t) / t
+        return _log1p_times(scale, hi) - h
     import scipy.integrate  # here, not at module level: most runs never need scipy
 
-    lo, hi = 0.0, np.inf
-    if fam == "uniform":
-        lo, hi = p
-        pdf = lambda x: 1.0 / (hi - lo)
-    elif fam == "lognormal":
+    if fam == "lognormal":
         m, s = p
         pdf = lambda x: math.exp(-((math.log(x) - m) ** 2) / (2.0 * s * s)) / (x * s * math.sqrt(2.0 * math.pi))
     else:  # gamma
         k, theta = p
         pdf = lambda x: math.exp((k - 1.0) * math.log(x / theta) - x / theta - math.lgamma(k)) / theta
     val, _, _, *msg = scipy.integrate.quad(
-        lambda x: math.log1p(scale * x) * pdf(x), lo, hi, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1
+        lambda x: _log1p_times(scale, x) * pdf(x), 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1
     )
     if msg:
         raise ValueError(f"E[log(1 + lambda*X)] under {spec.label()} at lambda={scale!r}: "

@@ -633,6 +633,17 @@ def test_a_pareto_gap_bound_is_the_closed_form(capsys):
     assert summary["expected_gap_bound"] == pytest.approx(12 * 2 / 1e-8 * 5.8657447853911e-08, rel=1e-12)
 
 
+@pytest.mark.parametrize("law, want", [("lognormal:0,1", 1.69654469651801286e-303),
+                                       ("gamma:2,1.5", 1.69853249518170878e-303)])
+def test_a_quadrature_gap_bound_stays_finite_where_lambda_x_overflows(capsys, law, want):
+    # quad printed inf here: its integrand took log1p(inf) past 1.8e308 / x; the exact values are by mpmath
+    code, out, _ = run_cli(["free-energy", "--j", "1", "--L", "2", "--replicas", "2", "--disorder", law,
+                            "--lambda", "1e307", "--seed", "1", "--out", "-"], capsys)
+    assert code == 0
+    summary = {row[6]: float(row[7]) for row in csv.reader(io.StringIO(out)) if row[0] == "-1"}
+    assert summary["expected_gap_bound"] == pytest.approx(want, rel=1e-10)
+
+
 def test_free_energy_needs_two_replicas(capsys):
     # one replica has no standard error, none has no ratio
     for n in ("1", "0"):

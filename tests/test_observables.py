@@ -266,6 +266,40 @@ def test_log_gain_mean_closed_forms_match_quadrature():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_uniform_gain_is_the_closed_form_to_its_last_digits():
+    # E log(1 + lambda X), X uniform on [a, b], by mpmath at 700 digits.  The series takes over below
+    # t = lambda (b - a) / (1 + lambda a) = 1/4: lambda = 0.125 puts t there for a = 0, and a pair sits on
+    # each side of it for a = 0.5; 8.99e307 and 1e308 put lambda b past the largest float; narrow laws
+    # and lambda = 1e-300, where the gain is lambda (a + b) / 2, are where the direct form cancels; at the
+    # subnormal 2^-1040, 1 / lambda overflows
+    cases = [
+        ((0.0, 2.0), 4.0, 1.4718776495032468),
+        ((0.0, 2.0), 0.125, 0.11571775657104878),
+        ((0.0, 2.0), 0.1250000001, 0.11571775665698941),
+        ((0.5, 1.5), 0.2857142854, 0.24924914895467407),
+        ((0.5, 1.5), 0.285714286, 0.24924914941456896),
+        ((0.0, 2.0), 8.99e307, 708.78288357821550),
+        ((0.0, 2.0), 1e308, 708.88935582272602),
+        ((0.99, 1.01), 1e-8, 9.9999999499983337e-9),
+        ((1.0, 1.000001), 0.3, 0.26236437985209754),
+        ((0.5, 1.5), 1e5, 11.467707703468668),
+        ((0.0, 2.0), 1e-300, 1e-300),
+        ((0.0, 2.0), 2.0**-1040, 2.0**-1040),
+    ]
+    for params, lam, want in cases:
+        got = log_gain_mean(DisorderSpec("uniform", params), lam)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), (params, lam)
+
+
+def test_quadrature_gains_stay_finite_where_lambda_x_overflows():
+    # past 1.8e308 / x the integrand is log(lambda) + log(x): E log X is 0 for lognormal:0,1 and
+    # digamma(2) + log(1.5) for gamma:2,1.5 (the uniform law at 1e308 is pinned above)
+    lam = 1e308
+    assert log_gain_mean(DisorderSpec("lognormal", (0.0, 1.0)), lam) == pytest.approx(math.log(lam), rel=1e-10)
+    want = math.log(lam) + 1.0 - 0.5772156649015329 + math.log(1.5)
+    assert log_gain_mean(DisorderSpec("gamma", (2.0, 1.5)), lam) == pytest.approx(want, rel=1e-10)
+
+
 def test_lognormal_and_gamma_gains_match_scipy_densities():
     import scipy.stats  # the reference densities; the package writes its own
 

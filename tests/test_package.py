@@ -89,8 +89,8 @@ def test_bernoulli_sweeps_and_cftp_sampling_load_no_scipy():
     assert out == [[0, 0, 0], []]
 
 
-def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
-    # every gain writes its density out, so none needs scipy.stats
+def test_gamma_draws_load_scipy_special_and_the_lognormal_gain_scipy_integrate():
+    # the uniform gain is a closed form; every quadrature gain writes its density out, so none needs scipy.stats
     u = [0.1, 0.5, 0.9]
     out = run_fresh(f"""
         from hardcore2d.disorder import DisorderSpec
@@ -105,10 +105,35 @@ def test_gamma_draws_and_uniform_gain_load_scipy_on_first_use():
     assert out[0] == []
     assert out[1] == DisorderSpec.parse("gamma:2,1.5").from_uniform(np.array(u)).tolist()
     assert out[2] == log_gain_mean(DisorderSpec.parse("uniform:0,2"), 3.0)
-    assert {"scipy.special", "scipy.integrate"} <= set(out[3])
+    assert "scipy.special" in out[3]
+    assert "scipy.integrate" not in out[3]
     assert "scipy.stats" not in out[3]
     assert out[4] == log_gain_mean(DisorderSpec.parse("lognormal:0,1"), 3.0)
+    assert "scipy.integrate" in out[5]
     assert "scipy.stats" not in out[5]
+
+
+def test_uniform_sweeps_load_no_scipy_and_validate_no_quadrature():
+    # validate needs scipy.special for its chi-square tail only
+    out = run_fresh(f"""
+        import contextlib, io
+        from hardcore2d import cli
+        runs = [
+            ["free-energy", "--j", "1", "--L", "2", "--replicas", "2", "--disorder", "uniform:0,2", "--lambda", "4"],
+            ["fluctuations", "--j", "1", "--replicas", "2", "--disorder", "uniform:0,2"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv + ["--out", "-"]) for argv in runs]
+        print(json.dumps(codes))
+        {SCIPY_LOADED}
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["validate"])
+        print(json.dumps(code))
+        {SCIPY_LOADED}
+    """)
+    assert out[:3] == [[0, 0], [], 0]
+    assert "scipy.special" in out[3]
+    assert "scipy.integrate" not in out[3]
 
 
 def test_gains_and_the_cftp_check_load_no_scipy_stats():
