@@ -63,25 +63,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(lines: list[str], args) -> None:
-    text = "".join([",".join(CSV_COLUMNS) + "\n", *lines])
-    if args.out == "-":
-        sys.stdout.write(text)
-        return
-    (path := Path(args.out)).write_text(text, encoding="utf-8")
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command", "lam")}
-    manifest = {
-        "tool": "hardcore2d",
-        "version": __version__,
-        "command": args.command,
-        "config": {**config, "lambda": args.lam},
-        "written": datetime.now(timezone.utc).isoformat(),
-    }
-    path.with_suffix(path.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _resolve_seed(args) -> int:
     env = os.environ.get(ENV_SEED)
     if env is not None:
@@ -131,15 +112,38 @@ def _row_maker(args, j: int | None, L: int | None, label: str):
     return lambda r, observable, value, stderr=None: f"{r},{group},{_fmt(observable)},{_fmt(value)},{_fmt(stderr)}\n"
 
 
+def _write(args, label: str, groups) -> None:
+    """Write the CSV of ``(j, L, columns, summaries)`` groups to --out: each group's rows replica by replica,
+    a row per column ``{observable: value per replica}`` in its order, then every group's summary rows
+    ``(observable, value[, stderr])``.  A JSON manifest goes next to a CSV file."""
+    makers = [_row_maker(args, j, L, label) for j, L, _, _ in groups]
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for row, (_, _, columns, _) in zip(makers, groups):
+        lines += [row(r, name, value) for r, values in enumerate(zip(*columns.values()))
+                  for name, value in zip(columns, values)]
+    lines += [row(SUMMARY_REPLICA, *summary) for row, (*_, summaries) in zip(makers, groups) for summary in summaries]
+    text = "".join(lines)
+    if args.out == "-":
+        sys.stdout.write(text)
+        return
+    (path := Path(args.out)).write_text(text, encoding="utf-8")
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command", "lam")}
+    manifest = {
+        "tool": "hardcore2d",
+        "version": __version__,
+        "command": args.command,
+        "config": {**config, "lambda": args.lam},
+        "written": datetime.now(timezone.utc).isoformat(),
+    }
+    path.with_suffix(path.suffix + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def _at_least(value: int, least: int, flag: str) -> int:
     if value < least:
         raise ValueError(f"{flag} must be >= {least}, got {value}")
     return value
-
-
-def _workers(args) -> int:
-    """--workers, capped at the CPU count (more processes only contend)."""
-    return min(_at_least(args.workers, 1, "--workers"), os.cpu_count() or 1)
 
 
 def _pmap(fn, items, workers: int) -> list:
@@ -158,7 +162,7 @@ def _pmap(fn, items, workers: int) -> list:
 # box of its (j, L) sizes and its ring, solves each size as stacks (one engine
 # call per box, field variant and frame), and returns one array: sizes first,
 # then any rows of the solver's own, the replica axis last, along which
-# _run_blocks joins the blocks; --workers shards them over one pool per command.
+# _sweep joins the blocks; --workers shards them over one pool per command.
 # Every replica's numbers are a function of its key alone, so the output does
 # not depend on the worker count or on _BLOCK. A block bounds a task's fields
 # and stacks: one block per command ran 0-14% faster on perfbench's sweeps but
@@ -172,11 +176,15 @@ def _block_task(solve, sizes: tuple, lam, spec: DisorderSpec, master: int, start
     return np.array([solve(L, j, fields) for j, L in sizes])
 
 
-def _run_blocks(head: tuple, replicas: int, workers: int) -> np.ndarray:
-    """The block task's array over replicas 0 .. replicas - 1: one task
-    ``head + (start, stop)`` per block."""
-    blocks = [(*head, start, min(start + _BLOCK, replicas)) for start in range(0, replicas, _BLOCK)]
-    return np.concatenate(_pmap(_block_task, blocks, workers), axis=-1)
+def _sweep(args, solve, sizes: tuple, least: int) -> tuple[DisorderSpec, np.ndarray]:
+    """A sweep's law and the block task's array over its replicas, after checking --replicas (at least
+    ``least``), then --workers (capped at the CPU count: more processes only contend), then --disorder."""
+    replicas = _at_least(args.replicas, least, "--replicas")
+    workers = min(_at_least(args.workers, 1, "--workers"), os.cpu_count() or 1)
+    spec = DisorderSpec.parse(args.disorder)
+    blocks = [(solve, sizes, args.lam, spec, args.seed, start, min(start + _BLOCK, replicas))
+              for start in range(0, replicas, _BLOCK)]
+    return spec, np.concatenate(_pmap(_block_task, blocks, workers), axis=-1)
 
 
 def _origin_gap(L: int, j: int, fields) -> np.ndarray:
@@ -198,7 +206,7 @@ def _report(args, j: int | None, label: str, observable: str, value: float) -> i
     if args.out != "-":  # stdout holds the CSV alone
         print(_fmt(value))
     if args.out:
-        _emit([_row_maker(args, j, None, label)(0, observable, value)], args)
+        _write(args, label, [(j, None, {observable: [value]}, ())])
     return 0
 
 
@@ -220,21 +228,13 @@ def cmd_occupation(args) -> int:
 
 def cmd_influence(args) -> int:
     sides = _int_list(args.sides)
-    replicas = _at_least(args.replicas, 1, "--replicas")
-    workers = _workers(args)
-    for s in sides:
-        if s < 2 or s % 2:
-            raise ValueError("sides must be even and >= 2 (centered boxes)")
-    spec = DisorderSpec.parse(args.disorder)
-    sizes = tuple((s // 2, s // 2) for s in sides)
-    gaps_by_side = _run_blocks((_origin_gap, sizes, args.lam, spec, args.seed), replicas, workers)
-    records, summaries = [], []
-    for side, gaps in zip(sides, gaps_by_side):
-        row = _row_maker(args, side // 2, None, spec.label())
-        records += [row(r, "origin_gap", g) for r, g in enumerate(gaps.tolist())]
-        for name, q in (("origin_gap_q1", 25), ("origin_gap_median", 50), ("origin_gap_q3", 75)):
-            summaries.append(row(SUMMARY_REPLICA, name, float(np.percentile(gaps, q))))
-    _emit(records + summaries, args)
+    if any(s < 2 or s % 2 for s in sides):
+        raise ValueError("sides must be even and >= 2 (centered boxes)")
+    spec, gaps_by_side = _sweep(args, _origin_gap, tuple((s // 2, s // 2) for s in sides), 1)
+    quartiles = (("origin_gap_q1", 25), ("origin_gap_median", 50), ("origin_gap_q3", 75))
+    _write(args, spec.label(), [(side // 2, None, {"origin_gap": gaps.tolist()},
+                                 [(name, float(np.percentile(gaps, q))) for name, q in quartiles])
+                                for side, gaps in zip(sides, gaps_by_side)])
     return 0
 
 
@@ -242,50 +242,36 @@ def cmd_free_energy(args) -> int:
     j, L = args.j, args.L
     if not 1 <= j < L:
         raise ValueError("need 1 <= j < L")
-    replicas = _at_least(args.replicas, 2, "--replicas")
-    workers = _workers(args)
-    spec = DisorderSpec.parse(args.disorder)
-    row = _row_maker(args, j, L, spec.label())
-    [(gap, cap, lhs_even, lhs_odd, rhs)] = _run_blocks((_gap_and_bounds, ((j, L),), args.lam, spec, args.seed),
-                                                       replicas, workers)
+    spec, [(gap, cap, lhs_even, lhs_odd, rhs)] = _sweep(args, _gap_and_bounds, ((j, L),), 2)
     pathwise_ok = np.abs(gap) <= cap + 1e-9
     annulus_ok = (lhs_even <= rhs + 1e-9) & (lhs_odd <= rhs + 1e-9)
-    names = ("response_gap", "pathwise_bound", "pathwise_holds", "annulus_holds")
-    columns = (gap.tolist(), cap.tolist(), pathwise_ok.tolist(), annulus_ok.tolist())
-    records = [row(r, name, value) for r, values in enumerate(zip(*columns)) for name, value in zip(names, values)]
-    mean, stderr = _mean_stderr(gap)
-    ratio = max(abs(g) / c if c > 0 else 0.0 for g, c in zip(columns[0], columns[1]))
-    s = SUMMARY_REPLICA
-    records += [
-        row(s, "response_gap_mean", mean, stderr),
-        row(s, "max_gap_bound_ratio", ratio),
-        row(s, "expected_gap_bound", expected_gap_bound(j, args.lam, spec)),
-        row(s, "all_bounds_hold", bool(np.all(pathwise_ok & annulus_ok))),
+    gaps, caps = gap.tolist(), cap.tolist()
+    columns = {"response_gap": gaps, "pathwise_bound": caps,
+               "pathwise_holds": pathwise_ok.tolist(), "annulus_holds": annulus_ok.tolist()}
+    summaries = [
+        ("response_gap_mean", *_mean_stderr(gap)),
+        ("max_gap_bound_ratio", max(abs(g) / c if c > 0 else 0.0 for g, c in zip(gaps, caps))),
+        ("expected_gap_bound", expected_gap_bound(j, args.lam, spec)),
+        ("all_bounds_hold", bool(np.all(pathwise_ok & annulus_ok))),
     ]
-    _emit(records, args)
+    _write(args, spec.label(), [(j, L, columns, summaries)])
     return 0
 
 
 def cmd_fluctuations(args) -> int:
-    js = _int_list(args.j)
-    replicas = _at_least(args.replicas, 2, "--replicas")
-    workers = _workers(args)
-    spec = DisorderSpec.parse(args.disorder)
-    groups = [(j, args.L if args.L is not None else 2 * j) for j in js]
-    if not all(1 <= j < L for j, L in groups):
+    sizes = tuple((j, args.L if args.L is not None else 2 * j) for j in _int_list(args.j))
+    if not all(1 <= j < L for j, L in sizes):
         raise ValueError("need 1 <= j < L")
-    gaps_by_group = _run_blocks((response_gap, tuple(groups), args.lam, spec, args.seed), replicas, workers)
-    records, summaries = [], []
-    for (j, L), gaps in zip(groups, gaps_by_group):
-        row = _row_maker(args, j, L, spec.label())
-        records += [row(r, "response_gap", g) for r, g in enumerate(gaps.tolist())]
+    spec, gaps_by_size = _sweep(args, response_gap, sizes, 2)
+    groups = []
+    for (j, L), gaps in zip(sizes, gaps_by_size):
         var = float(gaps.var(ddof=1))
-        summaries += [
-            row(SUMMARY_REPLICA, "gap_mean", float(gaps.mean())),
-            row(SUMMARY_REPLICA, "gap_variance", var),
-            row(SUMMARY_REPLICA, "variance_per_site", var / box_lambda(j).site_count),
-        ]
-    _emit(records + summaries, args)
+        groups.append((j, L, {"response_gap": gaps.tolist()}, [
+            ("gap_mean", float(gaps.mean())),
+            ("gap_variance", var),
+            ("variance_per_site", var / box_lambda(j).site_count),
+        ]))
+    _write(args, spec.label(), groups)
     return 0
 
 
@@ -293,7 +279,6 @@ def cmd_sample(args) -> int:
     draws = _at_least(args.draws, 1, "--draws")
     box, j, field, label = _field_for(args)
     bc = as_boundary_condition(args.bc)
-    row = _row_maker(args, j, None, label)
     if args.method == "exact":
         drawn = sample_exact(box, field, bc, np.random.default_rng(args.seed), draws)
     else:
@@ -305,10 +290,10 @@ def cmd_sample(args) -> int:
         masks, inverse = np.unique(column, return_inverse=True)
         pieces = ["".join(f"[{x}, {y}], " for _, y in draw_sites(box, [m])) for m in masks.tolist()]
         texts += np.array(pieces, dtype=object)[inverse]
-    records = [row(i, "sample", f"[{text[:-2]}]") for i, text in enumerate(texts.tolist())]
+    columns = {"sample": [f"[{text[:-2]}]" for text in texts.tolist()]}
     if args.method == "cftp":  # each draw's epochs follow its sample row
-        records = [line for i, res in enumerate(results) for line in (records[i], row(i, "cftp_epochs", res.epochs))]
-    _emit(records, args)
+        columns["cftp_epochs"] = [res.epochs for res in results]
+    _write(args, label, [(j, None, columns, ())])
     return 0
 
 

@@ -38,10 +38,10 @@ An epoch reads its new times in blocks of at most engine._CHUNK_ENTRIES
 uniforms; the chain keeps that block size and the start pair every epoch starts
 from.
 
-``cftp_sample`` reuses its last call's chain for the same field object (fields
-are immutable), an equal box and an equal frame: 499 of the 500 calls of
-``sample --method cftp --draws 500``, 1999 of the 2000 of ``validate``'s CFTP
-check.  The memo is one tuple, read once per call and replaced whole.
+``cftp_sample`` reuses its thread's last chain for the same field object
+(fields are immutable), an equal box and an equal frame: 499 of the 500 calls
+of ``sample --method cftp --draws 500``, 1999 of the 2000 of ``validate``'s
+CFTP check.  Each thread keeps its own memo, next to its Philox.
 """
 from __future__ import annotations
 
@@ -60,8 +60,7 @@ _TIME_SALT = 0x9E3779B97F4A7C15
 _EVEN = int("01" * (MAX_SIDE + 1), 2)  # the even bits of a packed pair
 _BITS = 1 << np.arange(MAX_SIDE, dtype=np.uint64)  # bit r of a packed column
 _MAX_SWEEPS = 1 << 16  # the farthest back a CFTP epoch starts
-_last: tuple = (None, None, None, None)  # (field, box, bc, chain) of the last cftp_sample call
-_local = threading.local()  # .philox: this thread's (Philox, Generator, fresh state dict)
+_local = threading.local()  # this thread's .philox (Philox, Generator, fresh state dict), .last (field, box, bc, chain)
 
 
 class GlauberChain:
@@ -132,11 +131,10 @@ def cftp_sample(
     up to 2 * _MAX_SWEEPS - 1 pair sweeps run in all.  Exceeding it raises
     CoalescenceTimeout -- there is no approximate fallback.
     """
-    global _last
-    last_field, last_box, last_bc, chain = _last  # one read: a concurrent call replaces the whole tuple
+    last_field, last_box, last_bc, chain = getattr(_local, "last", (None, None, None, None))
     if last_field is not field or last_box != box or last_bc != bc:
         chain = GlauberChain(box, field, bc)
-        _last = (field, box, bc, chain)
+        _local.last = (field, box, bc, chain)
     if not hasattr(_local, "philox"):
         bits = np.random.Philox(key=0, counter=[0, 0, 0, 1])
         _local.philox = bits, np.random.Generator(bits), bits.state

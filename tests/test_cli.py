@@ -251,6 +251,25 @@ def test_bad_disorder_text_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("logz", ["--box", "--j", "--bc", "--field", "--replica-index", "--lambda", "--seed", "--out"]),
+    ("occupation", ["--box", "--j", "--bc", "--field", "--replica-index", "--site", "--lambda", "--seed", "--out"]),
+    ("influence", ["--sides", "--disorder", "--replicas", "--workers", "--lambda", "--seed", "--out"]),
+    ("free-energy", ["--j", "--L", "--disorder", "--replicas", "--workers", "--lambda", "--seed", "--out"]),
+    ("fluctuations", ["--j", "--L", "--disorder", "--replicas", "--workers", "--lambda", "--seed", "--out"]),
+    ("sample", ["--box", "--j", "--bc", "--field", "--replica-index", "--method", "--draws", "--lambda", "--seed",
+                "--out"]),
+    ("validate", ["--seed"]),
+])
+def test_every_command_prints_its_help(capsys, command, flags):
+    # argparse formats a help string only when the help is printed, so a stray "%" fails only here
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    assert e.value.code == 0 and out.startswith(f"usage: hardcore {command} ")
+    assert [flag for flag in flags if f"{flag} " not in out] == []
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["logz", "--jay", "1"])
@@ -703,11 +722,19 @@ def test_bad_input_exits_one_with_its_message(capsys, monkeypatch, argv, env, me
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
 
 
-def test_fluctuations_check_every_group_before_solving_one(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "_run_blocks", lambda *args: calls.append(args) or [])
-    assert run_cli(["fluctuations", "--j", "1,2,9", "--L", "4"], capsys) == (1, "", "error: need 1 <= j < L\n")
-    assert calls == []
+@pytest.mark.parametrize("flag", [[], ["--replicas", "0"], ["--workers", "0"], ["--disorder", "bogus:1"]],
+                         ids=["alone", "replicas", "workers", "disorder"])
+@pytest.mark.parametrize("argv, message", [
+    (["influence", "--sides", "4,3"], "sides must be even and >= 2 (centered boxes)"),
+    (["free-energy", "--j", "2", "--L", "2"], "need 1 <= j < L"),
+    (["fluctuations", "--j", "1,2,9", "--L", "4"], "need 1 <= j < L"),
+], ids=["influence", "free-energy", "fluctuations"])
+def test_sweeps_check_their_sizes_before_their_flags_and_draw_no_field(capsys, monkeypatch, argv, message, flag):
+    # every sweep checks all its sizes, then --replicas, --workers and --disorder, before it draws a field
+    drawn = []
+    monkeypatch.setattr(cli, "sample_fields", lambda *args: drawn.append(args))
+    assert run_cli(argv + flag, capsys) == (1, "", f"error: {message}\n")
+    assert drawn == []
 
 
 def test_sweeps_draw_each_replica_once_per_block(capsys, monkeypatch):

@@ -149,6 +149,13 @@ def test_value_defaults_to_one_outside_region():
     assert f.scale * f.value_at((0, 0)) == pytest.approx(6.0)
 
 
+def test_a_field_equals_only_fields():
+    f = sample_field(DisorderSpec("uniform", (0.5, 1.5)), box_lambda(1), 2.0, ReplicaSeed(7, 0))
+    assert f == ActivityField(f.region, f.values.copy(), f.scale)
+    assert f.__eq__(f.values.tolist()) is NotImplemented
+    assert f != f.values.tolist() and f != "field" and f != None  # noqa: E711
+
+
 def test_switch_off_and_replace():
     spec = DisorderSpec("uniform", (0.5, 1.5))
     f = sample_field(spec, box_lambda(2), 2.0, ReplicaSeed(7, 0))

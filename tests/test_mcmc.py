@@ -210,9 +210,9 @@ def test_cftp_reuses_a_chain_only_for_the_same_field_box_and_frame(monkeypatch):
     calls += [(b, fld, bc, i) for i in range(2) for bc in frames for fld in fields for b in boxes]
     alone = []
     for b, fld, bc, i in calls:
-        monkeypatch.setattr(mcmc, "_last", (None, None, None, None))  # no chain to reuse
+        monkeypatch.setattr(mcmc._local, "last", (None, None, None, None), raising=False)  # no chain to reuse
         alone.append(cftp_sample(b, fld, bc, ReplicaSeed(21, i)))
-    monkeypatch.setattr(mcmc, "_last", (None, None, None, None))
+    monkeypatch.setattr(mcmc._local, "last", (None, None, None, None), raising=False)
     assert [cftp_sample(b, fld, bc, ReplicaSeed(21, i)) for b, fld, bc, i in calls] == alone
 
 
@@ -282,8 +282,8 @@ def in_new_thread(fn, *args):
 
 
 def test_cftp_draws_alike_in_concurrent_threads():
-    # two threads share one (box, field, frame) while a third draws on another field, so the memo keeps
-    # switching under them; each thread's draws must be those of its seeds drawn alone
+    # two threads share one (box, field, frame) while a third draws on another field; each thread's
+    # draws must be those of its seeds drawn alone
     box = centered_box(3, 3)
     shared, other = uniform_field(box, 2.0), uniform_field(box, 0.5)
     jobs = [(shared, 11), (shared, 12), (other, 13)]
@@ -303,6 +303,29 @@ def test_cftp_draws_alike_in_concurrent_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def test_threads_taking_turns_keep_their_own_chains(monkeypatch):
+    # each thread draws on its own field, the two handing over after every draw; one memo shared by the
+    # threads would rebuild a chain per draw
+    box = centered_box(3, 3)
+    built, chain = [], mcmc.GlauberChain
+    monkeypatch.setattr(mcmc, "GlauberChain", lambda *args: built.append(args) or chain(*args))
+    turns = [threading.Event(), threading.Event()]
+
+    def take_turns(me, field):
+        for i in range(10):
+            assert turns[me].wait(timeout=60)
+            turns[me].clear()
+            cftp_sample(box, field, "empty", ReplicaSeed(7, i))
+            turns[1 - me].set()
+
+    with ThreadPoolExecutor(2) as pool:
+        done = [pool.submit(take_turns, me, uniform_field(box, lam)) for me, lam in enumerate((2.0, 0.5))]
+        turns[0].set()
+        for future in done:
+            future.result(timeout=120)
+    assert len(built) == 2
 
 
 def test_cftp_constructs_no_philox_per_draw(monkeypatch):

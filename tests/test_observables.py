@@ -247,6 +247,20 @@ def test_derivative_identity_on_random_instance():
     assert fd == pytest.approx(marginal, abs=1e-6)
 
 
+def test_derivative_identity_check_skips_an_instance_without_a_live_site(monkeypatch):
+    # a box whose every site is dead has no site to differentiate at; it is drawn again, not counted
+    box = box_lambda(1)
+    dead, live = ActivityField(box, np.zeros((box.width, box.height)), 1.5), unit_field(box, 1.5)
+    instances = iter([(box, dead, EVEN_BC), (box, live, EVEN_BC), (box, dead, EVEN_BC), (box, live, EVEN_BC)])
+    monkeypatch.setattr(validation, "_random_instance", lambda rng, side: next(instances))
+    seen, check = [], validation.derivative_identity_check
+    monkeypatch.setattr(validation, "derivative_identity_check",
+                        lambda box, field, bc, v: seen.append(field) or check(box, field, bc, v))
+    result = validation.check_derivative_identity(instances=2, seed=SEED)
+    assert result.passed and result.detail.startswith("n=2 ")
+    assert seen == [live, live] and next(instances, None) is None
+
+
 def test_log_gain_mean_closed_forms_match_quadrature():
     # small scales are where an elementary antiderivative cancels to nothing
     cases = [
